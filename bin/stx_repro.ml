@@ -191,7 +191,8 @@ let bench_cmd =
       & info [ "compare" ] ~docv:"BASELINE.json"
           ~doc:
             "Compare this run against an earlier snapshot and exit non-zero \
-             if any cell's throughput regressed past the threshold.")
+             if any cell's throughput, p99 latency or abort rate regressed \
+             past the threshold.")
   in
   let threshold_arg =
     Arg.(
@@ -199,8 +200,9 @@ let bench_cmd =
       & opt float 0.2
       & info [ "threshold" ]
           ~doc:
-            "Relative throughput change that counts as a regression or \
-             improvement (0.2 = \u{00b1}20%).")
+            "Relative change of a cell leg (throughput, p99 latency, abort \
+             rate) that counts as a regression or improvement (0.2 = \
+             \u{00b1}20%).")
   in
   let run c out cmp threshold =
     Exp.prefetch ~progress:true c (Bench.suite_cells c);

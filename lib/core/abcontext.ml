@@ -72,10 +72,15 @@ let count t f =
     (fun acc slot -> match slot with Some r when f r -> acc + 1 | _ -> acc)
     0 t.history
 
-let count_addr t line = count t (fun r -> r.r_addr = Some line)
+(* option [=] is a polymorphic compare (caml_equal) without flambda;
+   match the int out *)
+let count_addr t line =
+  count t (fun r -> match r.r_addr with Some l -> l = line | None -> false)
 
-let abort_density t = count t (fun r -> r.r_addr <> None)
-let count_anchor t ue = count t (fun r -> r.r_anchor = Some ue)
+let abort_density t = count t (fun r -> match r.r_addr with Some _ -> true | None -> false)
+
+let count_anchor t ue =
+  count t (fun r -> match r.r_anchor with Some a -> a = ue | None -> false)
 
 let consume_active t ~site =
   if t.active_site <> no_site && t.active_site = site then begin

@@ -51,7 +51,9 @@ let release t ~core ~idx ~contended =
 
 let waiters t ~idx = t.waiting.(idx)
 let add_waiter t ~idx = t.waiting.(idx) <- t.waiting.(idx) + 1
-let remove_waiter t ~idx = t.waiting.(idx) <- max 0 (t.waiting.(idx) - 1)
+let remove_waiter t ~idx =
+  let w = t.waiting.(idx) in
+  if w > 0 then t.waiting.(idx) <- w - 1
 
 let holder t ~idx =
   match Htm.nt_load t.htm ~addr:(lock_addr t idx) with

@@ -3,7 +3,6 @@ open Stx_core
 open Stx_sim
 open Stx_workloads
 module J = Stx_metrics.Json
-module Mreg = Stx_metrics.Registry
 module Hist = Stx_metrics.Hist
 module Collect = Stx_metrics.Collect
 
@@ -53,11 +52,7 @@ let entry_of_run ~workload ~mode (r : Stx_metrics.Run.t) =
   let attempts = s.Stats.commits + s.Stats.aborts in
   let abort_rate = Stat.ratio s.Stats.aborts (max 1 attempts) in
   let p99_latency =
-    match
-      Mreg.histogram reg "stx_tx_latency_cycles" [ ("outcome", "commit") ]
-    with
-    | Some h -> Hist.p99 h
-    | None -> 0
+    Hist.p99 (Collect.histogram reg "stx_tx_latency_cycles" [ ("outcome", "commit") ])
   in
   let phase p = Collect.phase_total reg p in
   let prefix = phase Collect.Prefix in
@@ -353,6 +348,8 @@ type comparison = {
   c_old : entry option;
   c_new : entry option;
   ratio : float;
+  p99_ratio : float;
+  abort_ratio : float;
   verdict : verdict;
 }
 
@@ -362,6 +359,16 @@ let verdict_label = function
   | Regressed -> "REGRESSED"
   | Added -> "added"
   | Removed -> "removed"
+
+(* One gated leg: new/old and its verdict, [higher] naming the better
+   direction. A leg that moves off zero has an infinite ratio. *)
+let leg ~threshold ~higher o n =
+  if o = 0. && n = 0. then (1., Neutral)
+  else
+    let r = n /. o in
+    let better = if higher then r > 1. +. threshold else r < 1. -. threshold in
+    let worse = if higher then r < 1. -. threshold else r > 1. +. threshold in
+    (r, if worse then Regressed else if better then Improved else Neutral)
 
 let compare_runs ?(threshold = 0.2) ~baseline fresh =
   if not (threshold > 0. && threshold < 1.) then
@@ -381,20 +388,24 @@ let compare_runs ?(threshold = 0.2) ~baseline fresh =
     (fun ((w, m) as k) ->
       let c_old = Hashtbl.find_opt old_by k in
       let c_new = Hashtbl.find_opt new_by k in
-      let ratio, verdict =
-        match (c_old, c_new) with
-        | None, Some _ -> (nan, Added)
-        | Some _, None -> (nan, Removed)
-        | None, None -> assert false
-        | Some o, Some n ->
-          if o.throughput = 0. && n.throughput = 0. then (1., Neutral)
-          else
-            let r = n.throughput /. o.throughput in
-            if r < 1. -. threshold then (r, Regressed)
-            else if r > 1. +. threshold then (r, Improved)
-            else (r, Neutral)
+      let cell ?(ratio = nan) ?(p99_ratio = nan) ?(abort_ratio = nan) verdict =
+        { c_workload = w; c_mode = m; c_old; c_new; ratio; p99_ratio; abort_ratio; verdict }
       in
-      { c_workload = w; c_mode = m; c_old; c_new; ratio; verdict })
+      match (c_old, c_new) with
+      | None, Some _ -> cell Added
+      | Some _, None -> cell Removed
+      | None, None -> assert false
+      | Some o, Some n ->
+        let ratio, tv = leg ~threshold ~higher:true o.throughput n.throughput in
+        let p99_ratio, pv =
+          leg ~threshold ~higher:false (float o.p99_latency) (float n.p99_latency)
+        in
+        let abort_ratio, av = leg ~threshold ~higher:false o.abort_rate n.abort_rate in
+        let legs = [ tv; pv; av ] in
+        cell ~ratio ~p99_ratio ~abort_ratio
+          (if List.mem Regressed legs then Regressed
+           else if List.mem Improved legs then Improved
+           else Neutral))
     keys
 
 let regressions = List.filter (fun c -> c.verdict = Regressed)
@@ -402,9 +413,13 @@ let regressions = List.filter (fun c -> c.verdict = Regressed)
 let render_compare comparisons =
   let tbl =
     Table.create
-      [ "Benchmark"; "Mode"; "baseline thr"; "new thr"; "ratio"; "verdict" ]
+      [
+        "Benchmark"; "Mode"; "baseline thr"; "new thr"; "ratio"; "p99 ratio";
+        "abort ratio"; "verdict";
+      ]
   in
   let thr = function Some e -> Table.fmt_f ~dec:1 e.throughput | None -> "-" in
+  let ratio r = if Float.is_nan r then "-" else Table.fmt_f ~dec:2 r in
   List.iter
     (fun c ->
       Table.add_row tbl
@@ -413,7 +428,9 @@ let render_compare comparisons =
           c.c_mode;
           thr c.c_old;
           thr c.c_new;
-          (if Float.is_nan c.ratio then "-" else Table.fmt_f ~dec:2 c.ratio);
+          ratio c.ratio;
+          ratio c.p99_ratio;
+          ratio c.abort_ratio;
           verdict_label c.verdict;
         ])
     comparisons;

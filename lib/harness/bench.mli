@@ -64,6 +64,11 @@ val sim_suite :
 
 val render_sim : ?cores:int -> sim_entry list -> string
 
+val entry_of_run : workload:string -> mode:Stx_core.Mode.t -> Stx_metrics.Run.t -> entry
+(** Distill one run into its cell: throughput and abort rate from the
+    stats, p99 committed latency and the phase shares from the registry
+    (read by label subset, whatever [policy] label the run carried). *)
+
 val suite_cells : Exp.t -> Exp.cell list
 (** What to [Exp.prefetch] before {!suite}: the full Figure 7 matrix. *)
 
@@ -95,21 +100,29 @@ type comparison = {
   c_old : entry option;
   c_new : entry option;
   ratio : float;  (** new/old throughput; [nan] unless both present *)
+  p99_ratio : float;  (** new/old p99 latency; [nan] unless both present *)
+  abort_ratio : float;  (** new/old abort rate; [nan] unless both present *)
   verdict : verdict;
 }
 
 val compare_runs : ?threshold:float -> baseline:t -> t -> comparison list
-(** Match entries by (workload, mode) and judge the throughput ratio:
-    below [1 - threshold] is [Regressed], above [1 + threshold] is
-    [Improved], else [Neutral]. [threshold] defaults to 0.2 (±20%).
-    Raises [Invalid_argument] on a threshold outside (0, 1). *)
+(** Match entries by (workload, mode) and judge three deterministic legs
+    against [threshold]: throughput (higher is better), p99 latency and
+    abort rate (lower is better). A leg regresses when it moves the wrong
+    way by more than [threshold] (throughput below [1 - threshold] of
+    the baseline, p99 or abort rate above [1 + threshold] of it; a leg
+    moving off zero counts as infinitely far) and improves on the
+    mirrored condition. The cell is [Regressed] when any leg regressed,
+    else [Improved] when any improved, else [Neutral]. [threshold]
+    defaults to 0.2 (±20%). Raises [Invalid_argument] on a threshold
+    outside (0, 1). *)
 
 val regressions : comparison list -> comparison list
 (** The [Regressed] subset — non-empty means the gate should fail. *)
 
 val render_compare : comparison list -> string
-(** One row per cell with both throughputs, the ratio and the verdict,
-    plus a closing summary line. *)
+(** One row per cell with both throughputs, the three leg ratios and the
+    verdict, plus a closing summary line. *)
 
 (** {2 Sim-series gating} *)
 

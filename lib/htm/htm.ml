@@ -45,6 +45,7 @@ type t = {
   mutable conflicts : int;
   mutable ts_counter : int;
   mutable on_publish : (line:int -> unit) option;
+  mutable on_doom : (int -> unit) option;
 }
 
 let max_cores = 4096
@@ -92,9 +93,13 @@ let create ?(policy = Stx_policy.default) (cfg : Config.t) memory alloc =
     conflicts = 0;
     ts_counter = 0;
     on_publish = None;
+    on_doom = None;
   }
 
 let set_on_publish t f = t.on_publish <- f
+let set_on_doom t f = t.on_doom <- f
+
+let note_doom t victim = match t.on_doom with Some f -> f victim | None -> ()
 
 let note_publish t line =
   match t.on_publish with Some f -> f ~line | None -> ()
@@ -163,7 +168,8 @@ let doom t ~requester ~victim ~conf_addr =
        hardware delivers only the truncated [conf_pc]. *)
     c.st <-
       Doomed (Conflict { conf_addr; conf_pc; conf_pc_full = full; aggressor = requester });
-    t.conflicts <- t.conflicts + 1
+    t.conflicts <- t.conflicts + 1;
+    note_doom t victim
   | Idle | Doomed _ -> ()
 
 (* doom every holder of [line] other than [requester]; the masks are read
@@ -480,7 +486,8 @@ let stm_doom t ~aggressor ~victim ~conf_addr =
   | Active ->
     discard_speculative t victim;
     c.st <- Doomed (Stm_conflict { conf_addr; aggressor });
-    t.conflicts <- t.conflicts + 1
+    t.conflicts <- t.conflicts + 1;
+    note_doom t victim
   | Idle | Doomed _ -> ()
 
 let stm_publish t ~core ~addr ~value =

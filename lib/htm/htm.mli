@@ -172,6 +172,16 @@ val set_on_publish : t -> (line:int -> unit) option -> unit
     nontransactional store, before any event is observable to other
     threads' loads. *)
 
+val set_on_doom : t -> (int -> unit) option -> unit
+(** Install (or clear) the doom hook. It is called with the victim's
+    core once for each Active → Doomed transition caused by another core
+    — a conflicting access or nontransactional store under any
+    resolution policy, a lazy commit, or a software-tier publication —
+    right after the victim's speculative state is discarded. Self-dooms
+    (capacity, losing a conflict as the requester, lock subscription,
+    explicit aborts) do not call it. The simulator uses it to rewind a
+    victim that ran ahead of the dooming step. *)
+
 val retire : t -> unit
 (** Release the reader/writer index storage into the domain-local array
     pool; the HTM must not be used afterwards. *)

@@ -285,6 +285,14 @@ let counter_sum reg name labels =
       | _ -> acc)
     reg 0
 
+let histogram reg name labels =
+  Registry.fold
+    (fun n ls v acc ->
+      match v with
+      | Registry.Histogram h when n = name && label_subset labels ls -> Hist.merge acc h
+      | _ -> acc)
+    reg (Hist.create ())
+
 let phase_cycles reg ~ab p = counter_sum reg m_phase (phase_labels ~ab p)
 
 let abs_profiled reg =
@@ -304,13 +312,8 @@ let phase_total reg p =
 (* --- reconciliation against the inline counters ----------------------- *)
 
 let hist_stats reg name labels =
-  Registry.fold
-    (fun n ls v ((count, sum) as acc) ->
-      match v with
-      | Registry.Histogram h when n = name && label_subset labels ls ->
-        (count + Hist.count h, sum + Hist.sum h)
-      | _ -> acc)
-    reg (0, 0)
+  let h = histogram reg name labels in
+  (Hist.count h, Hist.sum h)
 
 let check reg (stats : Stats.t) =
   let errs = ref [] in

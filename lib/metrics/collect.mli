@@ -87,6 +87,12 @@ val check : Registry.t -> Stats.t -> (unit, string list) result
     tail spin into the abort path, so the tracked episodes undercount).
     [Error] carries one message per divergence. *)
 
+val histogram : Registry.t -> string -> (string * string) list -> Hist.t
+(** Every histogram series named [name] whose labels include [labels],
+    merged (empty when none matches) — e.g. [stx_tx_latency_cycles]
+    with [[("outcome", "commit")]] across whatever [policy] the run
+    carried. *)
+
 (** {2 Phase profile readout} *)
 
 type phase = Prefix | Lock_wait | Suffix | Irrevocable | Stm | Backoff | Wasted

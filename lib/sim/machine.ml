@@ -154,6 +154,10 @@ type thread = {
   mutable cur_req : int; (* request being served under an injector; -1 idle *)
   contexts : Abcontext.t array;
   softcpc : Softcpc.t;
+  mutable parked : bool; (* failed a global-lock recheck; asleep until release *)
+  ra_time : int array; (* run-ahead log: start cycle of each op run ahead *)
+  ra_insts : int array; (* ... and the attempt's [tx_insts] before it *)
+  mutable ra_len : int;
 }
 
 type m = {
@@ -184,10 +188,19 @@ type m = {
   line_shift : int; (* log2 words_per_line, -1 when not a power of two *)
   mutable steps : int;
   max_steps : int;
+  pw : int; (* tournament leaves: the least power of two >= cores *)
+  keys : int array; (* tournament tree over packed [time * pw + tid] keys *)
+  mutable now_key : int; (* key of the step being executed *)
+  mutable parked : int; (* threads parked on the global lock *)
 }
 
 (* ------------------------------------------------------------------ *)
 (* helpers                                                             *)
+
+(* [Stdlib.max]/[min] are polymorphic calls (compare_val) without
+   flambda; the per-step paths use these int versions *)
+let imax (a : int) b = if a >= b then a else b
+let imin (a : int) b = if a <= b then a else b
 
 let wpl m = m.cfg.Config.words_per_line
 
@@ -296,9 +309,9 @@ let push_frame th (tg : tgt) args nargs ret_dst =
   if th.depth >= Array.length th.frames then grow_frames th;
   let fr = th.frames.(th.depth) in
   let fn = tg.tfn in
-  let nregs = max fn.Ir.nregs 1 in
+  let nregs = imax fn.Ir.nregs 1 in
   if Array.length fr.regs < nregs then
-    fr.regs <- Array.make (max nregs (2 * Array.length fr.regs)) 0
+    fr.regs <- Array.make (imax nregs (2 * Array.length fr.regs)) 0
   else Array.fill fr.regs 0 nregs 0;
   Array.blit args 0 fr.regs 0 nargs;
   fr.func <- fn;
@@ -321,6 +334,83 @@ let rec eval_args th f i = function
     end;
     th.argbuf.(i) <- ev f a;
     eval_args th f (i + 1) rest
+
+(* ------------------------------------------------------------------ *)
+(* scheduling                                                          *)
+
+(* The scheduler runs the unfinished thread with the lowest clock,
+   breaking ties toward the lowest tid. A tournament tree over the packed
+   key [time * pw + tid] makes that choice (min key = min (time, tid)
+   lexicographically) and re-settles only a changed leaf's path to the
+   root: O(log cores) per step. Finished and parked threads sit at
+   [max_int], so a [max_int] root means nothing is runnable. *)
+let key_of m th =
+  if th.finished || th.parked then max_int else (th.time * m.pw) + th.tid
+
+(* Re-settle the tree above a changed leaf; stops as soon as a node's
+   minimum is unaffected. *)
+let rec settle (keys : int array) i =
+  if i >= 1 then begin
+    let v = imin keys.(2 * i) keys.((2 * i) + 1) in
+    if v <> keys.(i) then begin
+      keys.(i) <- v;
+      settle keys (i / 2)
+    end
+  end
+
+let rekey m th =
+  m.keys.(m.pw + th.tid) <- key_of m th;
+  settle m.keys ((m.pw + th.tid) / 2)
+
+(* [th] was doomed by the step keyed [m.now_key] while it held a log of
+   ops it ran ahead. The ops keyed after that step would not have run
+   yet in step order, so they are taken back — clock, instruction
+   counts, in-transaction cycles, step count — and the thread aborts at
+   the first of them, on the cycle the one-step order would. The frames
+   they wrote belong to the doomed attempt and die with it. *)
+let rewind m th =
+  let n = th.ra_len in
+  let i = ref 0 in
+  while !i < n && (th.ra_time.(!i) * m.pw) + th.tid < m.now_key do
+    incr i
+  done;
+  let i = !i in
+  if i < n then begin
+    let tx = th.txs in
+    let dt = th.time - th.ra_time.(i) and di = tx.tx_insts - th.ra_insts.(i) in
+    th.time <- th.ra_time.(i);
+    m.stats.Stats.tx_mode_cycles <- m.stats.Stats.tx_mode_cycles - dt;
+    tx.tx_insts <- tx.tx_insts - di;
+    m.stats.Stats.insts <- m.stats.Stats.insts - di;
+    m.stats.Stats.tx_insts <- m.stats.Stats.tx_insts - di;
+    m.steps <- m.steps - (n - i);
+    rekey m th
+  end;
+  th.ra_len <- 0
+
+(* The step keyed [m.now_key] released the global lock. Every recheck a
+   parked waiter would have made before that step failed (the lock was
+   held throughout), so it resumes at its first recheck keyed after the
+   release, charged the skipped ones as one sum. *)
+let wake_parked m =
+  if m.parked > 0 then begin
+    let c = m.cfg.Config.spin_recheck_cost in
+    let r_time = m.now_key / m.pw and r_tid = m.now_key land (m.pw - 1) in
+    for t = 0 to Array.length m.threads - 1 do
+      let th = m.threads.(t) in
+      if th.parked then begin
+        (* at equal cycles the lower tid steps first *)
+        let due = if th.tid > r_tid then r_time else r_time + 1 in
+        let k = if th.time >= due then 0 else (due - th.time + c - 1) / c in
+        charge m th (k * c);
+        m.stats.Stats.lock_wait_cycles <- m.stats.Stats.lock_wait_cycles + (k * c);
+        m.steps <- m.steps + k;
+        th.parked <- false;
+        rekey m th
+      end
+    done;
+    m.parked <- 0
+  end
 
 (* ------------------------------------------------------------------ *)
 (* advisory lock acquisition (the body of AcquireLockFor)              *)
@@ -701,13 +791,13 @@ let handle_abort m th =
         | Stx_policy.Fallback.Polite _ | Stx_policy.Fallback.Stm_tier _ ->
           (* polite backoff: mean delay proportional to the retry count *)
           let base = m.cfg.Config.backoff_base * tx.tx_attempt in
-          let jitter = Stx_util.Rng.int th.rng (max 1 base) in
+          let jitter = Stx_util.Rng.int th.rng (imax 1 base) in
           (base / 2) + jitter
         | Stx_policy.Fallback.Backoff { base; max_exp; _ } ->
           (* exponential randomized backoff with a capped exponent, drawn
              from the dedicated per-thread stream *)
-          let e = min tx.tx_attempt max_exp in
-          Stx_util.Rng.int th.backoff_rng (max 1 (base * (1 lsl e)))
+          let e = imin tx.tx_attempt max_exp in
+          Stx_util.Rng.int th.backoff_rng (imax 1 (base * (1 lsl e)))
       in
       if m.evt then emit m th (Backoff_start { tid = th.tid });
       charge m th delay;
@@ -773,7 +863,7 @@ let handle_stm_abort m th ~vcycles =
     else begin
       (* polite backoff, same schedule as the hardware tier's *)
       let base = m.cfg.Config.backoff_base * tx.tx_stm_attempts in
-      let jitter = Stx_util.Rng.int th.rng (max 1 base) in
+      let jitter = Stx_util.Rng.int th.rng (imax 1 base) in
       let delay = (base / 2) + jitter in
       if m.evt then emit m th (Backoff_start { tid = th.tid });
       charge m th delay;
@@ -843,7 +933,7 @@ let exec_intr m th f dst intr args =
     (match dst with Some d -> f.regs.(d) <- th.tid | None -> ())
   | Ir.Work, [ n ] ->
     let n = ev f n in
-    charge m th (max 0 n)
+    charge m th (imax 0 n)
   | Ir.Print, [ v ] ->
     charge m th 1;
     Logs.debug (fun k -> k "thread %d prints %d" th.tid (ev f v))
@@ -873,6 +963,7 @@ let do_return m th retval =
     if tx.tx_irrevocable then begin
       release_lock m th ~committed:true;
       Htm.release_global_lock m.htm;
+      wake_parked m;
       (* irrevocable execution is non-speculative: no read/write sets *)
       finish_tx m th tx ~rset:0 ~wset:0 retval
     end
@@ -917,148 +1008,198 @@ let do_return m th retval =
     (* under an injector the empty stack is the "ready for the next
        request" state, handled by [step]; without one it is the end of
        the thread's program *)
-    if th.depth = 0 && m.injector = None then th.finished <- true
+    if th.depth = 0 && (match m.injector with None -> true | Some _ -> false) then
+      th.finished <- true
   end
 
-let exec_inst m th (inst : Ir.inst) =
-  let f = frame_of th in
+let binop op a b =
+  match op with
+  | Ir.Add -> a + b
+  | Ir.Sub -> a - b
+  | Ir.Mul -> a * b
+  | Ir.Div -> if b = 0 then trap "division by zero" else a / b
+  | Ir.Rem -> if b = 0 then trap "remainder by zero" else a mod b
+  | Ir.And -> a land b
+  | Ir.Or -> a lor b
+  | Ir.Xor -> a lxor b
+  | Ir.Shl -> a lsl (b land 62)
+  | Ir.Shr -> a asr (b land 62)
+  | Ir.Eq -> if a = b then 1 else 0
+  | Ir.Ne -> if a <> b then 1 else 0
+  | Ir.Lt -> if a < b then 1 else 0
+  | Ir.Le -> if a <= b then 1 else 0
+  | Ir.Gt -> if a > b then 1 else 0
+  | Ir.Ge -> if a >= b then 1 else 0
+
+(* consume the instruction at [f.ip] *)
+let next_inst m th f =
+  f.ip <- f.ip + 1;
   m.stats.Stats.insts <- m.stats.Stats.insts + 1;
   if th.tx_active then begin
     th.txs.tx_insts <- th.txs.tx_insts + 1;
     m.stats.Stats.tx_insts <- m.stats.Stats.tx_insts + 1
-  end;
-  match inst.Ir.op with
-  | Ir.Mov (d, v) ->
-    charge m th 1;
-    f.regs.(d) <- ev f v
-  | Ir.Bin (op, d, a, b) ->
-    charge m th 1;
-    let a = ev f a and b = ev f b in
-    let r =
-      match op with
-      | Ir.Add -> a + b
-      | Ir.Sub -> a - b
-      | Ir.Mul -> a * b
-      | Ir.Div -> if b = 0 then trap "division by zero" else a / b
-      | Ir.Rem -> if b = 0 then trap "remainder by zero" else a mod b
-      | Ir.And -> a land b
-      | Ir.Or -> a lor b
-      | Ir.Xor -> a lxor b
-      | Ir.Shl -> a lsl (b land 62)
-      | Ir.Shr -> a asr (b land 62)
-      | Ir.Eq -> if a = b then 1 else 0
-      | Ir.Ne -> if a <> b then 1 else 0
-      | Ir.Lt -> if a < b then 1 else 0
-      | Ir.Le -> if a <= b then 1 else 0
-      | Ir.Gt -> if a > b then 1 else 0
-      | Ir.Ge -> if a >= b then 1 else 0
-    in
-    f.regs.(d) <- r
-  | Ir.Gep (d, b, _, fi) ->
-    charge m th 1;
-    f.regs.(d) <- f.regs.(b) + fi
-  | Ir.Idx (d, b, esize, i) ->
-    charge m th 1;
-    f.regs.(d) <- f.regs.(b) + (esize * ev f i)
-  | Ir.Load (d, p) ->
-    let addr = f.regs.(p) in
-    check_addr m addr;
-    charge m th (mem_latency m th ~addr ~write:false);
-    let v =
-      if speculative th then
-        Htm.tx_load m.htm ~core:th.tid ~addr ~pc:(pc_of m inst.Ir.iid)
-      else if stm_active th then begin
-        (* every software read also probes the line's version word *)
-        let stm = the_stm m in
-        charge m th
-          (mem_latency m th
-             ~addr:(Stm.version_addr stm ~line:(line_of m addr))
-             ~write:false);
-        Stm.tx_load stm ~core:th.tid ~addr
+  end
+
+(* Execute the thread's next op — an instruction, or its block's
+   terminator — and return true. With [local_only], only a thread-local
+   op runs; anything else returns false, leaving the thread untouched.
+   Thread-local ops read and write the thread's own registers, frames
+   and clock and nothing else, so no other thread can observe when they
+   run. Not thread-local: memory, allocation, the RNG (its draws outlive
+   an abort), ALPs, atomic calls, print and the explicit abort, a
+   division by zero (which traps, unless a doom lands first), and a
+   return that commits a transaction or ends the thread. *)
+let exec_op m th ~local_only =
+  let f = frame_of th in
+  let insts = f.insts in
+  if f.ip < Array.length insts then begin
+    let inst = insts.(f.ip) in
+    match inst.Ir.op with
+    | Ir.Mov (d, v) ->
+      next_inst m th f;
+      charge m th 1;
+      f.regs.(d) <- ev f v;
+      true
+    | Ir.Bin (op, d, a, b) ->
+      let b = ev f b in
+      if local_only && b = 0 && (match op with Ir.Div | Ir.Rem -> true | _ -> false)
+      then false
+      else begin
+        next_inst m th f;
+        charge m th 1;
+        f.regs.(d) <- binop op (ev f a) b;
+        true
       end
-      else Htm.nt_load m.htm ~addr
-    in
-    f.regs.(d) <- v
-  | Ir.Store (p, v) ->
-    let addr = f.regs.(p) in
-    check_addr m addr;
-    charge m th (mem_latency m th ~addr ~write:true);
-    let value = ev f v in
-    if speculative th then
-      Htm.tx_store m.htm ~core:th.tid ~addr ~value ~pc:(pc_of m inst.Ir.iid)
-    else if stm_active th then
-      Stm.tx_store (the_stm m) ~core:th.tid ~addr ~value
-    else Htm.nt_store m.htm ~core:th.tid ~addr ~value
-  | Ir.Alloc (d, sname) ->
-    charge m th 20;
-    f.regs.(d) <-
-      Alloc.alloc m.allocator ~thread:th.tid (ssize_of m inst.Ir.iid sname)
-  | Ir.Alloc_arr (d, sname, n) ->
-    charge m th 20;
-    let sz = ssize_of m inst.Ir.iid sname in
-    let n = ev f n in
-    if n <= 0 then trap "alloc_arr with nonpositive count %d" n;
-    f.regs.(d) <- Alloc.alloc m.allocator ~thread:th.tid (n * sz)
-  | Ir.Call (dst, g, args) ->
-    charge m th 2;
-    let n = eval_args th f 0 args in
-    push_frame th (callee_of m inst.Ir.iid g) th.argbuf n
-      (match dst with Some d -> d | None -> -1)
-  | Ir.Atomic_call (dst, ab, args) ->
-    if in_tx th then trap "nested atomic call";
-    let n = eval_args th f 0 args in
-    start_atomic m th ~ab
-      ~dst:(match dst with Some d -> d | None -> -1)
-      ~args:th.argbuf ~nargs:n
-  | Ir.Intr (dst, intr, args) -> exec_intr m th f dst intr args
-  | Ir.Alp a -> exec_alp m th a
+    | Ir.Gep (d, b, _, fi) ->
+      next_inst m th f;
+      charge m th 1;
+      f.regs.(d) <- f.regs.(b) + fi;
+      true
+    | Ir.Idx (d, b, esize, i) ->
+      next_inst m th f;
+      charge m th 1;
+      f.regs.(d) <- f.regs.(b) + (esize * ev f i);
+      true
+    | Ir.Call (dst, g, args) ->
+      next_inst m th f;
+      charge m th 2;
+      let n = eval_args th f 0 args in
+      push_frame th (callee_of m inst.Ir.iid g) th.argbuf n
+        (match dst with Some d -> d | None -> -1);
+      true
+    | Ir.Intr (dst, (Ir.Work as intr), ([ _ ] as args))
+    | Ir.Intr (dst, (Ir.Thread_id as intr), ([] as args)) ->
+      next_inst m th f;
+      exec_intr m th f dst intr args;
+      true
+    | Ir.Load _ | Ir.Store _ | Ir.Alloc _ | Ir.Alloc_arr _ | Ir.Atomic_call _
+    | Ir.Intr _ | Ir.Alp _
+      when local_only ->
+      false
+    | Ir.Load (d, p) ->
+      next_inst m th f;
+      let addr = f.regs.(p) in
+      check_addr m addr;
+      charge m th (mem_latency m th ~addr ~write:false);
+      let v =
+        if speculative th then
+          Htm.tx_load m.htm ~core:th.tid ~addr ~pc:(pc_of m inst.Ir.iid)
+        else if stm_active th then begin
+          (* every software read also probes the line's version word *)
+          let stm = the_stm m in
+          charge m th
+            (mem_latency m th
+               ~addr:(Stm.version_addr stm ~line:(line_of m addr))
+               ~write:false);
+          Stm.tx_load stm ~core:th.tid ~addr
+        end
+        else Htm.nt_load m.htm ~addr
+      in
+      f.regs.(d) <- v;
+      true
+    | Ir.Store (p, v) ->
+      next_inst m th f;
+      let addr = f.regs.(p) in
+      check_addr m addr;
+      charge m th (mem_latency m th ~addr ~write:true);
+      let value = ev f v in
+      if speculative th then
+        Htm.tx_store m.htm ~core:th.tid ~addr ~value ~pc:(pc_of m inst.Ir.iid)
+      else if stm_active th then
+        Stm.tx_store (the_stm m) ~core:th.tid ~addr ~value
+      else Htm.nt_store m.htm ~core:th.tid ~addr ~value;
+      true
+    | Ir.Alloc (d, sname) ->
+      next_inst m th f;
+      charge m th 20;
+      f.regs.(d) <-
+        Alloc.alloc m.allocator ~thread:th.tid (ssize_of m inst.Ir.iid sname);
+      true
+    | Ir.Alloc_arr (d, sname, n) ->
+      next_inst m th f;
+      charge m th 20;
+      let sz = ssize_of m inst.Ir.iid sname in
+      let n = ev f n in
+      if n <= 0 then trap "alloc_arr with nonpositive count %d" n;
+      f.regs.(d) <- Alloc.alloc m.allocator ~thread:th.tid (n * sz);
+      true
+    | Ir.Atomic_call (dst, ab, args) ->
+      next_inst m th f;
+      if in_tx th then trap "nested atomic call";
+      let n = eval_args th f 0 args in
+      start_atomic m th ~ab
+        ~dst:(match dst with Some d -> d | None -> -1)
+        ~args:th.argbuf ~nargs:n;
+      true
+    | Ir.Intr (dst, intr, args) ->
+      next_inst m th f;
+      exec_intr m th f dst intr args;
+      true
+    | Ir.Alp a ->
+      next_inst m th f;
+      exec_alp m th a;
+      true
+  end
+  else
+    match f.func.Ir.blocks.(f.bi).Ir.term with
+    | Ir.Jmp _ ->
+      charge m th 1;
+      f.bi <- f.tgt.(2 * f.bi);
+      f.insts <- f.func.Ir.blocks.(f.bi).Ir.insts;
+      f.ip <- 0;
+      true
+    | Ir.Br (c, _, _) ->
+      charge m th 1;
+      f.bi <- f.tgt.((2 * f.bi) + if ev f c <> 0 then 0 else 1);
+      f.insts <- f.func.Ir.blocks.(f.bi).Ir.insts;
+      f.ip <- 0;
+      true
+    | Ir.Ret _
+      when local_only
+           && (th.depth = 1 || (th.tx_active && th.depth - 1 = th.txs.tx_base_depth)) ->
+      false
+    | Ir.Ret v ->
+      charge m th 1;
+      do_return m th (match v with Some v -> ev f v | None -> 0);
+      true
 
 (* ------------------------------------------------------------------ *)
 (* the per-thread step                                                 *)
-
-let exec_term m th =
-  let f = frame_of th in
-  charge m th 1;
-  match f.func.Ir.blocks.(f.bi).Ir.term with
-  | Ir.Jmp _ ->
-    f.bi <- f.tgt.(2 * f.bi);
-    f.insts <- f.func.Ir.blocks.(f.bi).Ir.insts;
-    f.ip <- 0
-  | Ir.Br (c, _, _) ->
-    f.bi <- f.tgt.((2 * f.bi) + (if ev f c <> 0 then 0 else 1));
-    f.insts <- f.func.Ir.blocks.(f.bi).Ir.insts;
-    f.ip <- 0
-  | Ir.Ret v ->
-    let retval = match v with Some v -> ev f v | None -> 0 in
-    do_return m th retval
-
-(* [Stdlib.min] is a polymorphic call (compare_val) without flambda;
-   spell the int min out *)
-let tourn_min a b : int = if a <= b then a else b
-
-(* Re-settle the tournament tree above a changed leaf; stops as soon as
-   a node's minimum is unaffected.  Top level (state in arguments) so
-   the per-event call is direct, not through a closure. *)
-let rec settle (keys : int array) i =
-  if i >= 1 then begin
-    let v = tourn_min keys.(2 * i) keys.((2 * i) + 1) in
-    if v <> keys.(i) then begin
-      keys.(i) <- v;
-      settle keys (i / 2)
-    end
-  end
 
 let spin_wait m th =
   charge m th m.cfg.Config.spin_recheck_cost;
   m.stats.Stats.lock_wait_cycles <-
     m.stats.Stats.lock_wait_cycles + m.cfg.Config.spin_recheck_cost
 
+let htm_doomed m th =
+  speculative th
+  && match Htm.status m.htm ~core:th.tid with Htm.Doomed _ -> true | _ -> false
+
 let step m th =
   m.steps <- m.steps + 1;
   if m.steps > m.max_steps then trap "simulation exceeded %d steps" m.max_steps;
   (* a doomed speculative transaction aborts before doing anything else *)
-  if speculative th && (match Htm.status m.htm ~core:th.tid with Htm.Doomed _ -> true | _ -> false)
-  then handle_abort m th
+  if htm_doomed m th then handle_abort m th
   else if
     stm_active th
     && (match Stm.status (the_stm m) ~core:th.tid with
@@ -1096,6 +1237,12 @@ let step m th =
         if m.evt then emit m th (Tx_irrevocable { tid = th.tid; ab = tx.tx_ab });
         begin_attempt m th
       end
+      else if m.cfg.Config.spin_recheck_cost > 0 then begin
+        (* the lock is held, and every recheck fails until its holder
+           releases it: sleep until then ([wake_parked]) *)
+        th.parked <- true;
+        m.parked <- m.parked + 1
+      end
     | None ->
       if th.depth = 0 then begin
         (* only reachable under an injector: the thread has no program of
@@ -1114,19 +1261,41 @@ let step m th =
           | Idle_until t ->
             (* idle until the next arrival; always make progress so an
                ill-behaved injector cannot stall the event loop *)
-            th.time <- max t (th.time + 1)
+            th.time <- imax t (th.time + 1)
           | Drained -> th.finished <- true)
       end
-      else begin
-        let f = th.frames.(th.depth - 1) in
-        let insts = f.insts in
-        if f.ip < Array.length insts then begin
-          let inst = insts.(f.ip) in
-          f.ip <- f.ip + 1;
-          exec_inst m th inst
-        end
-        else exec_term m th
-      end
+      else ignore (exec_op m th ~local_only:false)
+
+(* entries in a thread's run-ahead log *)
+let ra_cap = 64
+
+(* After a scheduled step the thread runs on through its thread-local
+   ops at once, logging each op's start cycle (the key it would have
+   been scheduled at) for [rewind]; the tree then holds it at its next
+   shared step. Software-tier attempts (whose dooms [rewind] does not
+   see), advisory-lock spins and already-doomed attempts stay on the
+   one-step path. *)
+let run_ahead m th =
+  let n = ref 0 in
+  if
+    th.depth > 0
+    && (match th.wait with None -> true | Some _ -> false)
+    && (not (stm_active th))
+    && not (htm_doomed m th)
+  then
+    while
+      !n < ra_cap
+      && m.steps < m.max_steps
+      && begin
+           th.ra_time.(!n) <- th.time;
+           th.ra_insts.(!n) <- th.txs.tx_insts;
+           exec_op m th ~local_only:true
+         end
+    do
+      incr n;
+      m.steps <- m.steps + 1
+    done;
+  th.ra_len <- !n
 
 (* ------------------------------------------------------------------ *)
 (* the run loop                                                        *)
@@ -1215,9 +1384,18 @@ let run ?(seed = 1) ?(policy = Policy.default_params)
         Array.init n_abs (fun ab ->
             Abcontext.create ~ab (Pipeline.table_for spec.compiled ~ab));
       softcpc = Softcpc.create ();
+      parked = false;
+      ra_time = Array.make ra_cap 0;
+      ra_insts = Array.make ra_cap 0;
+      ra_len = 0;
     }
   in
   let threads = Array.init nthreads mk_thread in
+  let pw = ref 1 in
+  while !pw < nthreads do
+    pw := !pw * 2
+  done;
+  let pw = !pw in
   let n_iids = max 1 spec.compiled.Pipeline.prog.Ir.next_iid in
   let m =
     {
@@ -1250,41 +1428,43 @@ let run ?(seed = 1) ?(policy = Policy.default_params)
       steps = 0;
       max_steps;
       allocator;
+      pw;
+      keys = Array.make (2 * pw) max_int;
+      now_key = 0;
+      parked = 0;
     }
   in
   Array.iter
     (fun th -> push_frame th main_tgt args.(th.tid) (Array.length args.(th.tid)) (-1))
     threads;
-  (* The scheduler must run the unfinished thread with the lowest time,
-     breaking ties toward the lowest tid — a linear scan per event was a
-     third of total CPU.  A tournament tree over the packed key
-     [time * P + tid] makes the same choice (keys are totally ordered,
-     and min-key = min (time, tid) lexicographically) but re-settles
-     only the stepped thread's leaf-to-root path: O(log cores) per
-     event.  Finished threads park at [max_int], so a [max_int] root
-     means every thread is done. *)
-  let pw = ref 1 in
-  while !pw < nthreads do
-    pw := !pw * 2
-  done;
-  let pw = !pw in
-  let keys = Array.make (2 * pw) max_int in
-  let key_of th = if th.finished then max_int else (th.time * pw) + th.tid in
-  Array.iter (fun th -> keys.(pw + th.tid) <- key_of th) threads;
+  Htm.set_on_doom htm (Some (fun victim -> rewind m threads.(victim)));
+  Array.iter (fun th -> m.keys.(pw + th.tid) <- key_of m th) threads;
   for i = pw - 1 downto 1 do
-    keys.(i) <- tourn_min keys.(2 * i) keys.((2 * i) + 1)
+    m.keys.(i) <- imin m.keys.(2 * i) m.keys.((2 * i) + 1)
   done;
+  (* One scheduled step per shared-state op: the minimum (cycle, core)
+     executes one step and then runs ahead through its thread-local ops
+     ([run_ahead]); a doom rewinds a victim that ran past the dooming
+     step ([rewind]), and global-lock waiters sleep until the release
+     ([wake_parked]). Shared steps, and every event, keep the order of
+     one step per op. *)
   let rec loop () =
-    let root = keys.(1) in
+    let root = m.keys.(1) in
     if root <> max_int then begin
       let th = threads.(root land (pw - 1)) in
+      m.now_key <- root;
       step m th;
-      keys.(pw + th.tid) <- key_of th;
-      settle keys ((pw + th.tid) / 2);
+      run_ahead m th;
+      rekey m th;
       loop ()
     end
   in
   loop ();
+  (* parked waiters outliving every other thread would spin forever on a
+     lock nobody releases *)
+  if m.parked > 0 then
+    trap "simulation exceeded %d steps: %d threads wait on a global lock never released"
+      max_steps m.parked;
   (* end-of-run invariants: every thread wound down cleanly and every
      advisory lock was released *)
   Array.iter

@@ -6,9 +6,18 @@ open Stx_core
     runs one TIR thread per core under the HTM and the Staggered
     Transactions runtime.
 
-    At every step the runnable thread with the smallest local clock (ties
-    by id) executes one instruction and is charged its cycle cost — memory
-    operations pay the hierarchy latency of {!Stx_machine.Hierarchy}.
+    The committed order is one step per instruction or block terminator:
+    the runnable thread with the smallest local clock (ties by id) steps
+    next and is charged the op's cycle cost — memory operations pay the
+    hierarchy latency of {!Stx_machine.Hierarchy}. Only steps that touch
+    shared state are scheduled that way: after each one the thread runs
+    its following thread-local ops (register, address and branch ops,
+    calls and plain returns) at once, and a doom from another core
+    rewinds a thread that ran past the dooming step, so it aborts on the
+    same cycle. A thread whose recheck of the global lock fails sleeps
+    until the lock is released and resumes at the recheck the one-step
+    order would have reached first. Results and event streams are those
+    of the one-step order.
     Atomic calls follow the paper's runtime protocol: a bounded number of
     hardware attempts separated by backoff, then irrevocable execution
     under the global lock. Under the [htm-stm-lock] fallback a TL2-style
@@ -161,4 +170,7 @@ val run :
     [max_waiters] (default 2) caps the spinners per advisory lock — an
     ALP finding a full queue proceeds speculatively, keeping the
     mechanism a stagger rather than a convoy; [max_steps] bounds the
-    total instruction count as a runaway backstop. *)
+    total step count (instructions, terminators, lock rechecks and idle
+    polls) as a runaway backstop, raising [Sim_error] past it. Steps a
+    thread has run ahead count when they run, so a run within 64 steps
+    per core of the bound may trap slightly early. *)

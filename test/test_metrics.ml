@@ -591,6 +591,41 @@ let test_bench_gate_exit_condition () =
     (Invalid_argument "Bench.compare_runs: threshold must be in (0, 1)")
     (fun () -> ignore (compare_runs ~threshold:1.5 ~baseline regressed))
 
+let test_bench_p99_and_abort_legs () =
+  let open Stx_harness.Bench in
+  let verdict old_e new_e =
+    match compare_runs ~baseline:(snapshot [ old_e ]) (snapshot [ new_e ]) with
+    | [ c ] -> c.verdict
+    | _ -> Alcotest.fail "expected one cell"
+  in
+  let e = entry () in
+  Alcotest.(check bool) "p99 up 30% regresses" true
+    (verdict e { e with p99_latency = 1300 } = Regressed);
+  Alcotest.(check bool) "p99 down 30% improves" true
+    (verdict e { e with p99_latency = 700 } = Improved);
+  Alcotest.(check bool) "abort rate up 30% regresses" true
+    (verdict e { e with abort_rate = 0.65 } = Regressed);
+  Alcotest.(check bool) "a regressed leg outweighs an improved one" true
+    (verdict e { e with throughput = 200.; abort_rate = 0.65 } = Regressed);
+  Alcotest.(check bool) "aborts appearing from zero regress" true
+    (verdict { e with abort_rate = 0. } e = Regressed)
+
+(* every gated leg of a cell must read nonzero on a workload that
+   commits and aborts, or the gate passes vacuously *)
+let test_bench_gated_fields_nonzero () =
+  let w = Option.get (Stx_workloads.Registry.find "list-hi") in
+  let mode = Stx_core.Mode.Baseline in
+  let spec = Stx_workloads.Workload.spec ~scale:0.05 w in
+  let run =
+    Stx_metrics.Run.simulate ~seed:3
+      ~cfg:(Stx_machine.Config.with_cores 4 Stx_machine.Config.default)
+      ~mode spec
+  in
+  let e = Stx_harness.Bench.entry_of_run ~workload:"list-hi" ~mode run in
+  Alcotest.(check bool) "throughput" true (e.Stx_harness.Bench.throughput > 0.);
+  Alcotest.(check bool) "abort rate" true (e.Stx_harness.Bench.abort_rate > 0.);
+  Alcotest.(check bool) "p99 latency" true (e.Stx_harness.Bench.p99_latency > 0)
+
 let sim_verdict_of ~base ~fresh =
   let open Stx_harness.Bench in
   let cs =
@@ -718,6 +753,10 @@ let suite =
       test_bench_rejects_foreign_version;
     Alcotest.test_case "bench verdicts at the threshold" `Quick
       test_bench_verdicts;
+    Alcotest.test_case "bench p99 and abort-rate legs" `Quick
+      test_bench_p99_and_abort_legs;
+    Alcotest.test_case "bench gated fields nonzero" `Quick
+      test_bench_gated_fields_nonzero;
     Alcotest.test_case "added/removed cells are not regressions" `Quick
       test_bench_added_removed_not_regressions;
     Alcotest.test_case "the gate fires on an injected regression" `Quick

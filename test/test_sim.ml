@@ -325,6 +325,161 @@ let test_max_steps_backstop () =
        false
      with Machine.Sim_error _ -> true)
 
+(* ---------------------------------------------------------------- *)
+(* scheduler edge cases: thread-local ops run ahead of the tree and are
+   rewound on a doom, global-lock waiters sleep until the release. The
+   expected figures were captured from the one-step-per-instruction
+   loop. *)
+
+let compile_spec p ~args =
+  {
+    Machine.compiled = Stx_compiler.Pipeline.compile ~instrument:false p;
+    Machine.thread_main = "main";
+    Machine.thread_args = args;
+  }
+
+let sim_error f = try ignore (f ()); None with Machine.Sim_error msg -> Some msg
+
+(* every thread spins in a loop of thread-local ops, inside a
+   transaction ([in_tx]) or outside one *)
+let test_local_loop_hits_max_steps () =
+  List.iter
+    (fun in_tx ->
+      let p = Ir.create_program () in
+      let b = Builder.create p "spin" ~params:[] in
+      Builder.while_ b (fun _ -> Ir.Imm 1) (fun b -> ignore (Builder.bin b Ir.Add (Ir.Imm 1) (Ir.Imm 2)));
+      Builder.ret b None;
+      ignore (Builder.finish b);
+      let ab = Ir.add_atomic p ~name:"spin" ~func:"spin" in
+      let b = Builder.create p "main" ~params:[] in
+      if in_tx then Builder.atomic_call b ab [] else Builder.call b "spin" [];
+      Builder.ret b None;
+      ignore (Builder.finish b);
+      let spec = compile_spec p ~args:(fun _ ~threads -> Array.make threads [||]) in
+      Alcotest.(check (option string))
+        (Printf.sprintf "runaway trapped (in_tx %b)" in_tx)
+        (Some "simulation exceeded 5000 steps")
+        (sim_error (fun () ->
+             Machine.run ~max_steps:5000 ~cfg:(Config.with_cores 2 Config.default)
+               ~mode:Mode.Baseline spec)))
+    [ false; true ]
+
+(* Thread 0 reads [x] in a transaction, then works through a short run
+   of long thread-local ops before dividing by the value it read (0 on
+   the first attempt). Thread 1 stores 1 to [x] after [delay] cycles,
+   dooming the attempt mid-run: the retry divides by 1. The run and the
+   division fit in one run-ahead, so the doom must both rewind the run
+   and keep the division from trapping. With a long delay the division
+   by zero is reached and traps. *)
+let div_spec ~delay =
+  let p = Ir.create_program () in
+  let b = Builder.create p "victim" ~params:[ "x" ] in
+  let v = Builder.load b (Builder.param b "x") in
+  Builder.for_ b ~from:(Ir.Imm 0) ~below:(Ir.Imm 4) (fun b _ -> Builder.work b (Ir.Imm 250));
+  ignore (Builder.bin b Ir.Div (Ir.Imm 100) v);
+  Builder.ret b None;
+  ignore (Builder.finish b);
+  let ab = Ir.add_atomic p ~name:"victim" ~func:"victim" in
+  let b = Builder.create p "main" ~params:[ "x"; "role" ] in
+  Builder.if_ b
+    (Builder.bin b Ir.Eq (Builder.param b "role") (Ir.Imm 0))
+    (fun b -> Builder.atomic_call b ab [ Builder.param b "x" ])
+    (fun b ->
+      Builder.work b (Ir.Imm delay);
+      Builder.store b ~addr:(Builder.param b "x") (Ir.Imm 1));
+  Builder.ret b None;
+  ignore (Builder.finish b);
+  compile_spec p ~args:(fun env ~threads ->
+      let x = Alloc.alloc_shared env.Machine.alloc 1 in
+      Memory.store env.Machine.memory x 0;
+      Array.init threads (fun t -> [| x; t |]))
+
+let test_doom_preempts_div_by_zero () =
+  let run delay =
+    Machine.run ~cfg:(Config.with_cores 2 Config.default) ~mode:Mode.Baseline
+      (div_spec ~delay)
+  in
+  let s = run 300 in
+  Alcotest.(check (list int)) "doomed once, then committed"
+    [ 1; 1; 1 ]
+    [ s.Stats.commits; s.Stats.aborts; s.Stats.conflict_aborts ];
+  Alcotest.(check (list int)) "cycles as in the one-step loop" [ 534; 1677; 1683; 25 ]
+    [ s.Stats.wasted_cycles; s.Stats.tx_mode_cycles; s.Stats.total_cycles; s.Stats.insts ];
+  Alcotest.(check (option string)) "reached division traps" (Some "division by zero")
+    (sim_error (fun () -> run 100_000))
+
+(* Thread 0 takes the global lock (a capacity abort under bounded:1:1
+   sends the transaction straight there) and holds it through a long
+   irrevocable run; the others queue behind it. Threads 1 and 2 follow
+   identical schedules, so they recheck on the same cycles and the lower
+   core goes first; thread 3 rechecks out of phase with them. Thread 0
+   releases on the very cycle threads 1 and 2 recheck, and a higher core
+   steps after a lower one within a cycle, so thread 1 takes the lock on
+   the release cycle. *)
+let lock_queue_spec () =
+  let p = Ir.create_program () in
+  let b = Builder.create p "hold" ~params:[ "base"; "n" ] in
+  ignore (Builder.load b (Builder.param b "base"));
+  ignore (Builder.load b (Builder.idx b (Builder.param b "base") ~esize:8 (Ir.Imm 1)));
+  Builder.work b (Builder.param b "n");
+  Builder.ret b None;
+  ignore (Builder.finish b);
+  let ab = Ir.add_atomic p ~name:"hold" ~func:"hold" in
+  let b = Builder.create p "main" ~params:[ "base"; "pre"; "n" ] in
+  Builder.work b (Builder.param b "pre");
+  Builder.atomic_call b ab [ Builder.param b "base"; Builder.param b "n" ];
+  Builder.ret b None;
+  ignore (Builder.finish b);
+  compile_spec p ~args:(fun env ~threads ->
+      Array.init threads (fun t ->
+          let base = Alloc.alloc_shared env.Machine.alloc 16 in
+          match t with
+          | 0 -> [| base; 0; 3010 |]
+          | 1 | 2 -> [| base; 40; 500 |]
+          | _ -> [| base; 47; 500 |]))
+
+let test_global_lock_waiters_resume_in_order () =
+  let order = ref [] in
+  let on_event ~time = function
+    | Machine.Tx_irrevocable { tid; _ } -> order := (time, tid) :: !order
+    | _ -> ()
+  in
+  let htm_policy =
+    Stx_policy.make ~capacity:(Stx_policy.Capacity.Bounded { read_lines = 1; write_lines = 1 }) ()
+  in
+  let s =
+    Machine.run ~htm_policy ~on_event ~cfg:(Config.with_cores 4 Config.default)
+      ~mode:Mode.Baseline (lock_queue_spec ())
+  in
+  Alcotest.(check (list (pair int int))) "irrevocable entries in (cycle, core) order"
+    [ (426, 0); (3466, 1); (4006, 2); (4553, 3) ]
+    (List.rev !order);
+  Alcotest.(check (list int)) "lock_wait, tx_mode and total cycles" [ 10700; 16886; 5069 ]
+    [ s.Stats.lock_wait_cycles; s.Stats.tx_mode_cycles; s.Stats.total_cycles ]
+
+(* The global lock word is the first shared allocation of a run (one
+   line at [words_per_line]); holding it from set-up means no thread
+   ever releases it, so a transaction sent to it waits forever. *)
+let test_unreleased_global_lock_traps () =
+  let htm_policy =
+    Stx_policy.make ~capacity:(Stx_policy.Capacity.Bounded { read_lines = 1; write_lines = 1 }) ()
+  in
+  let spec = lock_queue_spec () in
+  let spec =
+    {
+      spec with
+      Machine.thread_args =
+        (fun env ~threads ->
+          Memory.store env.Machine.memory Config.default.Config.words_per_line 1;
+          spec.Machine.thread_args env ~threads);
+    }
+  in
+  Alcotest.(check (option string)) "waiters trap"
+    (Some "simulation exceeded 100000 steps: 4 threads wait on a global lock never released")
+    (sim_error (fun () ->
+         Machine.run ~htm_policy ~max_steps:100_000 ~cfg:(Config.with_cores 4 Config.default)
+           ~mode:Mode.Baseline spec))
+
 (* Stats.merge: sum counters, union frequency tables, max makespans *)
 
 let stats_fixture ~threads ~commits ~total ~line ~ab_commits =
@@ -401,5 +556,13 @@ let suite =
       test_lazy_htm_counter_correct;
     Alcotest.test_case "program traps" `Quick test_traps;
     Alcotest.test_case "max-steps backstop" `Quick test_max_steps_backstop;
+    Alcotest.test_case "thread-local loop hits max-steps" `Quick
+      test_local_loop_hits_max_steps;
+    Alcotest.test_case "doom preempts a division by zero" `Quick
+      test_doom_preempts_div_by_zero;
+    Alcotest.test_case "global-lock waiters resume in order" `Quick
+      test_global_lock_waiters_resume_in_order;
+    Alcotest.test_case "unreleased global lock traps" `Quick
+      test_unreleased_global_lock_traps;
     q qcheck_counter_correct_any_schedule;
   ]
