@@ -126,11 +126,17 @@ let bench_arg =
     & opt string "genome"
     & info [ "bench" ] ~doc:"Benchmark name (see `stx_run --list`).")
 
+(* every subcommand's --bench lookup: an unknown name exits 1 *)
+let find_bench name =
+  match Stx_workloads.Registry.find name with
+  | Some w -> w
+  | None ->
+    prerr_endline ("unknown benchmark " ^ name);
+    exit 1
+
 let anchors_cmd =
   let run bench =
-    match Stx_workloads.Registry.find bench with
-    | Some w -> section ("anchor tables: " ^ bench) (Reports.anchor_tables w)
-    | None -> prerr_endline ("unknown benchmark " ^ bench)
+    section ("anchor tables: " ^ bench) (Reports.anchor_tables (find_bench bench))
   in
   Cmd.v
     (Cmd.info "anchors" ~doc:"Unified anchor tables of a benchmark (Figure 3)")
@@ -138,11 +144,9 @@ let anchors_cmd =
 
 let per_bench_cmd name doc cells render =
   let run c bench =
-    match Stx_workloads.Registry.find bench with
-    | Some w ->
-      Exp.prefetch ~progress:true c (cells c w);
-      section (name ^ ": " ^ bench) (render c w)
-    | None -> prerr_endline ("unknown benchmark " ^ bench)
+    let w = find_bench bench in
+    Exp.prefetch ~progress:true c (cells c w);
+    section (name ^ ": " ^ bench) (render c w)
   in
   Cmd.v (Cmd.info name ~doc) Term.(const run $ ctx_term $ bench_arg)
 
@@ -158,16 +162,14 @@ let profile_cmd =
       & info [ "format" ] ~doc:"Output format: $(b,text) or $(b,tsv).")
   in
   let run c bench format =
-    match Stx_workloads.Registry.find bench with
-    | None -> prerr_endline ("unknown benchmark " ^ bench)
-    | Some w -> (
-      Exp.prefetch ~progress:true c (Reports.profile_cells c w);
-      match format with
-      | "text" -> section ("profile: " ^ bench) (Reports.profile c w)
-      | "tsv" -> print_string (Reports.profile_tsv c w)
-      | f ->
-        prerr_endline ("unknown format " ^ f ^ " (text|tsv)");
-        exit 1)
+    let w = find_bench bench in
+    Exp.prefetch ~progress:true c (Reports.profile_cells c w);
+    match format with
+    | "text" -> section ("profile: " ^ bench) (Reports.profile c w)
+    | "tsv" -> print_string (Reports.profile_tsv c w)
+    | f ->
+      prerr_endline ("unknown format " ^ f ^ " (text|tsv)");
+      exit 1
   in
   Cmd.v
     (Cmd.info "profile"
@@ -175,86 +177,6 @@ let profile_cmd =
          "Per-atomic-block phase profile: speculative prefix vs serialized \
           suffix (--format tsv for machine-readable rows)")
     Term.(const run $ ctx_term $ bench_arg $ format_arg)
-
-let bench_cmd =
-  let out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_stx.json"
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Where to write the schema-versioned snapshot.")
-  in
-  let compare_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "compare" ] ~docv:"BASELINE.json"
-          ~doc:
-            "Compare this run against an earlier snapshot and exit non-zero \
-             if any cell's throughput, p99 latency or abort rate regressed \
-             past the threshold.")
-  in
-  let threshold_arg =
-    Arg.(
-      value
-      & opt float 0.2
-      & info [ "threshold" ]
-          ~doc:
-            "Relative change of a cell leg (throughput, p99 latency, abort \
-             rate) that counts as a regression or improvement (0.2 = \
-             \u{00b1}20%).")
-  in
-  let run c out cmp threshold =
-    Exp.prefetch ~progress:true c (Bench.suite_cells c);
-    let t = Bench.suite c in
-    Bench.write t ~file:out;
-    print_string (Bench.render t);
-    print_string (Bench.render_sim t.Bench.sims);
-    Printf.printf "wrote %s\n%!" out;
-    (* the absolute steady-state allocation bound holds with or without a
-       baseline: the zero-allocation core must never creep back *)
-    let violations = Bench.alloc_violations t in
-    if violations <> [] then begin
-      List.iter
-        (fun e ->
-          Printf.eprintf
-            "ALLOCATION BUDGET EXCEEDED: %s allocates %.1f minor words per \
-             simulated event (budget %.0f)\n"
-            e.Bench.sim_workload e.Bench.sim_minor_words_per_event
-            Bench.minor_words_budget)
-        violations;
-      exit 1
-    end;
-    match cmp with
-    | None -> ()
-    | Some file -> (
-      match Bench.read ~file with
-      | Error e ->
-        prerr_endline e;
-        exit 1
-      | Ok baseline ->
-        if
-          (baseline.Bench.seed, baseline.Bench.scale, baseline.Bench.threads)
-          <> (t.Bench.seed, t.Bench.scale, t.Bench.threads)
-        then
-          Printf.printf
-            "note: baseline %s was taken at seed %d scale %g threads %d, this \
-             run at seed %d scale %g threads %d\n"
-            file baseline.Bench.seed baseline.Bench.scale
-            baseline.Bench.threads t.Bench.seed t.Bench.scale t.Bench.threads;
-        let cs = Bench.compare_runs ~threshold ~baseline t in
-        print_string (Bench.render_compare cs);
-        let ss = Bench.compare_sims ~threshold ~baseline t in
-        print_string (Bench.render_compare_sims ss);
-        if Bench.regressions cs <> [] || Bench.sim_regressions ss <> [] then
-          exit 1)
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Run the Figure 7 suite, write a machine-readable BENCH_stx.json \
-          snapshot, and optionally gate against a baseline snapshot")
-    Term.(const run $ ctx_term $ out_arg $ compare_arg $ threshold_arg)
 
 let hotspots_cmd =
   per_bench_cmd "hotspots" "Top conflicting lines/PCs of one benchmark"
@@ -358,15 +280,7 @@ let lint_cmd =
   let run c bench mode format validate vtrace stripes =
     let benches =
       if bench = "all" then Stx_workloads.Registry.all
-      else
-        List.map
-          (fun name ->
-            match Stx_workloads.Registry.find name with
-            | Some w -> w
-            | None ->
-              prerr_endline ("unknown benchmark " ^ name);
-              exit 1)
-          (String.split_on_char ',' bench)
+      else List.map find_bench (String.split_on_char ',' bench)
     in
     let modes =
       match mode with
@@ -514,13 +428,7 @@ let policies_cmd =
              configuration.")
   in
   let run c bench quick =
-    let w =
-      match Stx_workloads.Registry.find bench with
-      | Some w -> w
-      | None ->
-        prerr_endline ("unknown benchmark " ^ bench);
-        exit 1
-    in
+    let w = find_bench bench in
     let scale = if quick then 0.05 else Exp.scale c in
     let threads = if quick then 4 else Exp.threads c in
     let seed = Exp.seed c in
@@ -879,11 +787,7 @@ let report_cmd =
       prerr_endline msg;
       exit 1
     in
-    let w =
-      match Stx_workloads.Registry.find bench with
-      | Some w -> w
-      | None -> die ("unknown benchmark " ^ bench)
-    in
+    let w = find_bench bench in
     let mode =
       match Stx_core.Mode.of_string mode_s with
       | Some m -> m
@@ -1025,7 +929,6 @@ let () =
       scaling_all_cmd;
       hotspots_cmd;
       profile_cmd;
-      bench_cmd;
       fig7avg_cmd;
       export_cmd;
       ablations_cmd;

@@ -54,10 +54,9 @@ let measure_at t w mode ~threads =
     Hashtbl.add t.memo key r;
     r
 
-let measure t w mode = measure_at t w mode ~threads:t.threads
 let run_at t w mode ~threads = (measure_at t w mode ~threads).Run.stats
 let run t w mode = run_at t w mode ~threads:t.threads
-let metrics t w mode = (measure t w mode).Run.metrics
+let metrics t w mode = (measure_at t w mode ~threads:t.threads).Run.metrics
 
 let sequential t w = run_at t w Mode.Baseline ~threads:1
 

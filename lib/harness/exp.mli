@@ -51,16 +51,10 @@ val run_at : t -> Workload.t -> Mode.t -> threads:int -> Stats.t
 (** As {!run} at an explicit thread count (memoized separately). Checks
     the in-memory memo, then the store, then simulates (and persists). *)
 
-val measure : t -> Workload.t -> Mode.t -> Stx_metrics.Run.t
-(** The same memoized cell as {!run}, with its metrics registry — the
-    profile and bench reports read histograms and phase counters from
-    here, so they always describe the very runs the tables were built
-    from. *)
-
-val measure_at : t -> Workload.t -> Mode.t -> threads:int -> Stx_metrics.Run.t
-
 val metrics : t -> Workload.t -> Mode.t -> Stx_metrics.Registry.t
-(** [measure]'s registry alone. *)
+(** The metrics registry of the same memoized cell as {!run} — the
+    profile report reads histograms and phase counters from here, so it
+    always describes the very runs the tables were built from. *)
 
 val sequential : t -> Workload.t -> Stats.t
 (** The 1-thread uninstrumented reference used for speedups. *)

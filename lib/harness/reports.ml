@@ -333,13 +333,13 @@ let fig1 () =
             Array.make threads [| addr; 24 |]);
       }
     in
-    let tl = Timeline.create ~threads:3 in
+    let tl = Stx_trace.Trace.create ~threads:3 () in
     (* the schematic wants the pure mechanism: no probing, full convoys *)
     let policy = { Policy.default_params with Policy.probe_period = max_int } in
     let stats =
       Machine.run ~seed:5 ~policy ~max_waiters:16
         ~cfg:(Stx_machine.Config.with_cores 3 Stx_machine.Config.default)
-        ~mode ~on_event:(Timeline.handler tl) spec
+        ~mode ~on_event:(Stx_trace.Trace.handler tl) spec
     in
     (stats, tl)
   in
@@ -563,7 +563,6 @@ let profile_cells ctx w =
 
 let profile ctx w =
   let module C = Stx_metrics.Collect in
-  let module MR = Stx_metrics.Registry in
   let module H = Stx_metrics.Hist in
   let prog = w.Workload.build () in
   let ab_name id =
@@ -614,26 +613,21 @@ let profile ctx w =
   List.iter
     (fun m ->
       let reg = Exp.metrics ctx w m in
-      let q f = function Some h -> string_of_int (f h) | None -> "-" in
-      let commit_h =
-        MR.histogram reg "stx_tx_latency_cycles" [ ("outcome", "commit") ]
-      in
-      let abort_h =
-        MR.histogram reg "stx_tx_latency_cycles" [ ("outcome", "abort") ]
-      in
-      let retries = MR.histogram reg "stx_tx_retries" [] in
-      let wait_h =
-        MR.histogram reg "stx_lock_wait_cycles" [ ("outcome", "acquired") ]
-      in
+      (* label-subset reads: every series carries the run's policy label;
+         an empty histogram (HTM takes no advisory locks) prints "-" *)
+      let hist name labels = C.histogram reg name labels in
+      let show f h = if H.is_empty h then "-" else f h in
+      let q f = show (fun h -> string_of_int (f h)) in
+      let commit_h = hist "stx_tx_latency_cycles" [ ("outcome", "commit") ] in
+      let abort_h = hist "stx_tx_latency_cycles" [ ("outcome", "abort") ] in
+      let wait_h = hist "stx_lock_wait_cycles" [ ("outcome", "acquired") ] in
       Table.add_row lt
         [
           Mode.to_string m;
           q H.p50 commit_h;
           q H.p99 commit_h;
           q H.p99 abort_h;
-          (match retries with
-          | Some h -> Table.fmt_f ~dec:2 (H.mean h)
-          | None -> "-");
+          show (fun h -> Table.fmt_f ~dec:2 (H.mean h)) (hist "stx_tx_retries" []);
           q H.p99 wait_h;
         ])
     profile_modes;

@@ -4,12 +4,6 @@ module Trace = Stx_trace.Trace
 (* A thin renderer: the events live in a Trace; rendering replays the
    window and reconstructs each lane. *)
 
-type t = Trace.t
-
-let create ~threads = Trace.create ~threads ()
-let of_trace tr = tr
-let handler = Trace.handler
-
 let render ?(width = 100) ?(from_time = 0) ?until_time t =
   let threads = Trace.threads t in
   let tmax =

@@ -1,5 +1,3 @@
-open Stx_sim
-
 (** ASCII execution timelines — the Figure 1 diagram, rendered from a
     {!Stx_trace.Trace} of a real run's event stream. Each thread is a
     lane; time flows left to right. Lane backgrounds: ['.'] idle /
@@ -9,20 +7,10 @@ open Stx_sim
     Markers: ['X'] abort, ['C'] commit, ['L'] advisory-lock acquisition,
     ['T'] advisory-lock wait timeout. *)
 
-type t
-
-val create : threads:int -> t
-(** A fresh full-capture trace to render later. *)
-
-val of_trace : Stx_trace.Trace.t -> t
-(** Render an existing trace (recorded with {!Stx_trace.Trace.handler})
-    instead of building a private one. *)
-
-val handler : t -> time:int -> Machine.event -> unit
-(** Pass as [Machine.run]'s [on_event]. *)
-
-val render : ?width:int -> ?from_time:int -> ?until_time:int -> t -> string
-(** Render the [from_time, until_time] window (defaults to the whole run)
+val render :
+  ?width:int -> ?from_time:int -> ?until_time:int -> Stx_trace.Trace.t -> string
+(** Render a full-capture trace (recorded with {!Stx_trace.Trace.handler})
+    over the [from_time, until_time] window (defaults to the whole run)
     into [width] (default 100) columns. Events before [from_time] only
     advance the replayed lane state — they paint no marker — and events
     after [until_time] are ignored. *)

@@ -2,7 +2,7 @@
 
    Every [Machine.run] builds a cache hierarchy and HTM index of several
    hundred thousand words that die with the run; under repeated runs
-   (the bench harness, the serve sweep) that is multiple megabytes of
+   (the benchmark, the serve sweep) that is multiple megabytes of
    major-heap churn per simulated run, and GC marking of the corpses
    shows up as a double-digit share of short-workload wall time.  The
    pool keeps retired arrays on a per-domain free list keyed by length,

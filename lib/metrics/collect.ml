@@ -1,7 +1,8 @@
 open Stx_sim
 
 (* Metric names. One source of truth: the collector writes them, the
-   profile/bench readers and the reconciliation checker read them. *)
+   profile and benchmark readers and the reconciliation checker read
+   them. *)
 
 let m_latency = "stx_tx_latency_cycles"
 let m_retries = "stx_tx_retries"
@@ -271,7 +272,7 @@ let of_trace ?policy tr =
 
 (* Readers match by label subset: a series written with the policy label
    (or any future dimension) still satisfies a query that does not name
-   it, so profile/bench/check work unchanged across policy bundles — and
+   it, so the profile and check work unchanged across policy bundles — and
    sum across bundles when a merged registry holds several. *)
 
 let label_subset sub super =

@@ -1,11 +1,11 @@
 (** A deliberately small JSON tree, printer and parser.
 
     The dependency set has no JSON library (by design — see DESIGN.md),
-    and three subsystems now need one: the metrics snapshot exporter,
-    the bench pipeline's [BENCH_stx.json], and [bench --compare]'s
-    reader. This module is the single shared implementation. Integers
-    are kept distinct from floats so snapshots of integral counters
-    round-trip byte-identically. *)
+    and several subsystems need one: the metrics snapshot exporter, the
+    telemetry JSON-lines codec and the benchmark's result files. This
+    module is the single shared implementation. Integers are kept
+    distinct from floats so snapshots of integral counters round-trip
+    byte-identically. *)
 
 type t =
   | Null

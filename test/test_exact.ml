@@ -11,7 +11,8 @@ module Serve = Stx_serve.Serve
    group: every resolution x fallback x capacity x lazy/eager x cores
    cell of the group, fingerprinted over every [Stats] field, so a
    failure names the group to bisect. Two serving runs cover the
-   injector path at 16 and 128 cores. *)
+   injector path at 16 and 128 cores, and the Figure 7 suite's cells
+   pin the metrics registry beside the stats. *)
 
 let fingerprint (s : Stats.t) =
   let b = Buffer.create 1024 in
@@ -200,6 +201,48 @@ let golden_serve =
     ("128-core key-sharded", "3fcd4b391884ccc900b85a3c063d97ff");
   ]
 
+(* The Figure 7 suite's cells: every workload x {HTM, AddrOnly,
+   Staggered+SW, Staggered} at seed 3, scale 0.05, 4 threads under the
+   default policy bundle, one digest per workload. Each cell contributes
+   its [Stats] fingerprint and the metrics registry collected from the
+   same run, so throughput, abort rate, the commit-latency quantiles and
+   the per-block prefix/suffix phase split are all pinned exactly. *)
+let suite_modes = [ Mode.Baseline; Mode.Addr_only; Mode.Staggered_sw; Mode.Staggered_hw ]
+
+let suite_digest w =
+  let cfg = Config.with_cores 4 Config.default in
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun mode ->
+      let spec = Stx_workloads.Workload.spec ~instrument:(Mode.uses_alps mode) ~scale w in
+      let r = Stx_metrics.Run.simulate ~seed:3 ~cfg ~mode spec in
+      Buffer.add_string b (fingerprint r.Stx_metrics.Run.stats);
+      Buffer.add_string b (Stx_metrics.Registry.to_json_string r.Stx_metrics.Run.metrics))
+    suite_modes;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* captured at seed 3 from the cells that an earlier bench gate held
+   only to +/-20%; key is the workload name *)
+let golden_suite =
+  [
+    ("genome", "00a8a43b988b5b0c16f50bd77be4a222");
+    ("intruder", "9ac1e4080ff1fceb160114eb8e2cb7dc");
+    ("kmeans", "7cd86afe6973dd333d3edf8783257fa0");
+    ("labyrinth", "a6f080cbf117d33a01a6b179134669c9");
+    ("ssca2", "4b983e7943f37b5c1f37717b57c6d56d");
+    ("vacation", "68146c33e29bcdcc9453052adcf866aa");
+    ("list-lo", "dd484ca95f9be360aa71a6c4803d5b04");
+    ("list-hi", "99c88f500a242ef8a60e602a75deb119");
+    ("tsp", "b54c1c0e3a29831137d7fb5a683bb53d");
+    ("memcached", "33462226db247bb5bbee44e8df65f984");
+  ]
+
+let test_suite w () =
+  let name = w.Stx_workloads.Workload.name in
+  match List.assoc_opt name golden_suite with
+  | None -> Alcotest.failf "no golden suite digest for %s" name
+  | Some expected -> Alcotest.(check string) name expected (suite_digest w)
+
 let test_group w mode () =
   let name = w.Stx_workloads.Workload.name in
   let key = (name, Mode.to_string mode) in
@@ -233,6 +276,12 @@ let suite =
             `Quick (test_group w mode))
         Mode.all)
     Stx_workloads.Registry.all
+  @ List.map
+      (fun w ->
+        Alcotest.test_case
+          ("golden fig7 cells " ^ w.Stx_workloads.Workload.name)
+          `Quick (test_suite w))
+      Stx_workloads.Registry.all
   @ List.map
       (fun ((label, _, _, _, _) as c) ->
         Alcotest.test_case ("golden serve " ^ label) `Quick (test_serve c))

@@ -59,6 +59,40 @@ let test_fig8_renders () =
   let s = Reports.fig8 (ctx ()) in
   Alcotest.(check bool) "abort cut column" true (contains s "abort cut")
 
+(* The per-attempt table reads the policy-labelled histograms by label
+   subset, so every column holds a number except where the histogram is
+   empty: HTM never waits on an advisory lock. *)
+let test_profile_latency_table () =
+  let c = Exp.create ~seed:3 ~scale:0.05 ~threads:4 () in
+  let s = Reports.profile c (Option.get (Registry.find "genome")) in
+  let marker = "Per-attempt distributions" in
+  let rec skip = function
+    | l :: rest -> if contains l marker then rest else skip rest
+    | [] -> Alcotest.fail "no per-attempt table"
+  in
+  let latency = skip (String.split_on_char '\n' s) in
+  let cells mode =
+    match
+      List.find_opt (fun l -> contains l ("| " ^ mode ^ " ")) latency
+    with
+    | Some l -> List.map String.trim (String.split_on_char '|' l)
+    | None -> Alcotest.failf "no %s row in:\n%s" mode s
+  in
+  let number what v =
+    match int_of_string_opt v with
+    | Some n when n > 0 -> ()
+    | _ -> Alcotest.failf "%s reads %S, want a positive number" what v
+  in
+  (match cells "HTM" with
+  | [ _; _; p50; p99; _; _; wait; _ ] ->
+    number "HTM commit p50" p50;
+    number "HTM commit p99" p99;
+    Alcotest.(check string) "HTM takes no advisory lock" "-" wait
+  | _ -> Alcotest.fail "HTM row shape");
+  match cells "Staggered" with
+  | [ _; _; _; _; _; _; wait; _ ] -> number "Staggered lock-wait p99" wait
+  | _ -> Alcotest.fail "Staggered row shape"
+
 let test_anchor_tables_report () =
   let w = Option.get (Registry.find "genome") in
   let s = Reports.anchor_tables w in
@@ -70,17 +104,19 @@ let test_fig1_timelines () =
   Alcotest.(check bool) "shows commits" true (contains s "C");
   Alcotest.(check bool) "legend" true (contains s "advisory lock")
 
+module Trace = Stx_trace.Trace
+
 let begin_ev tid time tl =
-  Timeline.handler tl ~time
+  Trace.handler tl ~time
     (Stx_sim.Machine.Tx_begin { tid; ab = 0; attempt = 0; probe = false })
 
 let commit_ev ?(irrevocable = false) tid time cycles tl =
-  Timeline.handler tl ~time
+  Trace.handler tl ~time
     (Stx_sim.Machine.Tx_commit
        { tid; ab = 0; cycles; irrevocable; rset = 0; wset = 0; probe = false })
 
 let abort_ev tid time cycles tl =
-  Timeline.handler tl ~time
+  Trace.handler tl ~time
     (Stx_sim.Machine.Tx_abort
        {
          tid;
@@ -109,7 +145,7 @@ let lane s tid =
   | None -> Alcotest.failf "no lane for thread %d in:\n%s" tid s
 
 let test_timeline_render_basics () =
-  let tl = Timeline.create ~threads:2 in
+  let tl = Trace.create ~threads:2 () in
   begin_ev 0 0 tl;
   commit_ev 0 50 50 tl;
   begin_ev 1 20 tl;
@@ -124,7 +160,7 @@ let test_timeline_render_basics () =
   Alcotest.(check bool) "post-abort not in-tx" false (contains (lane s 1) "Xb=")
 
 let test_timeline_windowing () =
-  let tl = Timeline.create ~threads:1 in
+  let tl = Trace.create ~threads:1 () in
   begin_ev 0 5 tl;
   commit_ev 0 10 5 tl;
   (* both events precede the window: they may steer the lane state, but
@@ -135,7 +171,7 @@ let test_timeline_windowing () =
   Alcotest.(check string) "idle lane" (String.make 40 '.') l;
   (* a begin before the window opens the window in-tx, still without
      painting a marker *)
-  let tl2 = Timeline.create ~threads:1 in
+  let tl2 = Trace.create ~threads:1 () in
   begin_ev 0 5 tl2;
   commit_ev 0 150 145 tl2;
   let s2 = Timeline.render ~width:40 ~from_time:100 ~until_time:200 tl2 in
@@ -144,8 +180,8 @@ let test_timeline_windowing () =
   Alcotest.(check bool) "commit inside window marked" true (contains l2 "C")
 
 let test_timeline_irrevocable_and_timeout () =
-  let tl = Timeline.create ~threads:1 in
-  let ev = Timeline.handler tl in
+  let tl = Trace.create ~threads:1 () in
+  let ev = Trace.handler tl in
   begin_ev 0 0 tl;
   abort_ev 0 10 10 tl;
   ev ~time:20 (Stx_sim.Machine.Tx_irrevocable { tid = 0; ab = 0 });
@@ -158,8 +194,8 @@ let test_timeline_irrevocable_and_timeout () =
   (* the irrevocable attempt paints 'I' right up to its commit, not '=' *)
   Alcotest.(check char) "irrevocable up to the commit" 'I' l.[String.index l 'C' - 1];
   (* lock timeouts keep their own marker instead of masquerading as Begin *)
-  let tl2 = Timeline.create ~threads:1 in
-  let ev2 = Timeline.handler tl2 in
+  let tl2 = Trace.create ~threads:1 () in
+  let ev2 = Trace.handler tl2 in
   begin_ev 0 0 tl2;
   ev2 ~time:20 (Stx_sim.Machine.Lock_waiting { tid = 0; lock = 3 });
   ev2 ~time:40 (Stx_sim.Machine.Lock_timeout { tid = 0; lock = 3 });
@@ -239,23 +275,35 @@ let test_htmlreport_self_contained () =
     ]
 
 (* --- the zero-allocation budget ---------------------------------------
-   One real workload through the interpreter must stay under the bench
-   driver's absolute bound on minor-heap words per simulated event; a
-   pooled-structure regression (a closure, an option, a Hashtbl creeping
-   back into the hot path) shows up here as orders of magnitude, not
-   noise. *)
+   Every workload through the interpreter must stay under 64 minor-heap
+   words per simulated instruction, measured in Baseline mode at 16
+   cores and scale 0.2 with machine construction amortised over the run
+   (the workload is compiled outside the measured window). The core
+   allocates a few words per instruction; a pooled-structure regression
+   (a closure, an option, a Hashtbl creeping back into the hot path)
+   shows up here as orders of magnitude, not noise. *)
+
+let minor_words_budget = 64.
+
+let minor_words_per_inst w =
+  let spec = Workload.spec ~instrument:false ~scale:0.2 w in
+  let cfg = Stx_machine.Config.with_cores 16 Stx_machine.Config.default in
+  let m0 = Gc.minor_words () in
+  let s = Stx_sim.Machine.run ~seed:1 ~cfg ~mode:Mode.Baseline spec in
+  let dm = Gc.minor_words () -. m0 in
+  (s.Stx_sim.Stats.insts, dm /. float_of_int (max 1 s.Stx_sim.Stats.insts))
 
 let test_allocation_budget () =
-  match Registry.find "genome" with
-  | None -> Alcotest.fail "genome workload missing"
-  | Some w ->
-    let e = Bench.measure_sim ~cores:8 ~scale:0.1 w in
-    Alcotest.(check bool) "events simulated" true (e.Bench.sim_events > 0);
-    Alcotest.(check bool)
-      (Printf.sprintf "%.2f minor words/event under the %.0f budget"
-         e.Bench.sim_minor_words_per_event Bench.minor_words_budget)
-      true
-      (e.Bench.sim_minor_words_per_event < Bench.minor_words_budget)
+  List.iter
+    (fun w ->
+      let name = w.Workload.name in
+      let insts, words = minor_words_per_inst w in
+      Alcotest.(check bool) (name ^ ": instructions simulated") true (insts > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f minor words/instruction under the %.0f budget" name
+           words minor_words_budget)
+        true (words < minor_words_budget))
+    Registry.all
 
 let suite =
   [
@@ -273,6 +321,8 @@ let suite =
     Alcotest.test_case "fig7 has harmonic mean" `Slow test_fig7_has_harmonic_mean;
     Alcotest.test_case "fig8 renders" `Slow test_fig8_renders;
     Alcotest.test_case "anchor tables report" `Quick test_anchor_tables_report;
+    Alcotest.test_case "profile latency table filled" `Quick
+      test_profile_latency_table;
     Alcotest.test_case "scaling report" `Quick test_scaling_report;
     Alcotest.test_case "fig1 timelines" `Quick test_fig1_timelines;
     Alcotest.test_case "timeline render basics" `Quick test_timeline_render_basics;

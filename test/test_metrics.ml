@@ -424,10 +424,17 @@ let test_run_merge_matches_stats_merge () =
   Alcotest.(check int) "commits sum"
     (a.Run.stats.Stx_sim.Stats.commits + b.Run.stats.Stx_sim.Stats.commits)
     m.Run.stats.Stx_sim.Stats.commits;
-  Alcotest.(check int) "registry counter sums"
-    (Registry.counter_value a.Run.metrics "stx_commits" []
-    + Registry.counter_value b.Run.metrics "stx_commits" [])
-    (Registry.counter_value m.Run.metrics "stx_commits" [])
+  (* both runs carry the default bundle's policy label: read the
+     counters under it, not with an exact empty label set *)
+  let commits r =
+    Registry.counter_value r.Run.metrics "stx_commits"
+      [ ("policy", Stx_policy.label Stx_policy.default) ]
+  in
+  let sum = commits a + commits b in
+  Alcotest.(check bool) "registry commits nonzero" true (sum > 0);
+  Alcotest.(check int) "registry counter sums" sum (commits m);
+  Alcotest.(check int) "registry agrees with merged stats"
+    m.Run.stats.Stx_sim.Stats.commits (commits m)
 
 (* --- GC pressure stamped at export time -------------------------------- *)
 
@@ -477,221 +484,23 @@ let test_staggered_has_nonzero_suffix () =
   Alcotest.(check bool) "speculative prefix still present" true
     (Collect.phase_total r.Run.metrics Collect.Prefix > 0)
 
-(* --- bench snapshots and the regression gate --------------------------- *)
-
-let entry ?(workload = "genome") ?(mode = "HTM") ?(throughput = 100.) () =
-  {
-    Stx_harness.Bench.workload;
-    mode;
-    throughput;
-    abort_rate = 0.5;
-    p99_latency = 1000;
-    prefix_share = 0.8;
-    suffix_share = 0.1;
-  }
-
-let sim_entry ?(workload = "genome") ?(events_per_sec = 1_000_000.)
-    ?(words_per_event = 0.5) () =
-  {
-    Stx_harness.Bench.sim_workload = workload;
-    sim_events = 100_000;
-    sim_events_per_sec = events_per_sec;
-    sim_minor_words_per_event = words_per_event;
-  }
-
-let snapshot ?(sims = []) entries =
-  {
-    Stx_harness.Bench.schema_version = Stx_harness.Bench.schema_version;
-    seed = 3;
-    scale = 0.05;
-    threads = 4;
-    entries;
-    sims;
-  }
-
-let test_bench_json_round_trip () =
-  let t =
-    snapshot
-      ~sims:[ sim_entry (); sim_entry ~workload:"intruder" ~words_per_event:0. () ]
-      [ entry (); entry ~mode:"Staggered" ~throughput:123.456 () ]
-  in
-  match Stx_harness.Bench.of_json_string (Stx_harness.Bench.to_json_string t) with
-  | Error e -> Alcotest.fail e
-  | Ok t' ->
-    Alcotest.(check string) "stable reprint"
-      (Stx_harness.Bench.to_json_string t)
-      (Stx_harness.Bench.to_json_string t')
-
-let test_bench_rejects_foreign_version () =
-  let s =
-    "{\"schema\":\"stx-bench\",\"version\":99,\"seed\":1,\"scale\":1.0,\
-     \"threads\":4,\"entries\":[]}"
-  in
-  match Stx_harness.Bench.of_json_string s with
-  | Ok _ -> Alcotest.fail "accepted a future schema version"
-  | Error e ->
-    Alcotest.(check bool) "message names the version" true
-      (String.length e > 0)
-
-let test_bench_v2_requires_sims () =
-  (* a version-2 snapshot without the sim series is structurally invalid *)
-  let s =
-    "{\"schema\":\"stx-bench\",\"version\":2,\"seed\":1,\"scale\":1.0,\
-     \"threads\":4,\"entries\":[]}"
-  in
-  match Stx_harness.Bench.of_json_string s with
-  | Ok _ -> Alcotest.fail "accepted a v2 snapshot with no sims field"
-  | Error e ->
-    Alcotest.(check bool) "message names the field" true
-      (String.length e > 0)
-
-let verdict_of baseline_thr new_thr =
-  let open Stx_harness.Bench in
-  let cs =
-    compare_runs
-      ~baseline:(snapshot [ entry ~throughput:baseline_thr () ])
-      (snapshot [ entry ~throughput:new_thr () ])
-  in
-  match cs with [ c ] -> c.verdict | _ -> Alcotest.fail "expected one cell"
-
-let test_bench_verdicts () =
-  let open Stx_harness.Bench in
-  Alcotest.(check bool) "regression" true (verdict_of 100. 70. = Regressed);
-  Alcotest.(check bool) "improvement" true (verdict_of 100. 130. = Improved);
-  Alcotest.(check bool) "within threshold" true (verdict_of 100. 90. = Neutral);
-  Alcotest.(check bool) "just inside the gate" true
-    (verdict_of 100. 81. = Neutral)
-
-let test_bench_added_removed_not_regressions () =
-  let open Stx_harness.Bench in
-  let cs =
-    compare_runs
-      ~baseline:(snapshot [ entry ~mode:"HTM" () ])
-      (snapshot [ entry ~mode:"Staggered" () ])
-  in
-  Alcotest.(check int) "two cells" 2 (List.length cs);
-  Alcotest.(check bool) "no regression" true (regressions cs = []);
-  Alcotest.(check bool) "one added, one removed" true
-    (List.exists (fun c -> c.verdict = Added) cs
-    && List.exists (fun c -> c.verdict = Removed) cs)
-
-let test_bench_gate_exit_condition () =
-  let open Stx_harness.Bench in
-  let baseline = snapshot [ entry (); entry ~mode:"Staggered" () ] in
-  let regressed =
-    snapshot [ entry ~throughput:10. (); entry ~mode:"Staggered" () ]
-  in
-  let cs = compare_runs ~baseline regressed in
-  (match regressions cs with
-  | [ c ] ->
-    Alcotest.(check string) "the regressed cell" "HTM" c.c_mode;
-    Alcotest.(check bool) "ratio recorded" true (c.ratio < 0.2)
-  | _ -> Alcotest.fail "expected exactly one regression");
-  Alcotest.check_raises "threshold validated"
-    (Invalid_argument "Bench.compare_runs: threshold must be in (0, 1)")
-    (fun () -> ignore (compare_runs ~threshold:1.5 ~baseline regressed))
-
-let test_bench_p99_and_abort_legs () =
-  let open Stx_harness.Bench in
-  let verdict old_e new_e =
-    match compare_runs ~baseline:(snapshot [ old_e ]) (snapshot [ new_e ]) with
-    | [ c ] -> c.verdict
-    | _ -> Alcotest.fail "expected one cell"
-  in
-  let e = entry () in
-  Alcotest.(check bool) "p99 up 30% regresses" true
-    (verdict e { e with p99_latency = 1300 } = Regressed);
-  Alcotest.(check bool) "p99 down 30% improves" true
-    (verdict e { e with p99_latency = 700 } = Improved);
-  Alcotest.(check bool) "abort rate up 30% regresses" true
-    (verdict e { e with abort_rate = 0.65 } = Regressed);
-  Alcotest.(check bool) "a regressed leg outweighs an improved one" true
-    (verdict e { e with throughput = 200.; abort_rate = 0.65 } = Regressed);
-  Alcotest.(check bool) "aborts appearing from zero regress" true
-    (verdict { e with abort_rate = 0. } e = Regressed)
-
-(* every gated leg of a cell must read nonzero on a workload that
-   commits and aborts, or the gate passes vacuously *)
+(* --- the benchmark's gated fields, read by label subset -----------------
+   Every series carries the run's policy label, so exact-label reads see
+   nothing; the commit rate, abort rate and p99 commit latency the
+   benchmark gates (and the suite goldens pin) must read nonzero on a
+   workload that commits and aborts, or a check on them passes
+   vacuously. *)
 let test_bench_gated_fields_nonzero () =
   let w = Option.get (Stx_workloads.Registry.find "list-hi") in
-  let mode = Stx_core.Mode.Baseline in
-  let spec = Stx_workloads.Workload.spec ~scale:0.05 w in
-  let run =
-    Stx_metrics.Run.simulate ~seed:3
-      ~cfg:(Stx_machine.Config.with_cores 4 Stx_machine.Config.default)
-      ~mode spec
-  in
-  let e = Stx_harness.Bench.entry_of_run ~workload:"list-hi" ~mode run in
-  Alcotest.(check bool) "throughput" true (e.Stx_harness.Bench.throughput > 0.);
-  Alcotest.(check bool) "abort rate" true (e.Stx_harness.Bench.abort_rate > 0.);
-  Alcotest.(check bool) "p99 latency" true (e.Stx_harness.Bench.p99_latency > 0)
-
-let sim_verdict_of ~base ~fresh =
-  let open Stx_harness.Bench in
-  let cs =
-    compare_sims ~baseline:(snapshot ~sims:[ base ] [])
-      (snapshot ~sims:[ fresh ] [])
-  in
-  match cs with [ c ] -> c.s_verdict | _ -> Alcotest.fail "expected one cell"
-
-let test_sim_compare_verdicts () =
-  let open Stx_harness.Bench in
-  Alcotest.(check bool) "slower past the gate regresses" true
-    (sim_verdict_of ~base:(sim_entry ())
-       ~fresh:(sim_entry ~events_per_sec:700_000. ())
-    = Regressed);
-  Alcotest.(check bool) "faster past the gate improves" true
-    (sim_verdict_of ~base:(sim_entry ())
-       ~fresh:(sim_entry ~events_per_sec:1_300_000. ())
-    = Improved);
-  Alcotest.(check bool) "more allocation past the gate regresses" true
-    (sim_verdict_of ~base:(sim_entry ())
-       ~fresh:(sim_entry ~words_per_event:0.8 ())
-    = Regressed);
-  Alcotest.(check bool) "less allocation past the gate improves" true
-    (sim_verdict_of ~base:(sim_entry ())
-       ~fresh:(sim_entry ~words_per_event:0.1 ())
-    = Improved);
-  Alcotest.(check bool) "within both gates is neutral" true
-    (sim_verdict_of ~base:(sim_entry ())
-       ~fresh:(sim_entry ~events_per_sec:1_100_000. ~words_per_event:0.55 ())
-    = Neutral);
-  Alcotest.(check bool) "zero-alloc baseline leaves only the speed leg" true
-    (sim_verdict_of
-       ~base:(sim_entry ~words_per_event:0. ())
-       ~fresh:(sim_entry ~words_per_event:0.01 ())
-    = Neutral);
-  Alcotest.(check int) "regression list filters" 1
-    (List.length
-       (sim_regressions
-          (compare_sims
-             ~baseline:
-               (snapshot ~sims:[ sim_entry (); sim_entry ~workload:"tsp" () ] [])
-             (snapshot
-                ~sims:
-                  [
-                    sim_entry ~events_per_sec:100. ();
-                    sim_entry ~workload:"tsp" ();
-                  ]
-                []))))
-
-let test_sim_alloc_budget () =
-  let open Stx_harness.Bench in
-  let ok = snapshot ~sims:[ sim_entry ~words_per_event:6.8 () ] [] in
-  Alcotest.(check int) "under budget: no violations" 0
-    (List.length (alloc_violations ok));
-  let bad =
-    snapshot
-      ~sims:
-        [
-          sim_entry ~words_per_event:6.8 ();
-          sim_entry ~workload:"tsp" ~words_per_event:minor_words_budget ();
-        ]
-      []
-  in
-  match alloc_violations bad with
-  | [ e ] -> Alcotest.(check string) "the offender" "tsp" e.sim_workload
-  | _ -> Alcotest.fail "expected exactly one violation"
+  let r, _ = run_with_trace w Stx_core.Mode.Baseline in
+  let s = r.Run.stats in
+  Alcotest.(check bool) "commits" true (s.Stx_sim.Stats.commits > 0);
+  Alcotest.(check bool) "aborts" true (s.Stx_sim.Stats.aborts > 0);
+  Alcotest.(check bool) "p99 commit latency" true
+    (Hist.p99
+       (Collect.histogram r.Run.metrics "stx_tx_latency_cycles"
+          [ ("outcome", "commit") ])
+    > 0)
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
@@ -747,26 +556,8 @@ let suite =
       test_baseline_has_no_suffix;
     Alcotest.test_case "staggered serializes a nonzero suffix" `Quick
       test_staggered_has_nonzero_suffix;
-    Alcotest.test_case "bench snapshot round trip" `Quick
-      test_bench_json_round_trip;
-    Alcotest.test_case "bench rejects foreign versions" `Quick
-      test_bench_rejects_foreign_version;
-    Alcotest.test_case "bench verdicts at the threshold" `Quick
-      test_bench_verdicts;
-    Alcotest.test_case "bench p99 and abort-rate legs" `Quick
-      test_bench_p99_and_abort_legs;
     Alcotest.test_case "bench gated fields nonzero" `Quick
       test_bench_gated_fields_nonzero;
-    Alcotest.test_case "added/removed cells are not regressions" `Quick
-      test_bench_added_removed_not_regressions;
-    Alcotest.test_case "the gate fires on an injected regression" `Quick
-      test_bench_gate_exit_condition;
-    Alcotest.test_case "v2 snapshots require the sim series" `Quick
-      test_bench_v2_requires_sims;
-    Alcotest.test_case "sim compare verdicts (speed and alloc legs)" `Quick
-      test_sim_compare_verdicts;
-    Alcotest.test_case "sim allocation budget violations" `Quick
-      test_sim_alloc_budget;
     Alcotest.test_case "gc counters stamped at export" `Quick
       test_gcstats_stamp;
   ]
