@@ -1,11 +1,10 @@
 (* Reproduction driver: regenerate every table and figure of the paper's
    evaluation, plus the ablation studies.
 
-   Simulation cells are executed by the Stx_runner domain pool (--jobs)
-   and persisted in a content-addressed result store (--cache-dir /
-   --no-cache), so re-runs are incremental. Both are transparent: the
-   simulator is deterministic per (workload, mode, threads, seed, scale),
-   so every jobs/cache combination prints byte-identical reports. *)
+   Every invocation simulates from scratch. Simulation cells are executed
+   by the Stx_runner domain pool (--jobs), which is transparent: the
+   simulator is deterministic per (workload, mode, threads, seed, scale,
+   policy), so every --jobs value prints byte-identical reports. *)
 
 open Cmdliner
 open Stx_harness
@@ -30,21 +29,6 @@ let jobs_arg =
         ~doc:
           "Simulations to run in parallel (OCaml domains). Defaults to the \
            recommended domain count of this machine.")
-
-let cache_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache-dir" ]
-        ~doc:
-          "Result-store directory (default: \\$STAGGERED_TM_CACHE, else \
-           ~/.cache/staggered_tm).")
-
-let no_cache_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "no-cache" ] ~doc:"Neither read nor write the on-disk result store.")
 
 let policy_term =
   let policy_arg =
@@ -92,15 +76,11 @@ let policy_term =
   Term.(const make $ policy_arg $ capacity_arg $ fallback_arg)
 
 let ctx_term =
-  let make seed scale threads jobs cache_dir no_cache policy =
-    let store =
-      if no_cache then None else Some (Stx_runner.Store.create ?dir:cache_dir ())
-    in
-    Exp.create ~seed ~scale ~threads ~jobs ~policy ?store ()
+  let make seed scale threads jobs policy =
+    Exp.create ~seed ~scale ~threads ~jobs ~policy ()
   in
   Term.(
-    const make $ seed_arg $ scale_arg $ threads_arg $ jobs_arg $ cache_dir_arg
-    $ no_cache_arg $ policy_term)
+    const make $ seed_arg $ scale_arg $ threads_arg $ jobs_arg $ policy_term)
 
 let section title body =
   Printf.printf "==== %s ====\n%s\n%!" title body
@@ -195,9 +175,7 @@ let scaling_all_cmd =
 
 let fig7avg_cmd =
   let run c =
-    section "Figure 7 (seed-averaged)"
-      (Reports.fig7_repeated ~jobs:(Exp.jobs c) ?store:(Exp.store c)
-         ~scale:(Exp.scale c) ~threads:(Exp.threads c) ())
+    section "Figure 7 (seed-averaged)" (Reports.fig7_repeated c)
   in
   Cmd.v
     (Cmd.info "fig7-avg" ~doc:"Figure 7 averaged over 5 seeds (paper methodology)")
@@ -849,29 +827,7 @@ let report_cmd =
       w.Stx_workloads.Workload.name (Stx_core.Mode.to_string mode) out
       (String.length html)
       (Stx_telemetry.Series.length series)
-      (List.length episodes);
-    (* cache the artifact under a digest of everything its bytes depend
-       on — the same freshness contract as the result store *)
-    match Exp.store c with
-    | None -> ()
-    | Some store ->
-      let key =
-        Digest.to_hex
-          (Digest.string
-             (Printf.sprintf "report-v1 spec-v%d %s %s %d %h %d %d %s"
-                Stx_runner.Job.spec_version w.Stx_workloads.Workload.name
-                (Stx_core.Mode.to_string mode) seed scale threads window
-                (Stx_policy.label htm_policy)))
-      in
-      (match Stx_runner.Store.load_blob store ~key with
-      | Some old when old <> html ->
-        Printf.printf
-          "note: cached report %s differed and was refreshed (code drift \
-           without a Job.spec_version bump?)\n"
-          key
-      | _ -> ());
-      Stx_runner.Store.save_blob store ~key html;
-      Printf.printf "cached: %s\n%!" (Stx_runner.Store.blob_path store ~key)
+      (List.length episodes)
   in
   Cmd.v
     (Cmd.info "report"

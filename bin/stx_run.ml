@@ -94,11 +94,7 @@ let run_many benches mode threads seed scale jobs policy =
       | Pool.Failed msg ->
         failed := true;
         Printf.printf "%s / %s / %d threads: FAILED: %s\n\n" w.Workload.name
-          (Mode.to_string mode) threads msg
-      | Pool.Timed_out s ->
-        failed := true;
-        Printf.printf "%s / %s / %d threads: timed out after %.1fs\n\n"
-          w.Workload.name (Mode.to_string mode) threads s)
+          (Mode.to_string mode) threads msg)
     benches batch.Sweep.results;
   if !failed then exit 1
 

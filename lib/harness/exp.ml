@@ -12,20 +12,18 @@ type t = {
   threads : int;
   jobs : int;
   policy : Stx_policy.t;
-  store : Store.t option;
   memo : (string * string * int, Run.t) Hashtbl.t;
 }
 
 let create ?(seed = 1) ?(scale = 1.0) ?(threads = 16) ?(jobs = 1)
-    ?(policy = Stx_policy.default) ?store () =
-  { seed; scale; threads; jobs; policy; store; memo = Hashtbl.create 64 }
+    ?(policy = Stx_policy.default) () =
+  { seed; scale; threads; jobs; policy; memo = Hashtbl.create 64 }
 
 let seed t = t.seed
 let scale t = t.scale
 let threads t = t.threads
 let jobs t = t.jobs
 let policy t = t.policy
-let store t = t.store
 
 let mode_key m = Mode.to_string m
 
@@ -42,15 +40,7 @@ let measure_at t w mode ~threads =
   match Hashtbl.find_opt t.memo key with
   | Some r -> r
   | None ->
-    let job = job_of t w mode ~threads in
-    let r =
-      match Option.bind t.store (fun st -> Store.load st ~key:(Job.digest job)) with
-      | Some r -> r
-      | None ->
-        let r = Sweep.run_job job in
-        Option.iter (fun st -> Store.save st ~key:(Job.digest job) r) t.store;
-        r
-    in
+    let r = Sweep.run_job (job_of t w mode ~threads) in
     Hashtbl.add t.memo key r;
     r
 
@@ -70,8 +60,7 @@ let prefetch ?(progress = false) t cells =
   in
   if pending <> [] then begin
     let batch =
-      Sweep.run_batch ?store:t.store ~jobs:t.jobs ~progress
-        (List.map snd pending)
+      Sweep.run_batch ~jobs:t.jobs ~progress (List.map snd pending)
     in
     List.iter2
       (fun ((w, mode, threads), _) (_, outcome) ->
@@ -79,7 +68,7 @@ let prefetch ?(progress = false) t cells =
         | Pool.Done r ->
           let key = memo_key w mode threads in
           if not (Hashtbl.mem t.memo key) then Hashtbl.add t.memo key r
-        | Pool.Failed _ | Pool.Timed_out _ ->
+        | Pool.Failed _ ->
           (* leave the cell empty: a later run_at retries it sequentially
              and surfaces the error in its natural context *)
           ())

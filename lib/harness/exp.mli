@@ -7,13 +7,11 @@ open Stx_workloads
     Figure 7 and Figure 8 all describe the same runs — as they do in the
     paper.
 
-    The memo table can be backed by an on-disk {!Stx_runner.Store} (so
-    re-running the reproduction is incremental across invocations) and
-    filled wholesale by {!prefetch}, which hands all still-missing cells
-    to a {!Stx_runner.Pool} of domains. Because every simulation is
-    deterministic in its job spec, neither the store nor the pool changes
-    any result: a cold sequential run, a parallel run, and a warm-cache
-    run produce identical statistics. *)
+    The memo table lives for the process and can be filled wholesale by
+    {!prefetch}, which hands all still-missing cells to a
+    {!Stx_runner.Pool} of domains. Because every simulation is
+    deterministic in its job spec, the pool changes no result: a
+    sequential run and a parallel run produce identical statistics. *)
 
 type t
 
@@ -26,21 +24,18 @@ val create :
   ?threads:int ->
   ?jobs:int ->
   ?policy:Stx_policy.t ->
-  ?store:Stx_runner.Store.t ->
   unit ->
   t
 (** [threads] defaults to 16 (the paper's machine); [scale] to 1.0.
     [jobs] (default 1) is the domain-pool width used by {!prefetch};
     [policy] (default {!Stx_policy.default}) is the HTM policy bundle
-    every cell of the context runs under; [store] (default none)
-    persists results across invocations. *)
+    every cell of the context runs under. *)
 
 val seed : t -> int
 val scale : t -> float
 val threads : t -> int
 val jobs : t -> int
 val policy : t -> Stx_policy.t
-val store : t -> Stx_runner.Store.t option
 
 val run : t -> Workload.t -> Mode.t -> Stats.t
 (** Run (memoized) at the context's thread count. Baseline and AddrOnly
@@ -48,8 +43,7 @@ val run : t -> Workload.t -> Mode.t -> Stats.t
     ALP-instrumented one, as in §6.2. *)
 
 val run_at : t -> Workload.t -> Mode.t -> threads:int -> Stats.t
-(** As {!run} at an explicit thread count (memoized separately). Checks
-    the in-memory memo, then the store, then simulates (and persists). *)
+(** As {!run} at an explicit thread count (memoized separately). *)
 
 val metrics : t -> Workload.t -> Mode.t -> Stx_metrics.Registry.t
 (** The metrics registry of the same memoized cell as {!run} — the
@@ -61,10 +55,10 @@ val sequential : t -> Workload.t -> Stats.t
 
 val prefetch : ?progress:bool -> t -> cell list -> unit
 (** Fill the memo for every listed cell that is still missing, using the
-    context's store and [jobs] domains. A cell whose job fails or times
-    out is simply left unfilled — the next {!run_at} retries it
-    sequentially and raises in its natural context. [progress] (default
-    off) prints per-job completion lines on stderr. *)
+    context's [jobs] domains. A cell whose job fails is simply left
+    unfilled — the next {!run_at} retries it sequentially and raises in
+    its natural context. [progress] (default off) prints per-job
+    completion lines on stderr. *)
 
 val standard_cells : t -> cell list
 (** The full evaluation matrix: every benchmark × every mode at the

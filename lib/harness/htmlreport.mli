@@ -9,9 +9,7 @@ open Stx_sim
     occupancy heat strip, stacked phase-profile bars — so it references
     no external asset, script, or font and can be archived, diffed, or
     attached to a CI run as one file. Rendering is a pure function of
-    the input: the same run produces byte-identical HTML, which is what
-    lets the artifact live in the content-addressed {!Stx_runner.Store}
-    under a digest of the run parameters. *)
+    the input: the same run produces byte-identical HTML. *)
 
 type input = {
   workload : string;

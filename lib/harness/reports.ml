@@ -236,12 +236,14 @@ let fig8 ctx =
 
 (* the paper repeats each run 5 times and reports the average; this variant
    of Figure 7 does the same across seeds and also reports the spread *)
-let fig7_repeated ?(seeds = [ 1; 2; 3; 4; 5 ]) ?(jobs = 1) ?store ~scale ~threads
-    () =
+let fig7_repeated ?(seeds = [ 1; 2; 3; 4; 5 ]) c =
   let ctxs =
     List.map
       (fun seed ->
-        let ctx = Exp.create ~seed ~scale ~threads ~jobs ?store () in
+        let ctx =
+          Exp.create ~seed ~scale:(Exp.scale c) ~threads:(Exp.threads c)
+            ~jobs:(Exp.jobs c) ~policy:(Exp.policy c) ()
+        in
         Exp.prefetch ctx (fig8_cells ctx);
         ctx)
       seeds

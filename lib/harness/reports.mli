@@ -33,17 +33,11 @@ val fig7 : Exp.t -> string
 (** Figure 7: performance at 16 threads normalized to the baseline HTM for
     AddrOnly / Staggered+SW / Staggered, with the harmonic-mean summary. *)
 
-val fig7_repeated :
-  ?seeds:int list ->
-  ?jobs:int ->
-  ?store:Stx_runner.Store.t ->
-  scale:float ->
-  threads:int ->
-  unit ->
-  string
-(** Figure 7 averaged over several seeds, with the spread — the paper's
-    repeat-5-times methodology. [jobs]/[store] parallelize and persist
-    the per-seed runs as in {!Exp.create}. *)
+val fig7_repeated : ?seeds:int list -> Exp.t -> string
+(** Figure 7 averaged over several seeds (default 1–5), with the spread —
+    the paper's repeat-5-times methodology. Each seed runs in a fresh
+    context with the given context's scale, threads, jobs and policy
+    bundle; the context's own seed is not used. *)
 
 val fig8 : Exp.t -> string
 (** Figure 8: (a) aborts per commit and (b) wasted/useful cycles, baseline

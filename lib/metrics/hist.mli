@@ -72,7 +72,8 @@ val restore :
   (int * int * int) list ->
   t option
 (** Rebuild a histogram from its serialized
-    [(index, count, observed_max)] parts (the store codec's decode path).
+    [(index, count, observed_max)] parts (the telemetry series codec's
+    decode path).
     [None] when the parts are not internally consistent: bucket counts
     must be positive, indices in range and strictly ascending, totalling
     [count]; each observed max must lie inside its bucket and the

@@ -17,10 +17,10 @@ let name_ok s =
        s
 
 (* Label values are free-form (Prometheus allows any UTF-8): every
-   exporter escapes what its framing needs — see [prom_escape] and
-   [codec_escape]; JSON is covered by the RFC 8259 printer. Only the
-   empty string stays reserved, so the codec's "-" placeholder and the
-   human-readable [label_string] form stay unambiguous. *)
+   rendering escapes what its framing needs — see [prom_escape] and
+   [label_escape]; JSON is covered by the RFC 8259 printer. Only the
+   empty string stays reserved, so the "-" placeholder of the
+   human-readable [label_string] form stays unambiguous. *)
 let label_value_ok s = s <> ""
 
 let key name labels =
@@ -128,10 +128,10 @@ let merge a b =
   Hashtbl.iter put b.tbl;
   t
 
-(* The store codec frames lines with spaces, pairs with commas and
-   key/value with '='; free-form values travel with those bytes (plus
-   the backslash itself and line breaks) backslash-escaped. *)
-let codec_escape s =
+(* [label_string] frames pairs with commas and key/value with '='; free-form
+   values travel with those bytes (plus spaces, the backslash itself and
+   line breaks) backslash-escaped, so a {!diff} line names one key. *)
+let label_escape s =
   let b = Buffer.create (String.length s + 8) in
   String.iter
     (function
@@ -146,35 +146,11 @@ let codec_escape s =
     s;
   Buffer.contents b
 
-let codec_unescape s =
-  let n = String.length s in
-  let b = Buffer.create n in
-  let ok = ref true in
-  let i = ref 0 in
-  while !i < n do
-    (match s.[!i] with
-    | '\\' when !i + 1 < n ->
-      incr i;
-      (match s.[!i] with
-      | '\\' -> Buffer.add_char b '\\'
-      | 's' -> Buffer.add_char b ' '
-      | 'c' -> Buffer.add_char b ','
-      | 'e' -> Buffer.add_char b '='
-      | 'n' -> Buffer.add_char b '\n'
-      | 't' -> Buffer.add_char b '\t'
-      | 'r' -> Buffer.add_char b '\r'
-      | _ -> ok := false)
-    | '\\' -> ok := false
-    | c -> Buffer.add_char b c);
-    incr i
-  done;
-  if !ok then Some (Buffer.contents b) else None
-
 let label_string labels =
   if labels = [] then "-"
   else
     String.concat ","
-      (List.map (fun (k, v) -> k ^ "=" ^ codec_escape v) labels)
+      (List.map (fun (k, v) -> k ^ "=" ^ label_escape v) labels)
 
 let diff a b =
   let describe (name, labels) = Printf.sprintf "%s{%s}" name (label_string labels) in
@@ -313,90 +289,3 @@ let to_prometheus t =
         line "%s_count%s %d" name (prom_labels labels) (Hist.count h))
     (sorted t);
   Buffer.contents b
-
-(* --- store codec ------------------------------------------------------ *)
-
-let encode t =
-  List.map
-    (fun ((name, labels), c) ->
-      let ls = label_string labels in
-      match c with
-      | C r -> Printf.sprintf "counter %s %s %d" name ls !r
-      | G r -> Printf.sprintf "gauge %s %s %d" name ls !r
-      | H h ->
-        let triples = Hist.buckets_full h in
-        Printf.sprintf "hist %s %s %d %d %d %d %d%s" name ls (Hist.count h)
-          (Hist.sum h) (Hist.min_value h) (Hist.max_value h)
-          (List.length triples)
-          (String.concat ""
-             (List.map
-                (fun (k, c, m) -> Printf.sprintf " %d %d %d" k c m)
-                triples)))
-    (sorted t)
-
-let parse_labels s =
-  if s = "-" then Some []
-  else
-    let parts = String.split_on_char ',' s in
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | p :: rest -> (
-        match String.index_opt p '=' with
-        | None -> None
-        | Some i -> (
-          let k = String.sub p 0 i
-          and raw = String.sub p (i + 1) (String.length p - i - 1) in
-          match codec_unescape raw with
-          | Some v when name_ok k && label_value_ok v ->
-            go ((k, v) :: acc) rest
-          | _ -> None))
-    in
-    go [] parts
-
-let decode lines =
-  let t = create () in
-  let ok = ref true in
-  let int_of s = match int_of_string_opt s with Some n -> n | None -> ok := false; 0 in
-  List.iter
-    (fun ln ->
-      if !ok then
-        match String.split_on_char ' ' ln with
-        | [ "counter"; name; ls; v ] when name_ok name -> (
-          match parse_labels ls with
-          | Some labels ->
-            let v = int_of v in
-            if !ok then Hashtbl.replace t.tbl (name, labels) (C (ref v))
-          | None -> ok := false)
-        | [ "gauge"; name; ls; v ] when name_ok name -> (
-          match parse_labels ls with
-          | Some labels ->
-            let v = int_of v in
-            if !ok then Hashtbl.replace t.tbl (name, labels) (G (ref v))
-          | None -> ok := false)
-        | "hist" :: name :: ls :: count :: sum :: mn :: mx :: npairs :: rest
-          when name_ok name -> (
-          match parse_labels ls with
-          | Some labels ->
-            let count = int_of count
-            and sum = int_of sum
-            and mn = int_of mn
-            and mx = int_of mx
-            and npairs = int_of npairs in
-            let rec triples acc = function
-              | [] -> Some (List.rev acc)
-              | k :: c :: m :: rest ->
-                triples ((int_of k, int_of c, int_of m) :: acc) rest
-              | _ -> None
-            in
-            (match triples [] rest with
-            | Some ps when List.length ps = npairs && !ok -> (
-              match
-                Hist.restore ~count ~sum ~min_value:mn ~max_value:mx ps
-              with
-              | Some h -> Hashtbl.replace t.tbl (name, labels) (H h)
-              | None -> ok := false)
-            | _ -> ok := false)
-          | None -> ok := false)
-        | _ -> ok := false)
-    lines;
-  if !ok then Some t else None

@@ -2,7 +2,7 @@
     keyed by (name, sorted label set).
 
     Everything the registry exposes — iteration, the JSON snapshot, the
-    Prometheus text, the store codec — is ordered by (name, labels), so
+    Prometheus text, {!diff} — is ordered by (name, labels), so
     two registries holding the same data render byte-identically no
     matter what order events arrived in. That determinism is what lets
     the online collector and the trace-replay collector be compared for
@@ -24,8 +24,8 @@ val create : unit -> t
 
 (** Metric and label names must match [[a-zA-Z_][a-zA-Z0-9_]*]; label
     values may be any non-empty string (each exporter escapes what its
-    framing needs — Prometheus text per the exposition spec, the store
-    codec with backslash sequences, JSON per RFC 8259). An empty value,
+    framing needs — Prometheus text per the exposition spec, {!diff}
+    with backslash sequences, JSON per RFC 8259). An empty value,
     a malformed name, reusing a (name, labels) key at a different
     metric type, or duplicate label keys raises [Invalid_argument]:
     metric identity is part of each exporter's schema, so a malformed
@@ -77,11 +77,3 @@ val to_prometheus : t -> string
     cumulative [_bucket{le="..."}] series plus [_sum]/[_count]. Label
     values are escaped per the text-format spec (backslash, double
     quote, newline). *)
-
-val encode : t -> string list
-(** Line-oriented codec for the result store: one line per metric,
-    deterministic order, values space-separated; label values travel
-    backslash-escaped so free-form values round-trip. *)
-
-val decode : string list -> t option
-(** [None] on any malformed line — the store treats that as corruption. *)

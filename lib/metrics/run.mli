@@ -2,7 +2,7 @@ open Stx_sim
 
 (** One simulation's full measurement: the inline [Stats] plus the
     registry the metrics collector built from the same run's event
-    stream. This is the unit the runner caches and merges. *)
+    stream. This is the unit the runner returns and merges. *)
 
 type t = { stats : Stats.t; metrics : Registry.t }
 

@@ -9,11 +9,12 @@
     throughput under contention — without forking the machine model.
 
     A policy bundle is plain data (variants and records, no closures), so
-    it can be printed, parsed, compared, hashed into the result-store
-    digest, and attached as a metrics label. The {!default} bundle is the
-    paper's configuration and is behaviour-preserving by construction:
-    running any workload under [default] produces bit-for-bit the same
-    {!Stx_sim.Stats} as the pre-policy simulator. *)
+    it can be printed, parsed, compared structurally (the experiment
+    engine dedupes jobs on it), and attached as a metrics label. The
+    {!default} bundle is the paper's configuration and is
+    behaviour-preserving by construction: running any workload under
+    [default] produces bit-for-bit the same {!Stx_sim.Stats} as the
+    pre-policy simulator. *)
 
 module Resolution : sig
   (** Which transaction survives a data conflict. *)
@@ -106,7 +107,7 @@ val label : t -> string
 (** Canonical ["resolution+capacity+fallback"] string. Uses only
     characters from the metrics-registry label charset
     [[a-zA-Z0-9_.:+-]], with [+] as the axis separator, so it is directly
-    usable as a label value and inside cache digests. *)
+    usable as a label value. *)
 
 val of_label : string -> (t, string) result
 (** Inverse of {!label}; also accepts a bare resolution (axes omitted from

@@ -9,9 +9,6 @@ type t = {
   policy : Stx_policy.t;
 }
 
-(* v2 added the HTM policy bundle to the spec *)
-let spec_version = 2
-
 let make ?(policy = Stx_policy.default) ~workload ~mode ~threads ~seed ~scale
     () =
   if threads < 1 then invalid_arg "Job.make: threads < 1";
@@ -24,16 +21,3 @@ let label j =
   in
   if Stx_policy.equal j.policy Stx_policy.default then base
   else base ^ "/" ^ Stx_policy.label j.policy
-
-(* %h is injective on floats (hex mantissa/exponent), so two jobs whose
-   scales differ by any amount get different canonical strings *)
-let canonical j =
-  Printf.sprintf
-    "staggered_tm-job-v%d|workload=%s|mode=%s|threads=%d|seed=%d|scale=%h|policy=%s"
-    spec_version j.workload (Mode.to_string j.mode) j.threads j.seed j.scale
-    (Stx_policy.label j.policy)
-
-let digest j = Digest.to_hex (Digest.string (canonical j))
-
-let compare a b = Stdlib.compare (canonical a) (canonical b)
-let equal a b = compare a b = 0

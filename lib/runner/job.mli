@@ -2,8 +2,9 @@ open Stx_core
 
 (** The unit of work of the experiment engine: one deterministic
     simulation, fully described by its inputs. Two jobs with equal specs
-    produce byte-identical statistics, which is what makes the on-disk
-    result store ({!Store}) sound. *)
+    produce byte-identical statistics, which is what lets {!Sweep}
+    simulate each distinct spec of a batch once. A spec is plain data,
+    so structural equality and [Hashtbl.hash] are exact on it. *)
 
 type t = private {
   workload : string;  (** registry name, e.g. ["genome"] *)
@@ -30,19 +31,3 @@ val label : t -> string
 (** Short human-readable form, ["genome/Staggered/t16"] — used by
     {!Progress}. Jobs under a non-default policy append its
     {!Stx_policy.label} as a fourth segment. *)
-
-val canonical : t -> string
-(** The canonical spec string the digest is computed over. Includes
-    {!spec_version} and every field; [scale] is rendered with ["%h"] so
-    distinct floats never collide. *)
-
-val digest : t -> string
-(** Hex content digest of {!canonical} — the store key. Sensitive to every
-    field of the spec and to {!spec_version}. *)
-
-val spec_version : int
-(** Bump when the meaning of a job spec changes (new field, changed
-    semantics), invalidating all previously stored results. *)
-
-val compare : t -> t -> int
-val equal : t -> t -> bool

@@ -1,7 +1,6 @@
 type 'a outcome =
   | Done of 'a
   | Failed of string
-  | Timed_out of float
 
 type event = Started of int | Finished of int | Tick
 
@@ -13,17 +12,11 @@ type 'a shared = {
   events : event Queue.t;
   results : 'a outcome option array;
   thunks : (unit -> 'a) array;
-  timeout : float option;
 }
 
-let classify sh thunk =
-  let t0 = Unix.gettimeofday () in
+let classify thunk =
   match thunk () with
-  | v ->
-    let elapsed = Unix.gettimeofday () -. t0 in
-    (match sh.timeout with
-    | Some limit when elapsed > limit -> Timed_out elapsed
-    | _ -> Done v)
+  | v -> Done v
   | exception e -> Failed (Printexc.to_string e)
 
 let push_event sh ev =
@@ -54,7 +47,7 @@ let worker sh =
     | None -> ()
     | Some i ->
       push_event sh (Started i);
-      let out = classify sh sh.thunks.(i) in
+      let out = classify sh.thunks.(i) in
       (* results are only read by the coordinator after it has seen the
          Finished event, which is queued under the same mutex *)
       sh.results.(i) <- Some out;
@@ -95,7 +88,7 @@ let spawn_ticker sh ~stop ~period =
       in
       run 0.)
 
-let map ?(jobs = Domain.recommended_domain_count ()) ?timeout ?(on_start = nop1)
+let map ?(jobs = Domain.recommended_domain_count ()) ?(on_start = nop1)
     ?(on_done = nop2) ?tick thunks =
   let n = Array.length thunks in
   let sh =
@@ -107,7 +100,6 @@ let map ?(jobs = Domain.recommended_domain_count ()) ?timeout ?(on_start = nop1)
       events = Queue.create ();
       results = Array.make n None;
       thunks;
-      timeout;
     }
   in
   if n = 0 then [||]
@@ -118,7 +110,7 @@ let map ?(jobs = Domain.recommended_domain_count ()) ?timeout ?(on_start = nop1)
          behaviour (events in start/finish order per job) *)
       for i = 0 to n - 1 do
         on_start i;
-        let out = classify sh thunks.(i) in
+        let out = classify thunks.(i) in
         sh.results.(i) <- Some out;
         on_done i out
       done

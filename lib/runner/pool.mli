@@ -8,16 +8,9 @@
 type 'a outcome =
   | Done of 'a
   | Failed of string  (** the job raised; [Printexc.to_string] of it *)
-  | Timed_out of float
-      (** the job overran the wall-clock budget; carries the elapsed
-          seconds. Domains cannot be pre-empted, so the timeout is
-          cooperative: the job runs to completion (the simulator's own
-          [max_steps] bounds runaways) but its result is discarded and
-          recorded as [Timed_out]. *)
 
 val map :
   ?jobs:int ->
-  ?timeout:float ->
   ?on_start:(int -> unit) ->
   ?on_done:(int -> 'a outcome -> unit) ->
   ?tick:float * (unit -> unit) ->
@@ -26,11 +19,10 @@ val map :
 (** [map ~jobs thunks] runs every thunk and returns their outcomes in
     input order. [jobs] (default [Domain.recommended_domain_count ()]) is
     clamped to [1 .. Array.length thunks]; with [jobs = 1] everything runs
-    inline on the calling domain. [timeout] is a per-job wall-clock budget
-    in seconds. [on_start]/[on_done] are invoked with the job's index from
-    the calling (coordinating) domain only — never concurrently.
-    [tick = (period, f)] invokes [f] — also on the coordinating domain,
-    so it may share state with the other callbacks — roughly every
-    [period] wall-clock seconds while jobs are in flight: the progress
-    heartbeat hook. Inline mode ([jobs = 1]) never ticks: the calling
-    domain is busy running the jobs themselves. *)
+    inline on the calling domain. [on_start]/[on_done] are invoked with
+    the job's index from the calling (coordinating) domain only — never
+    concurrently. [tick = (period, f)] invokes [f] — also on the
+    coordinating domain, so it may share state with the other callbacks
+    — roughly every [period] wall-clock seconds while jobs are in
+    flight: the progress heartbeat hook. Inline mode ([jobs = 1]) never
+    ticks: the calling domain is busy running the jobs themselves. *)

@@ -21,12 +21,6 @@ let create ?(out = stderr) ?(now = Unix.gettimeofday) ~total () =
     durations = Hist.create ();
   }
 
-let note t fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Printf.fprintf t.out "%s\n%!" msg)
-    fmt
-
 let eta t =
   if t.completed = 0 then nan
   else

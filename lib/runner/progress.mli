@@ -12,9 +12,6 @@ val create :
     [now] (default [Unix.gettimeofday]) is the clock — injectable so the
     ETA arithmetic is testable. *)
 
-val note : t -> ('a, unit, string, unit) format4 -> 'a
-(** Emit a free-form line (e.g. the cached/pending split of a batch). *)
-
 val job_started : t -> string -> unit
 val job_finished : t -> string -> status:string -> unit
 

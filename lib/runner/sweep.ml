@@ -16,96 +16,57 @@ let run_job (j : Job.t) : Run.t =
 type batch = {
   results : (Job.t * Run.t Pool.outcome) list;
   executed : int;
-  cached : int;
 }
 
 let status_of = function
   | Pool.Done _ -> "done"
   | Pool.Failed msg -> "FAILED: " ^ msg
-  | Pool.Timed_out s -> Printf.sprintf "TIMED OUT after %.1fs" s
 
-let run_batch ?store ?jobs ?timeout ?(progress = false) ?heartbeat
-    (specs : Job.t list) =
-  (* dedupe on the digest: each distinct spec simulates (or loads) once,
-     results fan back out to every occurrence in input order *)
-  let seen = Hashtbl.create 64 in
-  let uniq =
-    List.filter
+let run_batch ?jobs ?(progress = false) (specs : Job.t list) =
+  (* each distinct spec simulates once; [slots] maps every input job to
+     its spec's index in [uniq], so outcomes fan back out in input order *)
+  let index = Hashtbl.create 64 and uniq = ref [] in
+  let slots =
+    List.map
       (fun j ->
-        let key = Job.digest j in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.add seen key ();
-          true
-        end)
+        match Hashtbl.find_opt index j with
+        | Some i -> i
+        | None ->
+          let i = Hashtbl.length index in
+          Hashtbl.add index j i;
+          uniq := j :: !uniq;
+          i)
       specs
   in
-  let cached, pending =
-    List.partition_map
-      (fun j ->
-        match store with
-        | None -> Right j
-        | Some st -> (
-          match Store.load st ~key:(Job.digest j) with
-          | Some run -> Left (j, Pool.Done run)
-          | None -> Right j))
-      uniq
-  in
+  let uniq = Array.of_list (List.rev !uniq) in
   let reporter =
-    if progress then begin
-      let p = Progress.create ~total:(List.length pending) () in
-      if cached <> [] || pending = [] then
-        Progress.note p "%d unique jobs: %d cached, %d to run"
-          (List.length uniq) (List.length cached) (List.length pending);
-      Some p
-    end
+    if progress then Some (Progress.create ~total:(Array.length uniq) ())
     else None
   in
-  let pending_arr = Array.of_list pending in
-  let thunks = Array.map (fun j () -> run_job j) pending_arr in
   let on_start i =
-    Option.iter
-      (fun p -> Progress.job_started p (Job.label pending_arr.(i)))
-      reporter
+    Option.iter (fun p -> Progress.job_started p (Job.label uniq.(i))) reporter
   in
   let on_done i out =
     Option.iter
       (fun p ->
-        Progress.job_finished p (Job.label pending_arr.(i))
-          ~status:(status_of out))
+        Progress.job_finished p (Job.label uniq.(i)) ~status:(status_of out))
       reporter
   in
   (* CI logs (stdout redirected) would otherwise be silent for minutes
      between completions of long jobs; a terminal user already sees the
      per-job lines scroll *)
-  let hb_period =
-    match heartbeat with
-    | Some p -> p
-    | None -> if Unix.isatty Unix.stdout then 0. else 10.
-  in
   let tick =
     match reporter with
-    | Some p when hb_period > 0. -> Some (hb_period, fun () -> Progress.heartbeat p)
+    | Some p when not (Unix.isatty Unix.stdout) ->
+      Some (10., fun () -> Progress.heartbeat p)
     | _ -> None
   in
-  let outcomes = Pool.map ?jobs ?timeout ~on_start ~on_done ?tick thunks in
-  Option.iter (fun p -> if pending <> [] then Progress.finish p) reporter;
-  (* persist fresh successes; failures and timeouts are never cached *)
-  (match store with
-  | None -> ()
-  | Some st ->
-    Array.iteri
-      (fun i out ->
-        match out with
-        | Pool.Done run -> Store.save st ~key:(Job.digest pending_arr.(i)) run
-        | Pool.Failed _ | Pool.Timed_out _ -> ())
-      outcomes);
-  let by_key = Hashtbl.create 64 in
-  List.iter (fun (j, out) -> Hashtbl.replace by_key (Job.digest j) out) cached;
-  Array.iteri
-    (fun i out -> Hashtbl.replace by_key (Job.digest pending_arr.(i)) out)
-    outcomes;
-  let results =
-    List.map (fun j -> (j, Hashtbl.find by_key (Job.digest j))) specs
+  let outcomes =
+    Pool.map ?jobs ~on_start ~on_done ?tick
+      (Array.map (fun j () -> run_job j) uniq)
   in
-  { results; executed = Array.length pending_arr; cached = List.length cached }
+  Option.iter (fun p -> if Array.length uniq > 0 then Progress.finish p) reporter;
+  {
+    results = List.map2 (fun j i -> (j, outcomes.(i))) specs slots;
+    executed = Array.length uniq;
+  }

@@ -1,13 +1,12 @@
 open Stx_metrics
 
 (** The experiment engine's front door: execute a batch of simulation
-    jobs on a {!Pool} of domains, consulting and feeding the {!Store}.
+    jobs on a {!Pool} of domains.
 
     The simulator is deterministic per job, every job builds its own
     compiled program and machine state, and outcomes are returned in
     input order — so a batch at [jobs = 4] is result-identical to the
-    same batch at [jobs = 1], and a cached result is byte-identical to a
-    fresh one. *)
+    same batch at [jobs = 1]. *)
 
 val run_job : Job.t -> Run.t
 (** Resolve the workload, compile it (with ALPs iff the mode uses them),
@@ -18,23 +17,11 @@ type batch = {
   results : (Job.t * Run.t Pool.outcome) list;
       (** one entry per input job, in input order *)
   executed : int;  (** distinct simulations actually run *)
-  cached : int;  (** distinct jobs answered from the store *)
 }
 
-val run_batch :
-  ?store:Store.t ->
-  ?jobs:int ->
-  ?timeout:float ->
-  ?progress:bool ->
-  ?heartbeat:float ->
-  Job.t list ->
-  batch
-(** Duplicate specs (by digest) are computed once and fanned back out.
-    Fresh successful results are saved to [store]; [Failed] and
-    [Timed_out] outcomes are never cached, so a later run retries them.
+val run_batch : ?jobs:int -> ?progress:bool -> Job.t list -> batch
+(** Equal specs are simulated once and their outcome fanned back out.
     [progress] (default off) reports per-job completion lines on stderr
-    from the coordinating domain. [heartbeat] is the period in seconds
-    of {!Progress.heartbeat} keep-alive lines between completions; [0.]
-    disables them, and the default is 10 s when stdout is not a
-    terminal (CI logs) and off when it is. Heartbeats only fire in
-    parallel mode — see {!Pool.map}'s [tick]. *)
+    from the coordinating domain, plus a {!Progress.heartbeat} every
+    10 s when stdout is not a terminal (CI logs). Heartbeats only fire
+    in parallel mode — see {!Pool.map}'s [tick]. *)

@@ -280,9 +280,7 @@ let run ?jobs cfg =
       (fun i -> function
         | Stx_runner.Pool.Done r -> r
         | Stx_runner.Pool.Failed msg ->
-          failwith (Printf.sprintf "serve shard %d failed: %s" i msg)
-        | Stx_runner.Pool.Timed_out s ->
-          failwith (Printf.sprintf "serve shard %d timed out after %.1fs" i s))
+          failwith (Printf.sprintf "serve shard %d failed: %s" i msg))
       outcomes
   in
   let stats, registry, requests, telemetry, errors =

@@ -216,6 +216,18 @@ let test_scaling_report () =
   let s = Reports.scaling c w in
   Alcotest.(check bool) "has thread column" true (contains s "Threads")
 
+(* the seed-averaged Figure 7 runs every seed under the context's policy
+   bundle, as the single-seed Figure 7 does *)
+let test_fig7_repeated_uses_policy () =
+  let render label =
+    let policy = Result.get_ok (Stx_policy.of_label label) in
+    Reports.fig7_repeated ~seeds:[ 2 ]
+      (Exp.create ~scale:0.05 ~threads:4 ~policy ())
+  in
+  Alcotest.(check bool) "policy bundle reaches every seed" false
+    (render "requester-wins+unbounded+polite"
+    = render "timestamp+bounded:8:4+backoff")
+
 (* --- htmlreport -------------------------------------------------------- *)
 
 let render_report () =
@@ -324,6 +336,8 @@ let suite =
     Alcotest.test_case "profile latency table filled" `Quick
       test_profile_latency_table;
     Alcotest.test_case "scaling report" `Quick test_scaling_report;
+    Alcotest.test_case "fig7-avg runs under the policy" `Quick
+      test_fig7_repeated_uses_policy;
     Alcotest.test_case "fig1 timelines" `Quick test_fig1_timelines;
     Alcotest.test_case "timeline render basics" `Quick test_timeline_render_basics;
     Alcotest.test_case "timeline windowing" `Quick test_timeline_windowing;

@@ -279,14 +279,8 @@ let test_registry_prometheus_golden () =
      stx_lat_count{outcome=\"commit\"} 3\n"
     (Registry.to_prometheus (sample_registry ()))
 
-let test_registry_codec_round_trip () =
-  let r = sample_registry () in
-  match Registry.decode (Registry.encode r) with
-  | None -> Alcotest.fail "decode rejected its own encode"
-  | Some r' -> Alcotest.(check bool) "equal" true (Registry.equal r r')
-
-(* values with every character the exposition format escapes, plus the
-   bytes the store codec's own framing uses *)
+(* values with every character the exposition format escapes, plus
+   spaces, commas, '=' and control characters *)
 let hairy_values =
   [ "back\\slash"; "dou\"ble"; "new\nline"; "sp ace,co=mma\ttab\rcr"; "plain" ]
 
@@ -308,36 +302,6 @@ let test_registry_prometheus_escaping () =
       Alcotest.(check int) ("line count for " ^ String.escaped v) 2
         (List.length lines))
     hairy_values
-
-let test_registry_codec_escapes_label_values () =
-  let r = Registry.create () in
-  List.iteri
-    (fun i v ->
-      Registry.inc r "m" ~by:(i + 1) [ ("k", v) ];
-      Registry.set_gauge r "g" [ ("k", v) ] (i + 10);
-      Registry.observe r "h" [ ("k", v) ] i)
-    hairy_values;
-  (* encode must still be one line per metric... *)
-  List.iter
-    (fun ln ->
-      Alcotest.(check bool) "no embedded newline" false (String.contains ln '\n'))
-    (Registry.encode r);
-  (* ...and decode must reproduce the registry exactly *)
-  match Registry.decode (Registry.encode r) with
-  | None -> Alcotest.fail "decode rejected escaped label values"
-  | Some r' ->
-    Alcotest.(check (list string)) "round trip" [] (Registry.diff r r')
-
-let test_registry_codec_rejects_corruption () =
-  let lines = Registry.encode (sample_registry ()) in
-  let reject name ls =
-    Alcotest.(check bool) name true (Registry.decode ls = None)
-  in
-  reject "garbage line" (lines @ [ "wibble" ]);
-  reject "non-numeric counter" [ "counter stx_commits - five" ];
-  reject "bad hist payload" [ "hist stx_lat - 3 11 0 6 2 0 1 0" ];
-  reject "inconsistent hist"
-    [ "hist stx_lat - 99 11 0 6 2 0 1 0 3 2 6" ]
 
 (* --- online vs trace replay, every workload x mode --------------------- *)
 
@@ -540,12 +504,6 @@ let suite =
       test_registry_prometheus_golden;
     Alcotest.test_case "prometheus label escaping" `Quick
       test_registry_prometheus_escaping;
-    Alcotest.test_case "codec escapes label values" `Quick
-      test_registry_codec_escapes_label_values;
-    Alcotest.test_case "store codec round trip" `Quick
-      test_registry_codec_round_trip;
-    Alcotest.test_case "store codec rejects corruption" `Quick
-      test_registry_codec_rejects_corruption;
     Alcotest.test_case "online = trace replay (all workloads x modes)" `Slow
       test_online_equals_replay;
     Alcotest.test_case "registry reconciles with stats everywhere" `Slow

@@ -6,8 +6,8 @@ open Stx_sim
    bundle must reproduce the pre-policy simulator bit-for-bit (the
    golden digests below were captured from the seed implementation on
    every workload x mode cell), and every non-default policy must keep
-   the whole measurement pipeline — trace reconciliation, metrics
-   reconciliation, the store codec — internally consistent. *)
+   the whole measurement pipeline — trace reconciliation and metrics
+   reconciliation — internally consistent. *)
 
 (* ---------------------------------------------------------------- *)
 (* stats fingerprint: a digest over every counter, frequency table
@@ -500,50 +500,8 @@ let test_merge_associative () =
     (List.map (fun (l, (c, a, cap, i)) -> (l, ((c, a), (cap, i)))) (tally_list left))
 
 (* ---------------------------------------------------------------- *)
-(* store codec round-trips the new fields; job digests see the policy *)
-
-let test_store_roundtrip_policy_fields () =
-  let open Stx_runner in
-  let w = Option.get (Stx_workloads.Registry.find "genome") in
-  let htm_policy = Stx_policy.make ~capacity:tight () in
-  let spec =
-    Stx_workloads.Workload.spec ~instrument:false ~scale:golden_scale w
-  in
-  let cfg = Config.with_cores 4 Config.default in
-  let r =
-    Stx_metrics.Run.simulate ~seed:3 ~htm_policy ~cfg ~mode:Mode.Baseline spec
-  in
-  Alcotest.(check bool) "run has capacity aborts" true
-    (r.Stx_metrics.Run.stats.Stats.capacity_aborts > 0);
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "stxr-policy-%d" (Unix.getpid ()))
-  in
-  let st = Store.create ~dir () in
-  Store.save st ~key:"policy-roundtrip" r;
-  (match Store.load st ~key:"policy-roundtrip" with
-  | None -> Alcotest.fail "stored result did not load"
-  | Some r' ->
-    Alcotest.(check string) "stats round-trip"
-      (fingerprint r.Stx_metrics.Run.stats)
-      (fingerprint r'.Stx_metrics.Run.stats);
-    Alcotest.(check int) "capacity_aborts round-trip"
-      r.Stx_metrics.Run.stats.Stats.capacity_aborts
-      r'.Stx_metrics.Run.stats.Stats.capacity_aborts;
-    Alcotest.(check
-        (list (pair string (pair (pair int int) (pair int int)))))
-      "per-policy round-trip"
-      (List.map
-         (fun (l, (c, a, cap, i)) -> (l, ((c, a), (cap, i))))
-         (tally_list r.Stx_metrics.Run.stats))
-      (List.map
-         (fun (l, (c, a, cap, i)) -> (l, ((c, a), (cap, i))))
-         (tally_list r'.Stx_metrics.Run.stats)));
-  (* stale cache entries of older formats must read as misses, never
-     as malformed decodes of the new sections *)
-  Alcotest.(check bool) "load of absent key is a miss" true
-    (Store.load st ~key:"no-such-entry" = None)
+(* job digests see the policy: the batch dedupe keeps policy variants
+   of one spec apart                                                  *)
 
 let test_job_digest_sees_policy () =
   let open Stx_runner in
@@ -551,14 +509,15 @@ let test_job_digest_sees_policy () =
     Job.make ~policy ~workload:"genome" ~mode:Mode.Baseline ~threads:4 ~seed:3
       ~scale:0.05 ()
   in
-  let d0 = Job.digest (mk Stx_policy.default) in
-  let d1 =
-    Job.digest (mk (Stx_policy.make ~resolution:Stx_policy.Resolution.Timestamp ()))
-  in
-  let d2 = Job.digest (mk (Stx_policy.make ~capacity:tight ())) in
+  let d0 = mk Stx_policy.default in
+  let d1 = mk (Stx_policy.make ~resolution:Stx_policy.Resolution.Timestamp ()) in
+  let d2 = mk (Stx_policy.make ~capacity:tight ()) in
   Alcotest.(check bool) "timestamp digest differs" true (d0 <> d1);
   Alcotest.(check bool) "capacity digest differs" true (d0 <> d2);
-  Alcotest.(check bool) "non-default digests differ" true (d1 <> d2)
+  Alcotest.(check bool) "non-default digests differ" true (d1 <> d2);
+  let b = Sweep.run_batch ~jobs:2 [ d0; d1; d2; mk Stx_policy.default ] in
+  Alcotest.(check int) "each policy variant simulates once" 3
+    b.Sweep.executed
 
 (* ---------------------------------------------------------------- *)
 (* label/parse round trips                                            *)
@@ -635,8 +594,6 @@ let suite =
       test_timestamp_older_wins;
     Alcotest.test_case "merge associative over capacity + per-policy" `Quick
       test_merge_associative;
-    Alcotest.test_case "store codec round-trips policy fields" `Quick
-      test_store_roundtrip_policy_fields;
     Alcotest.test_case "job digest is policy-sensitive" `Quick
       test_job_digest_sees_policy;
     Alcotest.test_case "policy labels round-trip and stay in charset" `Quick

@@ -17,24 +17,17 @@ let small_batch () =
     job ~workload:"kmeans" ~mode:Mode.Staggered_hw ();
   ]
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "stxr-test-%d-%d" (Unix.getpid ()) !counter)
-    in
-    dir
-
-let outcomes_encoded batch =
+(* total representation of a batch's outcomes: every [Stats] field and
+   the metrics registry's JSON snapshot *)
+let outcomes_fingerprinted batch =
   List.map
     (fun (j, out) ->
       match out with
-      | Pool.Done s -> (Job.label j, Store.encode s)
-      | Pool.Failed m -> (Job.label j, "failed: " ^ m)
-      | Pool.Timed_out _ -> (Job.label j, "timeout"))
+      | Pool.Done r ->
+        ( Job.label j,
+          Test_exact.fingerprint r.Stx_metrics.Run.stats
+          ^ Stx_metrics.Registry.to_json_string r.Stx_metrics.Run.metrics )
+      | Pool.Failed m -> (Job.label j, "failed: " ^ m))
     batch.Sweep.results
 
 (* --- pool ------------------------------------------------------------- *)
@@ -54,8 +47,8 @@ let test_pool_jobs1_equals_jobs4 () =
   let seq = Sweep.run_batch ~jobs:1 specs in
   let par = Sweep.run_batch ~jobs:4 specs in
   Alcotest.(check (list (pair string string)))
-    "identical results regardless of parallelism" (outcomes_encoded seq)
-    (outcomes_encoded par)
+    "identical results regardless of parallelism" (outcomes_fingerprinted seq)
+    (outcomes_fingerprinted par)
 
 let test_pool_exception_isolated () =
   let thunks =
@@ -74,19 +67,6 @@ let test_pool_exception_isolated () =
   | Pool.Done 1, Pool.Done 3 -> ()
   | _ -> Alcotest.fail "neighbours unaffected by the crash")
 
-let test_pool_timeout () =
-  let thunks =
-    [| (fun () -> 1); (fun () -> Unix.sleepf 0.05; 2); (fun () -> 3) |]
-  in
-  let out = Pool.map ~jobs:2 ~timeout:0.01 thunks in
-  (match out.(1) with
-  | Pool.Timed_out elapsed ->
-    Alcotest.(check bool) "elapsed recorded" true (elapsed >= 0.01)
-  | _ -> Alcotest.fail "expected Timed_out");
-  match (out.(0), out.(2)) with
-  | Pool.Done 1, Pool.Done 3 -> ()
-  | _ -> Alcotest.fail "fast jobs unaffected by the slow one"
-
 let test_pool_callbacks_balanced () =
   let started = ref 0 and finished = ref 0 in
   let thunks = Array.init 10 (fun i () -> i) in
@@ -98,8 +78,11 @@ let test_pool_callbacks_balanced () =
   Alcotest.(check int) "every job started" 10 !started;
   Alcotest.(check int) "every job finished" 10 !finished
 
-(* --- digest ----------------------------------------------------------- *)
+(* --- digest ------------------------------------------------------------ *)
 
+(* A job's digest is the spec itself: [Sweep.run_batch] keys its dedupe
+   table on structural equality of [Job.t], so a change to any field must
+   make a distinct key and an equal spec must collapse onto its twin. *)
 let test_digest_sensitive_to_every_field () =
   let base = job () in
   let variants =
@@ -113,152 +96,23 @@ let test_digest_sensitive_to_every_field () =
   in
   List.iter
     (fun (field, j) ->
-      Alcotest.(check bool)
-        (field ^ " changes the digest")
-        false
-        (Job.digest base = Job.digest j))
+      Alcotest.(check bool) (field ^ " changes the digest") false (base = j))
     variants;
-  Alcotest.(check string) "digest is a function of the spec" (Job.digest base)
-    (Job.digest (job ()))
-
-(* --- store ------------------------------------------------------------ *)
-
-let test_store_round_trip () =
-  let dir = fresh_dir () in
-  let st = Store.create ~dir () in
-  let stats = Sweep.run_job (job ()) in
-  let key = Job.digest (job ()) in
-  Alcotest.(check bool) "miss before save" true (Store.load st ~key = None);
-  Store.save st ~key stats;
-  match Store.load st ~key with
-  | None -> Alcotest.fail "expected a hit after save"
-  | Some loaded ->
-    Alcotest.(check string) "byte-identical round trip" (Store.encode stats)
-      (Store.encode loaded)
-
-let test_store_cache_hit_skips_simulation () =
-  let dir = fresh_dir () in
-  let st = Store.create ~dir () in
-  let specs = small_batch () in
-  let cold = Sweep.run_batch ~store:st ~jobs:2 specs in
-  Alcotest.(check int) "cold run simulates everything" 4 cold.Sweep.executed;
-  Alcotest.(check int) "cold run has no hits" 0 cold.Sweep.cached;
-  let warm = Sweep.run_batch ~store:st ~jobs:2 specs in
-  Alcotest.(check int) "warm run simulates nothing" 0 warm.Sweep.executed;
-  Alcotest.(check int) "warm run is all hits" 4 warm.Sweep.cached;
-  Alcotest.(check (list (pair string string)))
-    "cached results identical to fresh ones" (outcomes_encoded cold)
-    (outcomes_encoded warm)
-
-let test_store_corrupt_entries_are_misses () =
-  let dir = fresh_dir () in
-  let st = Store.create ~dir () in
-  let stats = Sweep.run_job (job ()) in
-  let key = Job.digest (job ()) in
-  Store.save st ~key stats;
-  let file = Store.path st ~key in
-  let full = In_channel.with_open_bin file In_channel.input_all in
-  (* truncated: cut the file mid-way, losing the "end" sentinel *)
-  Out_channel.with_open_bin file (fun oc ->
-      Out_channel.output_string oc
-        (String.sub full 0 (String.length full / 2)));
-  Alcotest.(check bool) "truncated entry is a miss" true
-    (Store.load st ~key = None);
-  (* garbage: syntactically wrong from the first line *)
-  Out_channel.with_open_bin file (fun oc ->
-      Out_channel.output_string oc "not a result file\n");
-  Alcotest.(check bool) "garbage entry is a miss" true
-    (Store.load st ~key = None);
-  (* wrong magic version *)
-  Out_channel.with_open_bin file (fun oc ->
-      Out_channel.output_string oc
-        ("staggered_tm-result v999\n"
-        ^ String.concat "\n" (List.tl (String.split_on_char '\n' full))));
-  Alcotest.(check bool) "foreign version is a miss" true
-    (Store.load st ~key = None);
-  (* and a batch over the corrupted store recomputes, then repairs it *)
-  Out_channel.with_open_bin file (fun oc ->
-      Out_channel.output_string oc "not a result file\n");
-  let b = Sweep.run_batch ~store:st ~jobs:1 [ job () ] in
-  Alcotest.(check int) "corrupted entry recomputed" 1 b.Sweep.executed;
-  match Store.load st ~key with
-  | Some repaired ->
-    Alcotest.(check string) "store repaired" (Store.encode stats)
-      (Store.encode repaired)
-  | None -> Alcotest.fail "expected the recomputed entry to be saved"
-
-let test_store_failures_not_cached () =
-  let dir = fresh_dir () in
-  let st = Store.create ~dir () in
-  (* an unknown workload makes run_job raise inside the pool *)
-  let failing =
-    Job.make ~workload:"no-such-benchmark" ~mode:Mode.Baseline ~threads:2
-      ~seed:1 ~scale:0.05 ()
+  Alcotest.(check bool) "digest is a function of the spec" true
+    (base = job ());
+  let b =
+    Sweep.run_batch ~jobs:2 ((base :: List.map snd variants) @ [ job () ])
   in
-  let b = Sweep.run_batch ~store:st ~jobs:2 [ failing ] in
-  (match b.Sweep.results with
-  | [ (_, Pool.Failed _) ] -> ()
-  | _ -> Alcotest.fail "expected a Failed outcome");
-  Alcotest.(check bool) "failure left no store entry" true
-    (Store.load st ~key:(Job.digest failing) = None)
-
-let test_store_persists_metrics () =
-  let dir = fresh_dir () in
-  let st = Store.create ~dir () in
-  let fresh = Sweep.run_job (job ~mode:Mode.Staggered_hw ()) in
-  let key = Job.digest (job ~mode:Mode.Staggered_hw ()) in
-  Store.save st ~key fresh;
-  match Store.load st ~key with
-  | None -> Alcotest.fail "expected a hit"
-  | Some loaded ->
-    Alcotest.(check (list string)) "registry survives the round trip" []
-      (Stx_metrics.Registry.diff fresh.Stx_metrics.Run.metrics
-         loaded.Stx_metrics.Run.metrics);
-    (* and the persisted registry still reconciles with the stats *)
-    (match
-       Stx_metrics.Collect.check loaded.Stx_metrics.Run.metrics
-         loaded.Stx_metrics.Run.stats
-     with
-    | Ok () -> ()
-    | Error errs ->
-      Alcotest.fail
-        ("loaded registry diverges from loaded stats:\n  "
-       ^ String.concat "\n  " errs))
-
-let test_store_corrupt_metrics_section_is_miss () =
-  let dir = fresh_dir () in
-  let st = Store.create ~dir () in
-  let r = Sweep.run_job (job ~mode:Mode.Staggered_hw ()) in
-  let key = Job.digest (job ~mode:Mode.Staggered_hw ()) in
-  Store.save st ~key r;
-  let file = Store.path st ~key in
-  let full = In_channel.with_open_bin file In_channel.input_all in
-  let corrupt f =
-    Out_channel.with_open_bin file (fun oc ->
-        Out_channel.output_string oc (f full))
-  in
-  let replace_line pred repl s =
-    String.split_on_char '\n' s
-    |> List.map (fun l -> if pred l then repl l else l)
-    |> String.concat "\n"
-  in
-  let starts p l =
-    String.length l >= String.length p && String.sub l 0 (String.length p) = p
-  in
-  (* a histogram line whose bucket payload no longer adds up *)
-  corrupt
-    (replace_line (starts "hist stx_tx_retries") (fun l -> l ^ " 40 1"));
-  Alcotest.(check bool) "tampered histogram is a miss" true
-    (Store.load st ~key = None);
-  (* a metrics count that disagrees with the lines that follow *)
-  corrupt (fun _ ->
-      replace_line (starts "metrics ") (fun _ -> "metrics 100000") full);
-  Alcotest.(check bool) "oversized metrics section is a miss" true
-    (Store.load st ~key = None);
-  (* restore, and prove the original decodes again *)
-  corrupt (fun _ -> full);
-  Alcotest.(check bool) "pristine entry is a hit" true
-    (Store.load st ~key <> None)
+  Alcotest.(check int) "a change to any field is a distinct job" 6
+    b.Sweep.executed;
+  Alcotest.(check int) "every input gets a result" 7
+    (List.length b.Sweep.results);
+  match (List.hd b.Sweep.results, List.nth b.Sweep.results 6) with
+  | (_, Pool.Done r0), (_, Pool.Done r6) ->
+    Alcotest.(check string) "the copy shares the base's outcome"
+      (Test_exact.fingerprint r0.Stx_metrics.Run.stats)
+      (Test_exact.fingerprint r6.Stx_metrics.Run.stats)
+  | _ -> Alcotest.fail "expected both base occurrences to succeed"
 
 (* --- progress ---------------------------------------------------------- *)
 
@@ -298,22 +152,6 @@ let test_progress_wall_summary_injectable_clock () =
        && (String.sub log i (String.length sub) = sub || find (i + 1))
      in
      find 0)
-
-let test_store_blob_round_trip () =
-  let st = Store.create ~dir:(fresh_dir ()) () in
-  Alcotest.(check bool) "missing blob is None" true
-    (Store.load_blob st ~key:"nothing" = None);
-  (* blobs are raw bytes: binary content survives untouched *)
-  let bytes = "<html>\x00\xff\nreport</html>" in
-  Store.save_blob st ~key:"abc123" bytes;
-  Alcotest.(check (option string)) "bytes round trip" (Some bytes)
-    (Store.load_blob st ~key:"abc123");
-  Store.save_blob st ~key:"abc123" "v2";
-  Alcotest.(check (option string)) "overwrite wins" (Some "v2")
-    (Store.load_blob st ~key:"abc123");
-  (* the .blob namespace never collides with result entries *)
-  Alcotest.(check bool) "not a result entry" true
-    (Store.load st ~key:"abc123" = None)
 
 let contains log sub =
   let rec find i =
@@ -381,23 +219,9 @@ let suite =
       test_pool_jobs1_equals_jobs4;
     Alcotest.test_case "exception isolated to its job" `Quick
       test_pool_exception_isolated;
-    Alcotest.test_case "timeout recorded, others unaffected" `Quick
-      test_pool_timeout;
     Alcotest.test_case "callbacks balanced" `Quick test_pool_callbacks_balanced;
     Alcotest.test_case "digest sensitive to every field" `Quick
       test_digest_sensitive_to_every_field;
-    Alcotest.test_case "store round trip" `Quick test_store_round_trip;
-    Alcotest.test_case "warm cache runs zero simulations" `Quick
-      test_store_cache_hit_skips_simulation;
-    Alcotest.test_case "corrupt/truncated entries are misses" `Quick
-      test_store_corrupt_entries_are_misses;
-    Alcotest.test_case "failures are not cached" `Quick
-      test_store_failures_not_cached;
-    Alcotest.test_case "metrics registry persisted with stats" `Quick
-      test_store_persists_metrics;
-    Alcotest.test_case "corrupt metrics section is a miss" `Quick
-      test_store_corrupt_metrics_section_is_miss;
-    Alcotest.test_case "blob round trip" `Quick test_store_blob_round_trip;
     Alcotest.test_case "progress wall-time summary (injected clock)" `Quick
       test_progress_wall_summary_injectable_clock;
     Alcotest.test_case "progress heartbeat line (injected clock)" `Quick
