@@ -9,78 +9,13 @@
 open Cmdliner
 open Stx_harness
 
-let seed_arg =
-  Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Simulation seed.")
-
-let scale_arg =
-  Arg.(
-    value
-    & opt float 1.0
-    & info [ "scale" ] ~doc:"Workload size multiplier (1.0 = default inputs).")
-
-let threads_arg =
-  Arg.(value & opt int 16 & info [ "threads" ] ~doc:"Simulated cores/threads.")
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt int (Domain.recommended_domain_count ())
-    & info [ "jobs"; "j" ]
-        ~doc:
-          "Simulations to run in parallel (OCaml domains). Defaults to the \
-           recommended domain count of this machine.")
-
-let policy_term =
-  let policy_arg =
-    Arg.(
-      value
-      & opt string "requester-wins"
-      & info [ "policy" ]
-          ~doc:
-            "Conflict-resolution policy: $(b,requester-wins), \
-             $(b,responder-wins) or $(b,timestamp).")
-  in
-  let capacity_arg =
-    Arg.(
-      value
-      & opt string "unbounded"
-      & info [ "capacity" ]
-          ~doc:
-            "HTM capacity policy: $(b,unbounded) or $(b,bounded:R:W) (hard \
-             read/write-set line budgets).")
-  in
-  let fallback_arg =
-    Arg.(
-      value
-      & opt string "polite"
-      & info [ "fallback" ]
-          ~doc:
-            "Fallback policy: $(b,polite[:N]), \
-             $(b,backoff[:N[:BASE[:MAXEXP[:SEED]]]]), or \
-             $(b,htm-stm-lock[:N[:S]]) (alias $(b,stm)).")
-  in
-  let make p cap f =
-    let axis flag parse v =
-      match parse v with
-      | Ok x -> x
-      | Error msg ->
-        Printf.eprintf "bad --%s %s: %s\n" flag v msg;
-        exit 1
-    in
-    Stx_policy.make
-      ~resolution:(axis "policy" Stx_policy.Resolution.of_string p)
-      ~capacity:(axis "capacity" Stx_policy.Capacity.of_string cap)
-      ~fallback:(axis "fallback" Stx_policy.Fallback.of_string f)
-      ()
-  in
-  Term.(const make $ policy_arg $ capacity_arg $ fallback_arg)
-
 let ctx_term =
   let make seed scale threads jobs policy =
     Exp.create ~seed ~scale ~threads ~jobs ~policy ()
   in
   Term.(
-    const make $ seed_arg $ scale_arg $ threads_arg $ jobs_arg $ policy_term)
+    const make $ Stx_cli.seed $ Stx_cli.scale $ Stx_cli.threads $ Stx_cli.jobs
+    $ Stx_cli.policy)
 
 let section title body =
   Printf.printf "==== %s ====\n%s\n%!" title body
@@ -106,17 +41,22 @@ let bench_arg =
     & opt string "genome"
     & info [ "bench" ] ~doc:"Benchmark name (see `stx_run --list`).")
 
-(* every subcommand's --bench lookup: an unknown name exits 1 *)
-let find_bench name =
-  match Stx_workloads.Registry.find name with
-  | Some w -> w
-  | None ->
-    prerr_endline ("unknown benchmark " ^ name);
-    exit 1
+let format_arg =
+  let parse = function
+    | "text" -> Stx_analysis.Driver.Text
+    | "tsv" -> Stx_analysis.Driver.Tsv
+    | f -> Stx_cli.fail ("unknown format " ^ f ^ " (text|tsv)")
+  in
+  Term.(
+    const parse
+    $ Arg.(
+        value
+        & opt string "text"
+        & info [ "format" ] ~doc:"Output format: $(b,text) or $(b,tsv)."))
 
 let anchors_cmd =
   let run bench =
-    section ("anchor tables: " ^ bench) (Reports.anchor_tables (find_bench bench))
+    section ("anchor tables: " ^ bench) (Reports.anchor_tables (Stx_cli.bench bench))
   in
   Cmd.v
     (Cmd.info "anchors" ~doc:"Unified anchor tables of a benchmark (Figure 3)")
@@ -124,7 +64,7 @@ let anchors_cmd =
 
 let per_bench_cmd name doc cells render =
   let run c bench =
-    let w = find_bench bench in
+    let w = Stx_cli.bench bench in
     Exp.prefetch ~progress:true c (cells c w);
     section (name ^ ": " ^ bench) (render c w)
   in
@@ -135,21 +75,13 @@ let scaling_cmd =
     Reports.scaling_cells Reports.scaling
 
 let profile_cmd =
-  let format_arg =
-    Arg.(
-      value
-      & opt string "text"
-      & info [ "format" ] ~doc:"Output format: $(b,text) or $(b,tsv).")
-  in
   let run c bench format =
-    let w = find_bench bench in
+    let w = Stx_cli.bench bench in
     Exp.prefetch ~progress:true c (Reports.profile_cells c w);
     match format with
-    | "text" -> section ("profile: " ^ bench) (Reports.profile c w)
-    | "tsv" -> print_string (Reports.profile_tsv c w)
-    | f ->
-      prerr_endline ("unknown format " ^ f ^ " (text|tsv)");
-      exit 1
+    | Stx_analysis.Driver.Text ->
+      section ("profile: " ^ bench) (Reports.profile c w)
+    | Stx_analysis.Driver.Tsv -> print_string (Reports.profile_tsv c w)
   in
   Cmd.v
     (Cmd.info "profile"
@@ -196,7 +128,7 @@ let export_cmd =
 let ablations_cmd =
   let run seed scale = section "ablations" (Ablations.all ~seed ~scale ()) in
   Cmd.v (Cmd.info "ablations" ~doc:"Design-choice ablation studies")
-    Term.(const run $ seed_arg $ scale_arg)
+    Term.(const run $ Stx_cli.seed $ Stx_cli.scale)
 
 (* ---------------------------------------------------------------- *)
 (* stx_repro lint: static conflict analysis + trace cross-validation *)
@@ -217,12 +149,6 @@ let lint_cmd =
       & info [ "mode" ]
           ~doc:"Anchor-selection mode to lint: $(b,dsa), $(b,naive) or \
                 $(b,both).")
-  in
-  let format_arg =
-    Arg.(
-      value
-      & opt string "text"
-      & info [ "format" ] ~doc:"Output format: $(b,text) or $(b,tsv).")
   in
   let validate_arg =
     Arg.(
@@ -258,34 +184,20 @@ let lint_cmd =
   let run c bench mode format validate vtrace stripes =
     let benches =
       if bench = "all" then Stx_workloads.Registry.all
-      else List.map find_bench (String.split_on_char ',' bench)
+      else List.map Stx_cli.bench (String.split_on_char ',' bench)
     in
     let modes =
       match mode with
       | "dsa" -> [ Stx_compiler.Anchors.Dsa_guided ]
       | "naive" -> [ Stx_compiler.Anchors.Naive ]
       | "both" -> [ Stx_compiler.Anchors.Dsa_guided; Stx_compiler.Anchors.Naive ]
-      | m ->
-        prerr_endline ("unknown mode " ^ m ^ " (dsa|naive|both)");
-        exit 1
-    in
-    let format =
-      match format with
-      | "text" -> Driver.Text
-      | "tsv" -> Driver.Tsv
-      | f ->
-        prerr_endline ("unknown format " ^ f ^ " (text|tsv)");
-        exit 1
+      | m -> Stx_cli.fail ("unknown mode " ^ m ^ " (dsa|naive|both)")
     in
     (match (vtrace, benches) with
-    | Some _, _ :: _ :: _ ->
-      prerr_endline "--validate-trace needs a single --bench";
-      exit 1
+    | Some _, _ :: _ :: _ -> Stx_cli.fail "--validate-trace needs a single --bench"
     | _ -> ());
-    if stripes && (not validate) && vtrace = None then begin
-      prerr_endline "--stripes needs a trace: add --validate or --validate-trace";
-      exit 1
-    end;
+    if stripes && (not validate) && vtrace = None then
+      Stx_cli.fail "--stripes needs a trace: add --validate or --validate-trace";
     let mode_name = function
       | Stx_compiler.Anchors.Dsa_guided -> "dsa"
       | Stx_compiler.Anchors.Naive -> "naive"
@@ -372,10 +284,9 @@ let lint_cmd =
           let tr, meta = Stx_trace.Trace.read_events ~file in
           (match List.assoc_opt "workload" meta with
           | Some wl when wl <> w.Stx_workloads.Workload.name ->
-            Printf.eprintf
-              "capture %s was recorded on workload %s, not %s\n" file wl
-              w.Stx_workloads.Workload.name;
-            exit 1
+            Stx_cli.fail
+              (Printf.sprintf "capture %s was recorded on workload %s, not %s"
+                 file wl w.Stx_workloads.Workload.name)
           | _ -> ());
           check_validation vanalysis (Driver.validate vanalysis tr);
           check_stripes w.Stx_workloads.Workload.name tr)
@@ -395,20 +306,19 @@ let lint_cmd =
 (* ---------------------------------------------------------------- *)
 (* stx_repro policies: conflict-resolution comparison table          *)
 
+let quick_arg =
+  Arg.(
+    value
+    & flag
+    & info [ "quick" ]
+        ~doc:"Small inputs (scale 0.05, 4 threads) — the CI smoke configuration.")
+
+let sized c quick = if quick then (0.05, 4) else (Exp.scale c, Exp.threads c)
+
 let policies_cmd =
-  let quick_arg =
-    Arg.(
-      value
-      & flag
-      & info [ "quick" ]
-          ~doc:
-            "Small inputs (scale 0.05, 4 threads) — the CI smoke \
-             configuration.")
-  in
   let run c bench quick =
-    let w = find_bench bench in
-    let scale = if quick then 0.05 else Exp.scale c in
-    let threads = if quick then 4 else Exp.threads c in
+    let w = Stx_cli.bench bench in
+    let scale, threads = sized c quick in
     let seed = Exp.seed c in
     let base = Exp.policy c in
     let modes = [ Stx_core.Mode.Baseline; Stx_core.Mode.Staggered_hw ] in
@@ -426,30 +336,11 @@ let policies_cmd =
          "ab/commit" "cycles" "checks");
     List.iter
       (fun mode ->
-        let spec =
-          Stx_workloads.Workload.spec
-            ~instrument:(Stx_core.Mode.uses_alps mode) ~scale w
-        in
-        let cfg =
-          Stx_machine.Config.with_cores threads Stx_machine.Config.default
-        in
         List.iter
           (fun resolution ->
             let htm_policy = { base with Stx_policy.resolution } in
-            let tr = Stx_trace.Trace.create ~threads () in
-            let r =
-              Stx_metrics.Run.simulate ~seed ~htm_policy ~cfg ~mode
-                ~on_event:(Stx_trace.Trace.handler tr) spec
-            in
-            let s = r.Stx_metrics.Run.stats in
-            let errs =
-              (match Stx_trace.Trace.check tr s with
-              | Ok () -> []
-              | Error es -> List.map (fun e -> "trace: " ^ e) es)
-              @
-              match Stx_metrics.Collect.check r.Stx_metrics.Run.metrics s with
-              | Ok () -> []
-              | Error es -> List.map (fun e -> "metrics: " ^ e) es
+            let s, errs =
+              Stx_cli.checked_run ~seed ~scale ~threads ~htm_policy ~mode w
             in
             if errs <> [] then failed := true;
             Buffer.add_string buf
@@ -483,18 +374,8 @@ let policies_cmd =
 (* stx_repro hybrid: lock-only vs htm-stm-lock fallback comparison    *)
 
 let hybrid_cmd =
-  let quick_arg =
-    Arg.(
-      value
-      & flag
-      & info [ "quick" ]
-          ~doc:
-            "Small inputs (scale 0.05, 4 threads) — the CI smoke \
-             configuration.")
-  in
   let run c quick =
-    let scale = if quick then 0.05 else Exp.scale c in
-    let threads = if quick then 4 else Exp.threads c in
+    let scale, threads = sized c quick in
     let seed = Exp.seed c in
     let base = Exp.policy c in
     let hw_retries = 4 and stm_retries = 8 in
@@ -522,27 +403,7 @@ let hybrid_cmd =
          "bench" "mode" "commits" "irrev" "cycles" "commits" "irrev" "stm"
          "cycles" "d-irrev" "checks");
     let cell w mode htm_policy =
-      let spec =
-        Stx_workloads.Workload.spec
-          ~instrument:(Stx_core.Mode.uses_alps mode) ~scale w
-      in
-      let cfg = Stx_machine.Config.with_cores threads Stx_machine.Config.default in
-      let tr = Stx_trace.Trace.create ~threads () in
-      let r =
-        Stx_metrics.Run.simulate ~seed ~htm_policy ~cfg ~mode
-          ~on_event:(Stx_trace.Trace.handler tr) spec
-      in
-      let s = r.Stx_metrics.Run.stats in
-      let errs =
-        (match Stx_trace.Trace.check tr s with
-        | Ok () -> []
-        | Error es -> List.map (fun e -> "trace: " ^ e) es)
-        @
-        match Stx_metrics.Collect.check r.Stx_metrics.Run.metrics s with
-        | Ok () -> []
-        | Error es -> List.map (fun e -> "metrics: " ^ e) es
-      in
-      (s, errs)
+      Stx_cli.checked_run ~seed ~scale ~threads ~htm_policy ~mode w
     in
     List.iter
       (fun (w : Stx_workloads.Workload.t) ->
@@ -639,31 +500,22 @@ let serve_cmd =
   in
   let run bench rates_s keys_s horizon shards threads seed jobs cores_s
       shard_by_s =
-    let die msg =
-      prerr_endline msg;
-      exit 1
-    in
     let service =
       match Stx_workloads.Registry.find_service bench with
       | Some s -> s
-      | None -> die ("unknown service: " ^ bench ^ " (see stx_serve --list)")
+      | None ->
+        Stx_cli.fail ("unknown service: " ^ bench ^ " (see stx_serve --list)")
     in
-    let keys =
-      match Keys.of_string keys_s with
-      | Ok k -> k
-      | Error e -> die ("bad --keys " ^ keys_s ^ ": " ^ e)
-    in
-    let shard_by =
-      match Serve.shard_by_of_string shard_by_s with
-      | Ok sb -> sb
-      | Error e -> die ("bad --shard-by " ^ shard_by_s ^ ": " ^ e)
-    in
+    let keys = Stx_cli.parsed "keys" Keys.of_string keys_s in
+    let shard_by = Stx_cli.parsed "shard-by" Serve.shard_by_of_string shard_by_s in
+    let horizon = Stx_cli.positive "horizon" horizon
+    and shards = Stx_cli.positive "shards" shards in
     let rates =
       List.map
         (fun r ->
           match float_of_string_opt (String.trim r) with
           | Some f when f > 0.0 -> f
-          | _ -> die ("bad rate: " ^ r))
+          | _ -> Stx_cli.fail ("bad rate: " ^ r))
         (String.split_on_char ',' rates_s)
     in
     let cores_list =
@@ -673,7 +525,7 @@ let serve_cmd =
           (fun c ->
             match int_of_string_opt (String.trim c) with
             | Some n when n >= 1 -> n
-            | _ -> die ("bad core count: " ^ c))
+            | _ -> Stx_cli.fail ("bad core count: " ^ c))
           (String.split_on_char ',' cores_s)
     in
     let modes =
@@ -735,18 +587,13 @@ let serve_cmd =
           failure)")
     Term.(
       const run $ serve_bench_arg $ rates_arg $ keys_arg $ horizon_arg
-      $ shards_arg $ threads_arg $ serve_seed_arg $ jobs_arg $ cores_arg $ shard_by_arg)
+      $ shards_arg $ Stx_cli.threads $ serve_seed_arg $ Stx_cli.jobs $ cores_arg
+      $ shard_by_arg)
 
 (* ---------------------------------------------------------------- *)
 (* stx_repro report: one run as a self-contained HTML file           *)
 
 let report_cmd =
-  let mode_arg =
-    Arg.(
-      value
-      & opt string "Staggered"
-      & info [ "mode" ] ~doc:"HTM | AddrOnly | Staggered+SW | Staggered.")
-  in
   let window_arg =
     Arg.(
       value
@@ -760,18 +607,9 @@ let report_cmd =
       & opt string "stx_report.html"
       & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the HTML report.")
   in
-  let run c bench mode_s window out =
-    let die msg =
-      prerr_endline msg;
-      exit 1
-    in
-    let w = find_bench bench in
-    let mode =
-      match Stx_core.Mode.of_string mode_s with
-      | Some m -> m
-      | None -> die ("unknown mode: " ^ mode_s ^ " (HTM|AddrOnly|Staggered+SW|Staggered)")
-    in
-    if window < 1 then die "--window must be positive";
+  let run c bench mode window out =
+    let w = Stx_cli.bench bench in
+    if window < 1 then Stx_cli.fail "--window must be positive";
     let seed = Exp.seed c
     and scale = Exp.scale c
     and threads = Exp.threads c
@@ -838,7 +676,8 @@ let report_cmd =
           per-atomic-block phase profile and the policy bundle — as a \
           single self-contained HTML file (inline CSS, hand-rolled SVG, no \
           external assets; byte-deterministic for a fixed seed)")
-    Term.(const run $ ctx_term $ bench_arg $ mode_arg $ window_arg $ out_arg)
+    Term.(
+      const run $ ctx_term $ bench_arg $ Stx_cli.mode $ window_arg $ out_arg)
 
 let all_cmd =
   let run c =

@@ -55,19 +55,14 @@ let print_per_ab (spec : Machine.spec) (s : Stats.t) =
       atomics
   end
 
-let parse_policy resolution capacity fallback =
-  let axis flag parse v =
-    match parse v with
-    | Ok x -> x
-    | Error msg ->
-      Printf.eprintf "bad --%s %s: %s\n" flag v msg;
-      exit 1
-  in
-  Stx_policy.make
-    ~resolution:(axis "policy" Stx_policy.Resolution.of_string resolution)
-    ~capacity:(axis "capacity" Stx_policy.Capacity.of_string capacity)
-    ~fallback:(axis "fallback" Stx_policy.Fallback.of_string fallback)
-    ()
+(* one reconciliation verdict; a divergence lists every difference and
+   exits 1 *)
+let print_check name ~ok = function
+  | Ok () -> Printf.printf "  %-19sok (%s)\n%!" (name ^ " check") ok
+  | Error errs ->
+    Printf.printf "  %-19sFAILED:\n" (name ^ " check");
+    List.iter (fun e -> Printf.printf "    %s\n" e) errs;
+    exit 1
 
 (* several benchmarks at once: fan out over the Stx_runner domain pool,
    print each stats block in the requested order *)
@@ -99,8 +94,7 @@ let run_many benches mode threads seed scale jobs policy =
   if !failed then exit 1
 
 let run list_benches bench mode threads seed scale trace raw_trace metrics
-    telemetry telemetry_window lint jobs policy_s capacity_s fallback_s =
-  let htm_policy = parse_policy policy_s capacity_s fallback_s in
+    telemetry telemetry_window lint jobs htm_policy =
   if list_benches then begin
     List.iter
       (fun w ->
@@ -116,37 +110,13 @@ let run list_benches bench mode threads seed scale trace raw_trace metrics
         (fun name ->
           match Registry.find name with
           | Some w -> w
-          | None ->
-            prerr_endline ("unknown benchmark: " ^ name ^ " (try --list)");
-            exit 1)
+          | None -> Stx_cli.fail ("unknown benchmark: " ^ name ^ " (try --list)"))
         (String.split_on_char ',' bench)
   in
-  let mode =
-    match Mode.of_string mode with
-    | Some m -> m
-    | None ->
-      prerr_endline ("unknown mode: " ^ mode ^ " (HTM|AddrOnly|Staggered+SW|Staggered)");
-      exit 1
-  in
   match benches with
-  | [] ->
-    prerr_endline "no benchmark given (try --list)";
-    exit 1
-  | _ :: _ :: _ ->
-    if trace <> None || raw_trace <> None || metrics <> None || telemetry <> None
-       || lint
-    then begin
-      prerr_endline
-        "--trace/--raw-trace/--metrics/--telemetry/--lint need a single \
-         benchmark";
-      exit 1
-    end;
-    run_many benches mode threads seed scale jobs htm_policy
   | [ w ] ->
-    if telemetry_window < 1 then begin
-      prerr_endline "--telemetry-window must be positive";
-      exit 1
-    end;
+    if telemetry_window < 1 then
+      Stx_cli.fail "--telemetry-window must be positive";
     let cfg = Config.with_cores threads Config.default in
     (* telemetry always records a full trace too: the replay-equality
        check (online fold = trace replay) rides on every collection *)
@@ -156,45 +126,29 @@ let run list_benches bench mode threads seed scale trace raw_trace metrics
       else None
     in
     let telem =
-      match telemetry with
-      | Some _ ->
-        Some (Stx_telemetry.Collect.create ~window:telemetry_window ~threads ())
-      | None -> None
+      Option.map
+        (fun _ -> Stx_telemetry.Collect.create ~window:telemetry_window ~threads ())
+        telemetry
     in
     let collector =
-      match metrics with
-      | Some _ -> Some (Stx_metrics.Collect.create ~policy:htm_policy ())
-      | None -> None
+      Option.map (fun _ -> Stx_metrics.Collect.create ~policy:htm_policy ()) metrics
     in
-    let on_event =
-      let trace_h =
-        match tr with
-        | Some tr -> Stx_trace.Trace.handler tr
-        | None -> fun ~time:_ _ -> ()
-      in
-      let chained =
-        match collector with
-        | None -> trace_h
-        | Some c ->
-          let metrics_h = Stx_metrics.Collect.handler c in
-          fun ~time ev ->
-            trace_h ~time ev;
-            metrics_h ~time ev
-      in
-      match telem with
-      | None -> chained
-      | Some tc ->
-        let telem_h = Stx_telemetry.Collect.handler tc in
-        fun ~time ev ->
-          chained ~time ev;
-          telem_h ~time ev
+    let handlers =
+      List.filter_map Fun.id
+        [
+          Option.map Stx_trace.Trace.handler tr;
+          Option.map Stx_metrics.Collect.handler collector;
+          Option.map Stx_telemetry.Collect.handler telem;
+        ]
     in
+    let on_event ~time ev = List.iter (fun h -> h ~time ev) handlers in
     let spec = Workload.spec ~instrument:(Mode.uses_alps mode) ~scale w in
     let lint_errors =
       lint
       &&
       let a =
         Stx_analysis.Driver.analyze ~name:w.Workload.name
+          ~resolution:htm_policy.Stx_policy.resolution
           ~capacity:htm_policy.Stx_policy.capacity spec.Machine.compiled
       in
       print_string (Stx_analysis.Driver.render a);
@@ -206,24 +160,22 @@ let run list_benches bench mode threads seed scale trace raw_trace metrics
     if not (Stx_policy.equal htm_policy Stx_policy.default) then
       Printf.printf "  policy             %s\n" (Stx_policy.label htm_policy);
     print_per_ab spec stats;
+    let meta =
+      [
+        ("workload", w.Workload.name);
+        ("mode", Mode.to_string mode);
+        ("threads", string_of_int threads);
+        ("seed", string_of_int seed);
+        ("scale", string_of_float scale);
+        ("policy", Stx_policy.label htm_policy);
+      ]
+    in
     (match (metrics, collector) with
     | Some file, Some c ->
-      (* GC pressure is stamped on the exported copy only; the live
-         registry must stay equal to a trace replay's *)
-      let reg = Stx_metrics.Gcstats.stamp (Stx_metrics.Collect.registry c) in
-      let oc = open_out file in
-      output_string oc (Stx_metrics.Registry.to_json_string reg);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "  metrics            %d series -> %s\n"
-        (Stx_metrics.Registry.cardinality reg) file;
-      (match Stx_metrics.Collect.check reg stats with
-      | Ok () ->
-        Printf.printf "  metrics check      ok (registry reconciles with stats)\n%!"
-      | Error errs ->
-        Printf.printf "  metrics check      FAILED:\n";
-        List.iter (fun e -> Printf.printf "    %s\n" e) errs;
-        exit 1)
+      let reg = Stx_metrics.Collect.registry c in
+      Stx_cli.write_metrics file reg;
+      print_check "metrics" ~ok:"registry reconciles with stats"
+        (Stx_metrics.Collect.check reg stats)
     | _ -> ());
     (match (telemetry, telem, tr) with
     | Some file, Some tc, Some tr ->
@@ -233,70 +185,38 @@ let run list_benches bench mode threads seed scale trace raw_trace metrics
         Stx_telemetry.Collect.of_trace ~window:telemetry_window ~horizon tr
       in
       (* width/threads already live in the codec headers *)
-      let meta =
-        [
-          ("workload", w.Workload.name);
-          ("mode", Mode.to_string mode);
-          ("seed", string_of_int seed);
-          ("scale", string_of_float scale);
-          ("policy", Stx_policy.label htm_policy);
-        ]
-      in
-      let doc =
-        if Filename.check_suffix file ".csv" then
-          Stx_telemetry.Series.to_csv ~meta online
-        else Stx_telemetry.Series.to_jsonl ~meta online
-      in
-      let oc = open_out file in
-      output_string oc doc;
-      close_out oc;
+      Stx_cli.write_telemetry ~meta:(List.remove_assoc "threads" meta) file online;
       Printf.printf "  telemetry          %d windows of %d cycles -> %s\n"
         (Stx_telemetry.Series.length online)
         telemetry_window file;
-      List.iter
-        (fun e ->
-          Printf.printf "  episode            %s\n"
-            (Stx_telemetry.Episodes.to_string online e))
-        (Stx_telemetry.Episodes.detect online);
-      if Stx_telemetry.Series.equal online replayed then
-        Printf.printf "  telemetry check    ok (online = trace replay)\n%!"
-      else begin
-        Printf.printf "  telemetry check    FAILED:\n";
-        List.iter
-          (fun d -> Printf.printf "    %s\n" d)
-          (Stx_telemetry.Series.diff online replayed);
-        exit 1
-      end
+      Stx_cli.print_episodes online;
+      print_check "telemetry" ~ok:"online = trace replay"
+        (if Stx_telemetry.Series.equal online replayed then Ok ()
+         else Error (Stx_telemetry.Series.diff online replayed))
     | _ -> ());
     (match (raw_trace, tr) with
     | Some file, Some tr ->
-      let meta =
-        [
-          ("workload", w.Workload.name);
-          ("mode", Mode.to_string mode);
-          ("threads", string_of_int threads);
-          ("seed", string_of_int seed);
-          ("scale", string_of_float scale);
-          ("policy", Stx_policy.label htm_policy);
-        ]
-      in
       Stx_trace.Trace.write_events ~meta tr ~file;
       Printf.printf "  raw trace          %d events -> %s (stx_repro lint --validate-trace)\n"
         (Stx_trace.Trace.length tr) file
     | _ -> ());
     (match (trace, tr) with
-    | Some file, Some tr -> (
+    | Some file, Some tr ->
       Stx_trace.Trace.write_chrome tr ~file;
       Printf.printf "  trace              %d events -> %s (chrome://tracing, Perfetto)\n"
         (Stx_trace.Trace.length tr) file;
-      match Stx_trace.Trace.check tr stats with
-      | Ok () -> Printf.printf "  trace check        ok (events reconcile with stats)\n%!"
-      | Error errs ->
-        Printf.printf "  trace check        FAILED:\n";
-        List.iter (fun e -> Printf.printf "    %s\n" e) errs;
-        exit 1)
+      print_check "trace" ~ok:"events reconcile with stats"
+        (Stx_trace.Trace.check tr stats)
     | _ -> ());
     if lint_errors then exit 1
+  | _ ->
+    if trace <> None || raw_trace <> None || metrics <> None || telemetry <> None
+       || lint
+    then
+      Stx_cli.fail
+        "--trace/--raw-trace/--metrics/--telemetry/--lint need a single \
+         benchmark";
+    run_many benches mode threads seed scale jobs htm_policy
 
 let () =
   let list_arg =
@@ -310,19 +230,6 @@ let () =
           ~doc:
             "Benchmark: a name, a comma-separated list, or \"all\". With \
              several benchmarks the runs fan out over --jobs domains.")
-  in
-  let mode_arg =
-    Arg.(
-      value
-      & opt string "Staggered"
-      & info [ "mode"; "m" ] ~doc:"HTM | AddrOnly | Staggered+SW | Staggered.")
-  in
-  let threads_arg =
-    Arg.(value & opt int 16 & info [ "threads"; "t" ] ~doc:"Simulated threads.")
-  in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Seed.") in
-  let scale_arg =
-    Arg.(value & opt float 1.0 & info [ "scale" ] ~doc:"Workload scale.")
   in
   let trace_arg =
     Arg.(
@@ -389,54 +296,12 @@ let () =
              print its report before simulating; exit non-zero if it emits \
              error diagnostics. Single benchmark only.")
   in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt int (Domain.recommended_domain_count ())
-      & info [ "jobs"; "j" ]
-          ~doc:"Parallel simulations when several benchmarks are given.")
-  in
-  let policy_arg =
-    Arg.(
-      value
-      & opt string "requester-wins"
-      & info [ "policy" ]
-          ~doc:
-            "Conflict-resolution policy: requester-wins (the paper's \
-             hardware), responder-wins (suicide on conflict with an \
-             established owner), or timestamp (karma: the older transaction \
-             wins).")
-  in
-  let capacity_arg =
-    Arg.(
-      value
-      & opt string "unbounded"
-      & info [ "capacity" ]
-          ~doc:
-            "HTM capacity policy: unbounded, or bounded:R:W for a hard \
-             limit of R read-set and W write-set cache lines (exceeding \
-             either aborts with the capacity reason and goes straight to \
-             the irrevocable fallback).")
-  in
-  let fallback_arg =
-    Arg.(
-      value
-      & opt string "polite"
-      & info [ "fallback" ]
-          ~doc:
-            "Fallback policy: polite[:N] (linear polite delay, irrevocable \
-             after N attempts), backoff[:N[:BASE[:MAXEXP[:SEED]]]] \
-             (exponential randomized backoff from a dedicated PRNG \
-             stream), or htm-stm-lock[:N[:S]] (alias stm) — N hardware \
-             attempts, then a TL2-style software tier for S attempts, \
-             then the global lock.")
-  in
   let term =
     Term.(
-      const run $ list_arg $ bench_arg $ mode_arg $ threads_arg $ seed_arg
-      $ scale_arg $ trace_arg $ raw_trace_arg $ metrics_arg $ telemetry_arg
-      $ telemetry_window_arg $ lint_arg $ jobs_arg $ policy_arg $ capacity_arg
-      $ fallback_arg)
+      const run $ list_arg $ bench_arg $ Stx_cli.mode $ Stx_cli.threads
+      $ Stx_cli.seed $ Stx_cli.scale $ trace_arg $ raw_trace_arg $ metrics_arg
+      $ telemetry_arg $ telemetry_window_arg $ lint_arg $ Stx_cli.jobs
+      $ Stx_cli.policy)
   in
   let info =
     Cmd.info "stx_run" ~version:"1.0"

@@ -9,23 +9,9 @@ module Serve = Stx_serve.Serve
 module Arrival = Stx_serve.Arrival
 module Keys = Stx_serve.Keys
 
-let parse_policy resolution capacity fallback =
-  let axis flag parse v =
-    match parse v with
-    | Ok x -> x
-    | Error msg ->
-      Printf.eprintf "bad --%s %s: %s\n" flag v msg;
-      exit 1
-  in
-  Stx_policy.make
-    ~resolution:(axis "policy" Stx_policy.Resolution.of_string resolution)
-    ~capacity:(axis "capacity" Stx_policy.Capacity.of_string capacity)
-    ~fallback:(axis "fallback" Stx_policy.Fallback.of_string fallback)
-    ()
-
 let run list_services bench arrival_s keys_s pct_get key_range horizon threads
-    seed shards shard_by_s jobs mode_s metrics telemetry telemetry_window check
-    policy_s capacity_s fallback_s =
+    seed shards shard_by_s jobs mode metrics telemetry telemetry_window check
+    htm_policy =
   if list_services then begin
     List.iter
       (fun s ->
@@ -35,44 +21,25 @@ let run list_services bench arrival_s keys_s pct_get key_range horizon threads
       Registry.services;
     exit 0
   end;
-  let die msg =
-    prerr_endline msg;
-    exit 1
-  in
   let service =
     match Registry.find_service bench with
     | Some s -> s
     | None ->
-      die
+      Stx_cli.fail
         ("unknown service: " ^ bench ^ " (one of "
         ^ String.concat ", " Registry.service_names
         ^ ")")
   in
-  let arrival =
-    match Arrival.of_string arrival_s with
-    | Ok a -> a
-    | Error e -> die ("bad --arrival " ^ arrival_s ^ ": " ^ e)
-  in
-  let keys =
-    match Keys.of_string keys_s with
-    | Ok k -> k
-    | Error e -> die ("bad --keys " ^ keys_s ^ ": " ^ e)
-  in
-  let mode =
-    match Mode.of_string mode_s with
-    | Some m -> m
-    | None -> die ("unknown mode: " ^ mode_s ^ " (HTM|AddrOnly|Staggered+SW|Staggered)")
-  in
-  let shard_by =
-    match Serve.shard_by_of_string shard_by_s with
-    | Ok sb -> sb
-    | Error e -> die ("bad --shard-by " ^ shard_by_s ^ ": " ^ e)
-  in
-  let htm_policy = parse_policy policy_s capacity_s fallback_s in
-  if telemetry_window < 1 then die "--telemetry-window must be positive";
-  let telemetry_window =
-    match telemetry with Some _ -> Some telemetry_window | None -> None
-  in
+  let arrival = Stx_cli.parsed "arrival" Arrival.of_string arrival_s in
+  let keys = Stx_cli.parsed "keys" Keys.of_string keys_s in
+  let shard_by = Stx_cli.parsed "shard-by" Serve.shard_by_of_string shard_by_s in
+  if pct_get < 0 || pct_get > 100 then
+    Stx_cli.fail (Printf.sprintf "bad --pct-get %d: must be in 0..100" pct_get);
+  let key_range = Option.map (Stx_cli.positive "key-range") key_range
+  and horizon = Stx_cli.positive "horizon" horizon
+  and shards = Stx_cli.positive "shards" shards in
+  if telemetry_window < 1 then Stx_cli.fail "--telemetry-window must be positive";
+  let telemetry_window = Option.map (fun _ -> telemetry_window) telemetry in
   let cfg =
     Serve.config ~mode ~htm_policy ~threads ~seed ~keys ~pct_get ?key_range
       ~horizon ~shards ~shard_by ?telemetry_window ~arrival service
@@ -93,34 +60,13 @@ let run list_services bench arrival_s keys_s pct_get key_range horizon threads
         ("policy", Stx_policy.label htm_policy);
       ]
     in
-    let doc =
-      if Filename.check_suffix file ".csv" then
-        Stx_telemetry.Series.to_csv ~meta series
-      else Stx_telemetry.Series.to_jsonl ~meta series
-    in
-    let oc = open_out file in
-    output_string oc doc;
-    close_out oc;
+    Stx_cli.write_telemetry ~meta file series;
     Printf.printf "  telemetry          %d windows -> %s\n"
       (Stx_telemetry.Series.length series)
       file;
-    List.iter
-      (fun e ->
-        Printf.printf "  episode            %s\n"
-          (Stx_telemetry.Episodes.to_string series e))
-      (Stx_telemetry.Episodes.detect series)
+    Stx_cli.print_episodes series
   | _ -> ());
-  (match metrics with
-  | None -> ()
-  | Some file ->
-    let reg = Stx_metrics.Gcstats.stamp report.Serve.registry in
-    let oc = open_out file in
-    output_string oc (Stx_metrics.Registry.to_json_string reg);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "  metrics            %d series -> %s\n"
-      (Stx_metrics.Registry.cardinality reg)
-      file);
+  Option.iter (fun file -> Stx_cli.write_metrics file report.Serve.registry) metrics;
   if report.Serve.errors <> [] then exit 1;
   if check then Printf.printf "  check              ok\n%!"
 
@@ -170,10 +116,6 @@ let () =
       & opt int 100_000
       & info [ "horizon" ] ~doc:"Cycles during which requests arrive.")
   in
-  let threads_arg =
-    Arg.(value & opt int 16 & info [ "threads"; "t" ] ~doc:"Cores per shard.")
-  in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Seed.") in
   let shards_arg =
     Arg.(
       value
@@ -195,19 +137,6 @@ let () =
              space is split into contiguous slices and each request is \
              routed to the shard owning its key, so skewed key popularity \
              loads shards unevenly.")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt int (Domain.recommended_domain_count ())
-      & info [ "jobs"; "j" ]
-          ~doc:"Domains running shards; never affects the result.")
-  in
-  let mode_arg =
-    Arg.(
-      value
-      & opt string "Staggered"
-      & info [ "mode"; "m" ] ~doc:"HTM | AddrOnly | Staggered+SW | Staggered.")
   in
   let metrics_arg =
     Arg.(
@@ -251,31 +180,12 @@ let () =
              cross-check in every shard) passes. Divergences exit non-zero \
              regardless.")
   in
-  let policy_arg =
-    Arg.(
-      value
-      & opt string "requester-wins"
-      & info [ "policy" ] ~doc:"Conflict-resolution policy (see stx_run).")
-  in
-  let capacity_arg =
-    Arg.(
-      value
-      & opt string "unbounded"
-      & info [ "capacity" ] ~doc:"HTM capacity policy (see stx_run).")
-  in
-  let fallback_arg =
-    Arg.(
-      value
-      & opt string "polite"
-      & info [ "fallback" ] ~doc:"Fallback policy (see stx_run).")
-  in
   let term =
     Term.(
       const run $ list_arg $ bench_arg $ arrival_arg $ keys_arg $ pct_get_arg
-      $ key_range_arg $ horizon_arg $ threads_arg $ seed_arg $ shards_arg
-      $ shard_by_arg $ jobs_arg $ mode_arg $ metrics_arg $ telemetry_arg
-      $ telemetry_window_arg $ check_arg $ policy_arg $ capacity_arg
-      $ fallback_arg)
+      $ key_range_arg $ horizon_arg $ Stx_cli.threads $ Stx_cli.seed
+      $ shards_arg $ shard_by_arg $ Stx_cli.jobs $ Stx_cli.mode $ metrics_arg
+      $ telemetry_arg $ telemetry_window_arg $ check_arg $ Stx_cli.policy)
   in
   let info =
     Cmd.info "stx_serve" ~version:"1.0"

@@ -112,7 +112,7 @@ let table3 ctx =
               (fun env ~threads -> w.Workload.args ~scale:(Exp.scale ctx) env ~threads);
           }
         in
-        Machine.run ~seed:(Exp.seed ctx)
+        Machine.run ~seed:(Exp.seed ctx) ~htm_policy:(Exp.policy ctx)
           ~cfg:(Config.with_cores 1 Config.default)
           ~mode:Mode.Staggered_hw spec
       in
@@ -384,7 +384,7 @@ let hotspots ctx w =
   let tr = Trace.create ~threads () in
   let spec = Workload.spec ~instrument:false ~scale:(Exp.scale ctx) w in
   let stats =
-    Machine.run ~seed:(Exp.seed ctx)
+    Machine.run ~seed:(Exp.seed ctx) ~htm_policy:(Exp.policy ctx)
       ~cfg:(Config.with_cores threads Config.default)
       ~mode:Mode.Baseline
       ~on_event:(Trace.handler tr)

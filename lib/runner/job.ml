@@ -12,7 +12,8 @@ type t = {
 let make ?(policy = Stx_policy.default) ~workload ~mode ~threads ~seed ~scale
     () =
   if threads < 1 then invalid_arg "Job.make: threads < 1";
-  if scale <= 0. then invalid_arg "Job.make: scale <= 0";
+  if not (scale > 0. && Float.is_finite scale) then
+    invalid_arg "Job.make: scale must be positive and finite";
   { workload; mode; threads; seed; scale; policy }
 
 let label j =

@@ -25,7 +25,8 @@ val make :
   unit ->
   t
 (** [policy] defaults to {!Stx_policy.default}. Raises
-    [Invalid_argument] on [threads < 1] or [scale <= 0]. *)
+    [Invalid_argument] on [threads < 1], or on a [scale] that is not
+    positive and finite. *)
 
 val label : t -> string
 (** Short human-readable form, ["genome/Staggered/t16"] — used by

@@ -228,6 +228,34 @@ let test_fig7_repeated_uses_policy () =
     (render "requester-wins+unbounded+polite"
     = render "timestamp+bounded:8:4+backoff")
 
+(* hotspots and Table 3's naive-instrumentation run are simulated under
+   the context's policy bundle too: the naive run is compared against
+   plain runs made under that bundle *)
+let test_hotspots_and_table3_use_policy () =
+  let ctx label =
+    let policy = Result.get_ok (Stx_policy.of_label label) in
+    Exp.create ~scale:0.05 ~threads:4 ~policy ()
+  in
+  let genome = Option.get (Registry.find "genome") in
+  Alcotest.(check bool) "hotspots see the bundle" false
+    (Reports.hotspots (ctx "requester-wins+unbounded+polite") genome
+    = Reports.hotspots (ctx "timestamp+bounded:8:4+backoff") genome);
+  let pct cell = Scanf.sscanf (String.trim cell) "%f%%" Fun.id in
+  let rows = ref 0 in
+  List.iter
+    (fun line ->
+      match String.split_on_char '|' line with
+      | [ _; name; _; _; _; _; time_inc; naive_inc; _; _ ]
+        when Registry.find (String.trim name) <> None ->
+        incr rows;
+        if pct naive_inc < pct time_inc then
+          Alcotest.failf "%s: naive inc %s below time inc %s" (String.trim name)
+            (String.trim naive_inc) (String.trim time_inc)
+      | _ -> ())
+    (String.split_on_char '\n'
+       (Reports.table3 (ctx "requester-wins+bounded:8:4+polite")));
+  Alcotest.(check int) "a row per benchmark" (List.length Registry.all) !rows
+
 (* --- htmlreport -------------------------------------------------------- *)
 
 let render_report () =
@@ -338,6 +366,8 @@ let suite =
     Alcotest.test_case "scaling report" `Quick test_scaling_report;
     Alcotest.test_case "fig7-avg runs under the policy" `Quick
       test_fig7_repeated_uses_policy;
+    Alcotest.test_case "hotspots and table3 run under the policy" `Quick
+      test_hotspots_and_table3_use_policy;
     Alcotest.test_case "fig1 timelines" `Quick test_fig1_timelines;
     Alcotest.test_case "timeline render basics" `Quick test_timeline_render_basics;
     Alcotest.test_case "timeline windowing" `Quick test_timeline_windowing;

@@ -211,6 +211,17 @@ let test_batch_dedupes_duplicate_specs () =
   Alcotest.(check int) "three results returned" 3
     (List.length b.Sweep.results)
 
+let test_job_make_rejects_bad_threads_and_scale () =
+  let rejects what make =
+    match make () with
+    | (_ : Job.t) -> Alcotest.failf "Job.make accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "threads 0" (fun () -> job ~threads:0 ());
+  List.iter
+    (fun scale -> rejects (Printf.sprintf "scale %g" scale) (fun () -> job ~scale ()))
+    [ 0.; Float.nan; Float.infinity ]
+
 let suite =
   [
     Alcotest.test_case "pool keeps input order" `Quick
@@ -232,4 +243,6 @@ let suite =
       test_pool_tick_silent_inline;
     Alcotest.test_case "duplicate specs deduped" `Quick
       test_batch_dedupes_duplicate_specs;
+    Alcotest.test_case "Job.make rejects bad threads and scale" `Quick
+      test_job_make_rejects_bad_threads_and_scale;
   ]
