@@ -79,26 +79,7 @@ let render ?(width = 100) ?(from_time = 0) ?until_time t =
       None
   in
   Trace.iter t (fun ~time ev ->
-      let tid =
-        match ev with
-        | Machine.Tx_begin { tid; _ }
-        | Machine.Tx_commit { tid; _ }
-        | Machine.Tx_abort { tid; _ }
-        | Machine.Tx_irrevocable { tid; _ }
-        | Machine.Alp_executed { tid; _ }
-        | Machine.Lock_attempt { tid; _ }
-        | Machine.Lock_acquired { tid; _ }
-        | Machine.Lock_released { tid; _ }
-        | Machine.Lock_waiting { tid; _ }
-        | Machine.Lock_timeout { tid; _ }
-        | Machine.Backoff_start { tid }
-        | Machine.Backoff_end { tid }
-        | Machine.Req_dispatch { tid; _ }
-        | Machine.Req_done { tid; _ }
-        | Machine.Stm_begin { tid; _ }
-        | Machine.Stm_commit { tid; _ }
-        | Machine.Stm_abort { tid; _ } -> tid
-      in
+      let tid = Machine.tid_of ev in
       if tid >= 0 && tid < threads && time <= tmax then
         if time < from_time then
           (* before the window: replay the state change so the window opens

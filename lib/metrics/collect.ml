@@ -26,19 +26,9 @@ let m_stm_vcycles = "stx_stm_validation_cycles"
 
 let outcome_commit = [ ("outcome", "commit") ]
 let outcome_abort = [ ("outcome", "abort") ]
-
-let kind_label = function
-  | Machine.Conflict -> "conflict"
-  | Machine.Lock_subscription -> "lock_subscription"
-  | Machine.Capacity -> "capacity"
-  | Machine.Explicit -> "explicit"
-  | Machine.Stm_conflict -> "stm_conflict"
-
-let stm_kind_label = function
-  | Machine.Stm_validation -> "stm_validation"
-  | Machine.Stm_hw_owned -> "stm_hw_owned"
-  | Machine.Stm_locksub -> "stm_lock_subscription"
-  | Machine.Stm_explicit -> "stm_explicit"
+let wait_acquired = [ ("outcome", "acquired") ]
+let wait_timeout = [ ("outcome", "timeout") ]
+let wait_aborted = [ ("outcome", "aborted") ]
 
 type phase = Prefix | Lock_wait | Suffix | Irrevocable | Stm | Backoff | Wasted
 
@@ -56,217 +46,117 @@ let phase_label = function
 let phase_labels ~ab p =
   [ ("ab", string_of_int ab); ("phase", phase_label p) ]
 
-(* --- the per-thread replay state machine ------------------------------ *)
+(* --- the fold --------------------------------------------------------- *)
 
-(* One in-flight hardware or irrevocable attempt, as reconstructed from
-   the stream. Timestamps are the emitting thread's local clock. *)
-type attempt = {
-  at_ab : int;
-  at_attempt : int;
-  mutable at_first_acquire : int option;  (* first advisory-lock acquire *)
-  mutable at_wait_since : int option;  (* open Lock_waiting episode *)
-  mutable at_wait : int;  (* completed episode cycles this attempt *)
-}
-
-type tstate = {
-  mutable cur : attempt option;
-  mutable backoff_since : int option;
-  mutable cur_ab : int;  (* for attributing backoff between attempts *)
-}
-
-type t = {
+(* [sink] is what the span callback writes to; the per-thread bracket
+   state lives in the Lifecycle fold. Top-level writers, so the handler
+   builds no closure per event. *)
+type sink = {
   reg : Registry.t;
-  threads : (int, tstate) Hashtbl.t;
   pol : (string * string) list;
       (* the policy label, appended to every series this collector writes *)
 }
 
+type t = { sink : sink; lc : Stx_trace.Lifecycle.t }
+
+let inc k name labels = Registry.inc k.reg name (labels @ k.pol)
+let inc_by k by name labels = Registry.inc k.reg ~by name (labels @ k.pol)
+let observe k name labels v = Registry.observe k.reg name (labels @ k.pol) v
+
+let add_phase k ~ab p c =
+  if c > 0 then Registry.inc k.reg ~by:c m_phase (phase_labels ~ab p @ k.pol)
+
+(* A committed hardware attempt splits into the speculative prefix, the
+   advisory-lock waits inside it and the serialized suffix from its first
+   acquire; an irrevocable or software commit is one phase. *)
+let on_span k (s : Stx_trace.Lifecycle.span) (ev : Machine.event) =
+  match (s.kind, ev) with
+  | Attempt, Tx_commit { ab; cycles; irrevocable; _ } ->
+    observe k m_retries [] s.attempt;
+    if irrevocable then begin
+      observe k m_irrevocable [] cycles;
+      add_phase k ~ab Irrevocable cycles
+    end
+    else begin
+      let suffix = if s.first_acquire >= 0 then s.stop - s.first_acquire else 0 in
+      add_phase k ~ab Prefix (cycles - s.waited - suffix);
+      add_phase k ~ab Lock_wait s.waited;
+      add_phase k ~ab Suffix suffix
+    end
+  | Attempt, Stm_commit { ab; cycles; _ } ->
+    (* its validation traffic is reported through m_stm_vcycles, not a
+       phase split *)
+    observe k m_retries [] s.attempt;
+    add_phase k ~ab Stm cycles
+  | Wait, Lock_acquired _ -> observe k m_lock_wait wait_acquired (s.stop - s.start)
+  | Wait, Lock_timeout _ -> observe k m_lock_wait wait_timeout (s.stop - s.start)
+  | Wait, _ ->
+    (* a waiter doomed while queued: the episode's tail (plus abort costs
+       charged before emission) is already inside the wasted cycles *)
+    observe k m_lock_wait wait_aborted (s.stop - s.start)
+  | Backoff, _ ->
+    let d = s.stop - s.start in
+    observe k m_backoff [] d;
+    add_phase k ~ab:s.ab Backoff d
+  | (Attempt | Hold | Request), _ -> ()
+
 let create ?(policy = Stx_policy.default) () =
-  {
-    reg = Registry.create ();
-    threads = Hashtbl.create 16;
-    pol = [ ("policy", Stx_policy.label policy) ];
-  }
+  let sink =
+    { reg = Registry.create (); pol = [ ("policy", Stx_policy.label policy) ] }
+  in
+  { sink; lc = Stx_trace.Lifecycle.create ~on_span:(on_span sink) () }
 
-let registry t = t.reg
-
-let tstate t tid =
-  match Hashtbl.find_opt t.threads tid with
-  | Some st -> st
-  | None ->
-    let st = { cur = None; backoff_since = None; cur_ab = 0 } in
-    Hashtbl.add t.threads tid st;
-    st
-
-let add_phase t ~ab p c =
-  if c > 0 then Registry.inc t.reg ~by:c m_phase (phase_labels ~ab p @ t.pol)
-
-(* close an open wait episode, returning its span *)
-let end_wait a ~time =
-  match a.at_wait_since with
-  | None -> None
-  | Some t0 ->
-    a.at_wait_since <- None;
-    let d = time - t0 in
-    a.at_wait <- a.at_wait + d;
-    Some d
+let registry t = t.sink.reg
 
 let handler t ~time ev =
-  (* every series carries the collector's policy label *)
-  let inc ?by name labels = Registry.inc t.reg ?by name (labels @ t.pol) in
-  let observe name labels v = Registry.observe t.reg name (labels @ t.pol) v in
+  Stx_trace.Lifecycle.step t.lc ~time ev;
+  let k = t.sink in
   match (ev : Machine.event) with
-  | Machine.Tx_begin { tid; ab; attempt; probe = _ } ->
-    let st = tstate t tid in
-    st.cur <-
-      Some
-        {
-          at_ab = ab;
-          at_attempt = attempt;
-          at_first_acquire = None;
-          at_wait_since = None;
-          at_wait = 0;
-        };
-    st.cur_ab <- ab
-  | Machine.Lock_waiting { tid; lock = _ } -> (
-    let st = tstate t tid in
-    match st.cur with Some a -> a.at_wait_since <- Some time | None -> ())
-  | Machine.Lock_acquired { tid; lock = _; line = _ } -> (
-    inc m_lock_acquires [];
-    let st = tstate t tid in
-    match st.cur with
-    | Some a ->
-      (match end_wait a ~time with
-      | Some d -> observe m_lock_wait [ ("outcome", "acquired") ] d
-      | None -> ());
-      if a.at_first_acquire = None then a.at_first_acquire <- Some time
-    | None -> ())
-  | Machine.Lock_timeout { tid; lock = _ } -> (
-    inc m_lock_timeouts [];
-    let st = tstate t tid in
-    match st.cur with
-    | Some a -> (
-      match end_wait a ~time with
-      | Some d -> observe m_lock_wait [ ("outcome", "timeout") ] d
-      | None -> ())
-    | None -> ())
-  | Machine.Lock_attempt _ -> inc m_lock_attempts []
-  | Machine.Lock_released _ -> ()
-  | Machine.Tx_commit { tid; ab; cycles; irrevocable; rset; wset; probe = _ } ->
-    inc m_commits [];
-    observe m_latency outcome_commit cycles;
-    observe m_rset outcome_commit rset;
-    observe m_wset outcome_commit wset;
-    let st = tstate t tid in
-    (match st.cur with
-    | Some a ->
-      observe m_retries [] a.at_attempt;
-      if irrevocable then begin
-        observe m_irrevocable [] cycles;
-        add_phase t ~ab Irrevocable cycles
-      end
-      else begin
-        (* a commit cannot be reached mid-spin, but fold a dangling
-           episode in rather than lose the cycles *)
-        ignore (end_wait a ~time);
-        let suffix =
-          match a.at_first_acquire with Some acq -> time - acq | None -> 0
-        in
-        let prefix = cycles - a.at_wait - suffix in
-        add_phase t ~ab Prefix prefix;
-        add_phase t ~ab Lock_wait a.at_wait;
-        add_phase t ~ab Suffix suffix
-      end
-    | None ->
-      (* commit without a begin: degraded stream; count everything as
-         prefix so the cycle identities still hold *)
-      observe m_retries [] 0;
-      add_phase t ~ab (if irrevocable then Irrevocable else Prefix) cycles);
-    st.cur <- None
-  | Machine.Tx_abort
-      { tid; ab; kind; cycles; rset; wset; conf_line = _; conf_pc = _;
-        aggressor = _; probe = _ } ->
-    inc m_aborts [ ("kind", kind_label kind) ];
-    observe m_latency outcome_abort cycles;
-    observe m_rset outcome_abort rset;
-    observe m_wset outcome_abort wset;
-    add_phase t ~ab Wasted cycles;
-    let st = tstate t tid in
-    (match st.cur with
-    | Some a -> (
-      (* an abort lands mid-spin when the victim was doomed while
-         queued; the episode's tail (plus abort costs charged before
-         emission) is already inside the wasted cycles *)
-      match end_wait a ~time with
-      | Some d -> observe m_lock_wait [ ("outcome", "aborted") ] d
-      | None -> ())
-    | None -> ());
-    st.cur <- None;
-    st.cur_ab <- ab
-  | Machine.Tx_irrevocable { tid; ab } ->
-    inc m_irrevocable_entries [];
-    (tstate t tid).cur_ab <- ab
-  | Machine.Alp_executed { fired; _ } ->
-    inc m_alps_executed [];
-    if fired then inc m_alps_fired []
-  | Machine.Backoff_start { tid } -> (tstate t tid).backoff_since <- Some time
-  | Machine.Backoff_end { tid } -> (
-    let st = tstate t tid in
-    match st.backoff_since with
-    | Some t0 ->
-      st.backoff_since <- None;
-      let d = time - t0 in
-      observe m_backoff [] d;
-      add_phase t ~ab:st.cur_ab Backoff d
-    | None -> ())
-  | Machine.Req_dispatch _ | Machine.Req_done _ ->
-    (* request lifecycle is the serving harness's plane (Stx_serve); the
-       transaction-level registry ignores it so serve and closed-loop
-       runs of one workload stay directly comparable *)
+  | Tx_commit { cycles; rset; wset; _ } ->
+    inc k m_commits [];
+    observe k m_latency outcome_commit cycles;
+    observe k m_rset outcome_commit rset;
+    observe k m_wset outcome_commit wset
+  | Tx_abort { ab; kind; cycles; rset; wset; _ } ->
+    inc k m_aborts [ ("kind", Machine.abort_label kind) ];
+    observe k m_latency outcome_abort cycles;
+    observe k m_rset outcome_abort rset;
+    observe k m_wset outcome_abort wset;
+    add_phase k ~ab Wasted cycles
+  | Stm_commit { cycles; vcycles; rset; wset; _ } ->
+    inc k m_commits [];
+    inc k m_stm_commits [];
+    if vcycles > 0 then inc_by k vcycles m_stm_vcycles [];
+    observe k m_latency outcome_commit cycles;
+    observe k m_rset outcome_commit rset;
+    observe k m_wset outcome_commit wset
+  | Stm_abort { ab; kind; cycles; vcycles; rset; wset; _ } ->
+    let kind = [ ("kind", Machine.stm_abort_label kind) ] in
+    inc k m_aborts kind;
+    inc k m_stm_aborts kind;
+    if vcycles > 0 then inc_by k vcycles m_stm_vcycles [];
+    observe k m_latency outcome_abort cycles;
+    observe k m_rset outcome_abort rset;
+    observe k m_wset outcome_abort wset;
+    add_phase k ~ab Wasted cycles
+  | Tx_irrevocable _ -> inc k m_irrevocable_entries []
+  | Alp_executed { fired; _ } ->
+    inc k m_alps_executed [];
+    if fired then inc k m_alps_fired []
+  | Lock_attempt _ -> inc k m_lock_attempts []
+  | Lock_acquired _ -> inc k m_lock_acquires []
+  | Lock_timeout _ -> inc k m_lock_timeouts []
+  | Tx_begin _ | Stm_begin _ | Lock_released _ | Lock_waiting _ | Backoff_start _
+  | Backoff_end _ | Req_dispatch _ | Req_done _ ->
+    (* brackets only (the fold above pairs them); the request lifecycle
+       is the serving harness's plane (Stx_serve), ignored here so serve
+       and closed-loop runs of one workload stay directly comparable *)
     ()
-  | Machine.Stm_begin { tid; ab; attempt } ->
-    let st = tstate t tid in
-    st.cur <-
-      Some
-        {
-          at_ab = ab;
-          at_attempt = attempt;
-          at_first_acquire = None;
-          at_wait_since = None;
-          at_wait = 0;
-        };
-    st.cur_ab <- ab
-  | Machine.Stm_commit { tid; ab; cycles; vcycles; rset; wset } ->
-    inc m_commits [];
-    inc m_stm_commits [];
-    if vcycles > 0 then inc ~by:vcycles m_stm_vcycles [];
-    observe m_latency outcome_commit cycles;
-    observe m_rset outcome_commit rset;
-    observe m_wset outcome_commit wset;
-    let st = tstate t tid in
-    (match st.cur with
-    | Some a -> observe m_retries [] a.at_attempt
-    | None -> observe m_retries [] 0);
-    (* the whole software attempt is one phase: its validation traffic is
-       reported through m_stm_vcycles, not a phase split *)
-    add_phase t ~ab Stm cycles;
-    st.cur <- None
-  | Machine.Stm_abort { tid; ab; kind; cycles; vcycles; rset; wset } ->
-    inc m_aborts [ ("kind", stm_kind_label kind) ];
-    inc m_stm_aborts [ ("kind", stm_kind_label kind) ];
-    if vcycles > 0 then inc ~by:vcycles m_stm_vcycles [];
-    observe m_latency outcome_abort cycles;
-    observe m_rset outcome_abort rset;
-    observe m_wset outcome_abort wset;
-    add_phase t ~ab Wasted cycles;
-    let st = tstate t tid in
-    st.cur <- None;
-    st.cur_ab <- ab
 
 let of_trace ?policy tr =
   let t = create ?policy () in
   Stx_trace.Trace.iter tr (fun ~time ev -> handler t ~time ev);
-  t.reg
+  registry t
 
 (* --- phase readout ---------------------------------------------------- *)
 
@@ -324,27 +214,18 @@ let check reg (stats : Stats.t) =
   in
   let counter name labels = counter_sum reg name labels in
   eq "commits" (counter m_commits []) stats.Stats.commits;
-  eq "conflict aborts" (counter m_aborts [ ("kind", "conflict") ])
-    stats.Stats.conflict_aborts;
-  eq "lock-subscription aborts"
-    (counter m_aborts [ ("kind", "lock_subscription") ])
-    stats.Stats.lock_sub_aborts;
-  eq "capacity aborts" (counter m_aborts [ ("kind", "capacity") ])
-    stats.Stats.capacity_aborts;
-  eq "explicit aborts" (counter m_aborts [ ("kind", "explicit") ])
-    stats.Stats.explicit_aborts;
-  eq "stm-conflict aborts" (counter m_aborts [ ("kind", "stm_conflict") ])
-    stats.Stats.stm_conflict_aborts;
+  let aborts k = counter m_aborts [ ("kind", Machine.abort_label k) ] in
+  let stm_aborts k = counter m_stm_aborts [ ("kind", Machine.stm_abort_label k) ] in
+  eq "conflict aborts" (aborts Conflict) stats.Stats.conflict_aborts;
+  eq "lock-subscription aborts" (aborts Lock_subscription) stats.Stats.lock_sub_aborts;
+  eq "capacity aborts" (aborts Capacity) stats.Stats.capacity_aborts;
+  eq "explicit aborts" (aborts Explicit) stats.Stats.explicit_aborts;
+  eq "stm-conflict aborts" (aborts Stm_conflict) stats.Stats.stm_conflict_aborts;
   eq "stm commits" (counter m_stm_commits []) stats.Stats.stm_commits;
   eq "stm aborts" (counter m_stm_aborts []) stats.Stats.stm_aborts;
-  eq "stm validation aborts"
-    (counter m_stm_aborts [ ("kind", "stm_validation") ])
-    stats.Stats.stm_validation_aborts;
-  eq "stm hw-owned aborts"
-    (counter m_stm_aborts [ ("kind", "stm_hw_owned") ])
-    stats.Stats.stm_hw_owned_aborts;
-  eq "stm lock-subscription aborts"
-    (counter m_stm_aborts [ ("kind", "stm_lock_subscription") ])
+  eq "stm validation aborts" (stm_aborts Stm_validation) stats.Stats.stm_validation_aborts;
+  eq "stm hw-owned aborts" (stm_aborts Stm_hw_owned) stats.Stats.stm_hw_owned_aborts;
+  eq "stm lock-subscription aborts" (stm_aborts Stm_locksub)
     stats.Stats.stm_locksub_aborts;
   eq "stm validation cycles" (counter m_stm_vcycles [])
     stats.Stats.stm_validation_cycles;

@@ -6,7 +6,7 @@
    registry equality, and process-wide GC totals necessarily differ
    between those two executions. Stamping the copy that leaves the
    process keeps that invariant while still shipping GC pressure through
-   the JSON and Prometheus exporters like every other series. *)
+   the JSON snapshot like every other series. *)
 
 let stamp reg =
   (* merge with an empty registry: a fresh copy, the caller's registry

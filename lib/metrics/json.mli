@@ -2,7 +2,7 @@
 
     The dependency set has no JSON library (by design — see DESIGN.md),
     and several subsystems need one: the metrics snapshot exporter, the
-    telemetry JSON-lines codec and the benchmark's result files. This
+    telemetry JSON-lines writer and the benchmark's result files. This
     module is the single shared implementation. Integers are kept
     distinct from floats so snapshots of integral counters round-trip
     byte-identically. *)

@@ -16,10 +16,9 @@ let name_ok s =
        (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
        s
 
-(* Label values are free-form (Prometheus allows any UTF-8): every
-   rendering escapes what its framing needs — see [prom_escape] and
-   [label_escape]; JSON is covered by the RFC 8259 printer. Only the
-   empty string stays reserved, so the "-" placeholder of the
+(* Label values are free-form: every rendering escapes what its framing
+   needs — see [label_escape]; JSON is covered by the RFC 8259 printer.
+   Only the empty string stays reserved, so the "-" placeholder of the
    human-readable [label_string] form stays unambiguous. *)
 let label_value_ok s = s <> ""
 
@@ -235,57 +234,3 @@ let to_json t =
     ]
 
 let to_json_string t = Json.to_string (to_json t)
-
-(* Text-exposition escaping for label values: backslash, double quote
-   and newline, exactly the three the format defines. OCaml's %S is NOT
-   this (it also escapes tabs, bytes >= 128, ...). *)
-let prom_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '"' -> Buffer.add_string b "\\\""
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let prom_labels labels =
-  if labels = [] then ""
-  else
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (prom_escape v))
-           labels)
-    ^ "}"
-
-let to_prometheus t =
-  let b = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  let last_name = ref "" in
-  List.iter
-    (fun ((name, labels), c) ->
-      if name <> !last_name then begin
-        last_name := name;
-        line "# TYPE %s %s" name (kind_name c)
-      end;
-      match c with
-      | C r -> line "%s%s %d" name (prom_labels labels) !r
-      | G r -> line "%s%s %d" name (prom_labels labels) !r
-      | H h ->
-        let cum = ref 0 in
-        List.iter
-          (fun (k, cnt) ->
-            cum := !cum + cnt;
-            line "%s_bucket%s %d" name
-              (prom_labels (labels @ [ ("le", string_of_int (Hist.bucket_upper k)) ]))
-              !cum)
-          (Hist.buckets h);
-        line "%s_bucket%s %d" name
-          (prom_labels (labels @ [ ("le", "+Inf") ]))
-          (Hist.count h);
-        line "%s_sum%s %d" name (prom_labels labels) (Hist.sum h);
-        line "%s_count%s %d" name (prom_labels labels) (Hist.count h))
-    (sorted t);
-  Buffer.contents b

@@ -1,8 +1,8 @@
 (** A labelled metrics registry: counters, gauges and {!Hist} histograms
     keyed by (name, sorted label set).
 
-    Everything the registry exposes — iteration, the JSON snapshot, the
-    Prometheus text, {!diff} — is ordered by (name, labels), so
+    Everything the registry exposes — iteration, the JSON snapshot,
+    {!diff} — is ordered by (name, labels), so
     two registries holding the same data render byte-identically no
     matter what order events arrived in. That determinism is what lets
     the online collector and the trace-replay collector be compared for
@@ -23,9 +23,9 @@ type t
 val create : unit -> t
 
 (** Metric and label names must match [[a-zA-Z_][a-zA-Z0-9_]*]; label
-    values may be any non-empty string (each exporter escapes what its
-    framing needs — Prometheus text per the exposition spec, {!diff}
-    with backslash sequences, JSON per RFC 8259). An empty value,
+    values may be any non-empty string (each rendering escapes what its
+    framing needs — {!diff} with backslash sequences, JSON per RFC
+    8259). An empty value,
     a malformed name, reusing a (name, labels) key at a different
     metric type, or duplicate label keys raises [Invalid_argument]:
     metric identity is part of each exporter's schema, so a malformed
@@ -71,9 +71,3 @@ val to_json_string : t -> string
 (** The snapshot document:
     [{"schema":"stx-metrics","version":1,"metrics":[...]}] with one
     entry per metric in (name, labels) order. *)
-
-val to_prometheus : t -> string
-(** Prometheus text exposition: [# TYPE] per metric name, histograms as
-    cumulative [_bucket{le="..."}] series plus [_sum]/[_count]. Label
-    values are escaped per the text-format spec (backslash, double
-    quote, newline). *)

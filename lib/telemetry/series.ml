@@ -246,129 +246,3 @@ let to_jsonl ?(meta = []) t =
       Buffer.add_char b '\n')
     t.windows;
   Buffer.contents b
-
-let ( let* ) = Option.bind
-
-let hist_of_json j =
-  let* count = Option.bind (Json.member "count" j) Json.as_int in
-  let* sum = Option.bind (Json.member "sum" j) Json.as_int in
-  let* mn = Option.bind (Json.member "min" j) Json.as_int in
-  let* mx = Option.bind (Json.member "max" j) Json.as_int in
-  let* bl = Option.bind (Json.member "buckets" j) Json.as_list in
-  let* triples =
-    List.fold_left
-      (fun acc bj ->
-        let* acc = acc in
-        match Json.as_list bj with
-        | Some [ k; c; m ] ->
-          let* k = Json.as_int k in
-          let* c = Json.as_int c in
-          let* m = Json.as_int m in
-          Some ((k, c, m) :: acc)
-        | _ -> None)
-      (Some []) bl
-  in
-  Hist.restore ~count ~sum ~min_value:mn ~max_value:mx (List.rev triples)
-
-let tallies_of_json j =
-  let* l = Json.as_list j in
-  List.fold_left
-    (fun acc p ->
-      let* acc = acc in
-      match Json.as_list p with
-      | Some [ id; c ] ->
-        let* id = Json.as_int id in
-        let* c = Json.as_int c in
-        Some ((id, c) :: acc)
-      | _ -> None)
-    (Some []) l
-  |> Option.map List.rev
-
-let window_of_json j =
-  let geti k = Option.bind (Json.member k j) Json.as_int in
-  let* hw_commits = geti "hw_commits" in
-  let* irrevocable_commits = geti "irrevocable_commits" in
-  let* stm_commits = geti "stm_commits" in
-  let* conflict_aborts = geti "conflict_aborts" in
-  let* locksub_aborts = geti "locksub_aborts" in
-  let* capacity_aborts = geti "capacity_aborts" in
-  let* explicit_aborts = geti "explicit_aborts" in
-  let* stm_conflict_aborts = geti "stm_conflict_aborts" in
-  let* stm_aborts = geti "stm_aborts" in
-  let* lock_waits = geti "lock_waits" in
-  let* lock_acquires = geti "lock_acquires" in
-  let* lock_timeouts = geti "lock_timeouts" in
-  let* busyl = Option.bind (Json.member "busy" j) Json.as_list in
-  let* busy =
-    List.fold_left
-      (fun acc c ->
-        let* acc = acc in
-        let* c = Json.as_int c in
-        Some (c :: acc))
-      (Some []) busyl
-    |> Option.map (fun l -> Array.of_list (List.rev l))
-  in
-  let* stm_cycles = geti "stm_cycles" in
-  let* lock_cycles = geti "lock_cycles" in
-  let* offered = geti "offered" in
-  let* completed = geti "completed" in
-  let* queue_peak = geti "queue_peak" in
-  let* sojourn = Option.bind (Json.member "sojourn" j) hist_of_json in
-  let* conf_lines = Option.bind (Json.member "conf_lines" j) tallies_of_json in
-  let* conf_pcs = Option.bind (Json.member "conf_pcs" j) tallies_of_json in
-  Some
-    {
-      hw_commits;
-      irrevocable_commits;
-      stm_commits;
-      conflict_aborts;
-      locksub_aborts;
-      capacity_aborts;
-      explicit_aborts;
-      stm_conflict_aborts;
-      stm_aborts;
-      lock_waits;
-      lock_acquires;
-      lock_timeouts;
-      busy;
-      stm_cycles;
-      lock_cycles;
-      offered;
-      completed;
-      queue_peak;
-      sojourn;
-      conf_lines;
-      conf_pcs;
-    }
-
-let of_jsonl s =
-  let lines =
-    String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
-  in
-  match lines with
-  | [] -> Error "empty telemetry document"
-  | header :: rest -> (
-    match Json.parse header with
-    | Error e -> Error ("header: " ^ e)
-    | Ok h -> (
-      match
-        ( Option.bind (Json.member "schema" h) Json.as_string,
-          Option.bind (Json.member "version" h) Json.as_int,
-          Option.bind (Json.member "width" h) Json.as_int,
-          Option.bind (Json.member "threads" h) Json.as_int )
-      with
-      | Some s, Some v, Some width, Some threads
-        when s = schema && v = version ->
-        let rec go i acc = function
-          | [] -> Ok { width; threads; windows = Array.of_list (List.rev acc) }
-          | l :: rest -> (
-            match Json.parse l with
-            | Error e -> Error (Printf.sprintf "window line %d: %s" i e)
-            | Ok j -> (
-              match window_of_json j with
-              | Some w when Array.length w.busy = threads ->
-                go (i + 1) (w :: acc) rest
-              | _ -> Error (Printf.sprintf "window line %d: malformed window" i)))
-        in
-        go 0 [] rest
-      | _ -> Error "not a stx-telemetry v1 header"))

@@ -9,7 +9,7 @@
     {!Collect} (online from the {!Stx_sim.Machine} event hook, or
     offline by replaying a {!Stx_trace.Trace} capture — the two are
     equal by construction) and consumed by the {!Episodes} detectors,
-    the CSV/JSONL codecs below, and the [stx_repro report] HTML
+    the CSV/JSONL writers below, and the [stx_repro report] HTML
     renderer.
 
     Window [i] covers cycles [[i*width, (i+1)*width)]. A point event at
@@ -81,7 +81,7 @@ val equal : t -> t -> bool
 val diff : t -> t -> string list
 (** Human-readable divergences, [[]] iff {!equal}. *)
 
-(** {2 Codecs}
+(** {2 Writers}
 
     Both are deterministic functions of the series (plus the caller's
     [meta] pairs, emitted in the order given): equal series render
@@ -97,7 +97,3 @@ val to_jsonl : ?meta:(string * string) list -> t -> string
 (** Line 1 is a header object ([schema]/[version]/[width]/[threads] and
     the meta), then one JSON object per window with every field,
     including the full sojourn sketch and line/PC tallies. *)
-
-val of_jsonl : string -> (t, string) result
-(** Parse a {!to_jsonl} document back (meta is dropped). [Error] names
-    the offending line. *)

@@ -309,19 +309,92 @@ let test_tier_shift_detection () =
 
 (* --- codecs ------------------------------------------------------------ *)
 
-let test_jsonl_round_trip () =
-  let _, _, online =
+(* Every line of the JSONL form, read back with the repo's one JSON
+   parser, carries exactly the series it was written from: the header,
+   then each window's counters, per-core busy cycles, sojourn sketch and
+   line/PC tallies. A closed-loop run fills the tallies, a serving run
+   the sojourn sketches. *)
+let check_jsonl label (s : Series.t) =
+  let module J = Stx_metrics.Json in
+  let fail fmt = Printf.ksprintf (fun m -> Alcotest.fail (label ^ ": " ^ m)) fmt in
+  let get k j = match J.member k j with Some v -> v | None -> fail "no field %s" k in
+  let int k j = match J.as_int (get k j) with Some v -> v | None -> fail "%s: not an int" k in
+  let list k j = match J.as_list (get k j) with Some l -> l | None -> fail "%s: not a list" k in
+  let ints j = match J.as_list j with
+    | Some l -> List.map (fun v -> Option.get (J.as_int v)) l
+    | None -> fail "not a list"
+  in
+  let lines =
+    String.split_on_char '\n' (Series.to_jsonl ~meta:[ ("k", "v") ] s)
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l -> match J.parse l with Ok j -> j | Error e -> fail "%s" e)
+  in
+  let header, windows = (List.hd lines, List.tl lines) in
+  Alcotest.(check (option string)) "schema" (Some "stx-telemetry")
+    (J.as_string (get "schema" header));
+  Alcotest.(check int) "version" 1 (int "version" header);
+  Alcotest.(check int) "width" s.Series.width (int "width" header);
+  Alcotest.(check int) "threads" s.Series.threads (int "threads" header);
+  Alcotest.(check int) "windows" (Series.length s) (int "windows" header);
+  Alcotest.(check (option string)) "meta" (Some "v") (J.as_string (get "k" header));
+  Alcotest.(check int) "one line per window" (Series.length s) (List.length windows);
+  List.iteri
+    (fun i j ->
+      let w = s.Series.windows.(i) in
+      let counters =
+        [
+          ("window", i); ("hw_commits", w.Series.hw_commits);
+          ("irrevocable_commits", w.irrevocable_commits); ("stm_commits", w.stm_commits);
+          ("conflict_aborts", w.conflict_aborts); ("locksub_aborts", w.locksub_aborts);
+          ("capacity_aborts", w.capacity_aborts); ("explicit_aborts", w.explicit_aborts);
+          ("stm_conflict_aborts", w.stm_conflict_aborts); ("stm_aborts", w.stm_aborts);
+          ("lock_waits", w.lock_waits); ("lock_acquires", w.lock_acquires);
+          ("lock_timeouts", w.lock_timeouts); ("stm_cycles", w.stm_cycles);
+          ("lock_cycles", w.lock_cycles); ("offered", w.offered);
+          ("completed", w.completed); ("queue_peak", w.queue_peak);
+        ]
+      in
+      Alcotest.(check (list string)) "fields"
+        (List.map fst counters @ [ "busy"; "sojourn"; "conf_lines"; "conf_pcs" ]
+        |> List.sort compare)
+        (List.map fst (Option.get (J.as_obj j)) |> List.sort compare);
+      List.iter (fun (k, v) -> Alcotest.(check int) k v (int k j)) counters;
+      Alcotest.(check (list int)) "busy" (Array.to_list w.busy) (ints (get "busy" j));
+      let h = w.sojourn and sj = get "sojourn" j in
+      Alcotest.(check (list int)) "sojourn count/sum/min/max"
+        Stx_metrics.Hist.[ count h; sum h; min_value h; max_value h ]
+        (List.map (fun k -> int k sj) [ "count"; "sum"; "min"; "max" ]);
+      Alcotest.(check (list (list int))) "sojourn buckets"
+        (List.map (fun (k, c, m) -> [ k; c; m ]) (Stx_metrics.Hist.buckets_full h))
+        (List.map ints (list "buckets" sj));
+      let pairs l = List.map (fun (id, c) -> [ id; c ]) l in
+      Alcotest.(check (list (list int))) "conf_lines" (pairs w.conf_lines)
+        (List.map ints (list "conf_lines" j));
+      Alcotest.(check (list (list int))) "conf_pcs" (pairs w.conf_pcs)
+        (List.map ints (list "conf_pcs" j)))
+    windows
+
+let test_jsonl_parses_back () =
+  let _, _, closed =
     run_with_telemetry
       (List.hd Stx_workloads.Registry.all)
       Stx_core.Mode.Staggered_hw
   in
-  match Series.of_jsonl (Series.to_jsonl ~meta:[ ("k", "v") ] online) with
-  | Error e -> Alcotest.fail ("round trip failed: " ^ e)
-  | Ok back -> (
-    match Series.diff online back with
-    | [] -> ()
-    | errs ->
-      Alcotest.fail ("round trip diverged:\n  " ^ String.concat "\n  " errs))
+  let module Serve = Stx_serve.Serve in
+  let service = Option.get (Stx_workloads.Registry.find_service "memcached") in
+  let cfg =
+    Serve.config ~threads:4 ~seed:7 ~horizon:6_000 ~shards:1 ~telemetry_window:500
+      ~arrival:(Stx_serve.Arrival.Poisson { rate = 6.0 })
+      service
+  in
+  let served = Option.get (Serve.run ~jobs:1 cfg).Serve.telemetry in
+  let some f (s : Series.t) = Array.exists f s.Series.windows in
+  Alcotest.(check bool) "closed loop tallies conflicts" true
+    (some (fun w -> w.Series.conf_lines <> [] && w.conf_pcs <> []) closed);
+  Alcotest.(check bool) "serving fills sojourn sketches" true
+    (some (fun w -> not (Stx_metrics.Hist.is_empty w.Series.sojourn)) served);
+  check_jsonl "closed loop" closed;
+  check_jsonl "serving" served
 
 let test_csv_shape () =
   let _, _, online =
@@ -394,7 +467,7 @@ let suite =
     Alcotest.test_case "storms: threshold floor" `Quick
       test_storm_threshold_floor;
     Alcotest.test_case "tier shifts" `Quick test_tier_shift_detection;
-    Alcotest.test_case "jsonl round trip" `Slow test_jsonl_round_trip;
+    Alcotest.test_case "jsonl parses back to the series" `Slow test_jsonl_parses_back;
     Alcotest.test_case "csv shape" `Slow test_csv_shape;
     Alcotest.test_case "serve series independent of jobs" `Slow
       test_serve_merge_jobs_invariant;
