@@ -38,6 +38,18 @@ val bench : string -> Stx_workloads.Workload.t
 (** A [--bench] lookup in {!Stx_workloads.Registry}; an unknown name
     fails. *)
 
+val fail_file : string -> string -> string -> 'a
+(** [fail_file what file msg] fails with ["WHAT FILE: MSG"], dropping
+    the leading ["FILE: "] a [Sys_error] message carries. *)
+
+val write : string -> (out_channel -> unit) -> unit
+(** Open the file (truncating) and run the writer on it. Every file the
+    executables write goes through here: a path that cannot be written
+    fails with ["cannot write FILE: REASON"]. *)
+
+val write_file : string -> string -> unit
+(** {!write} one string. *)
+
 val write_metrics : string -> Stx_metrics.Registry.t -> unit
 (** Write the registry, stamped with the process's GC counters, to the
     file as the versioned JSON snapshot, and print its [metrics] line. *)

@@ -196,13 +196,13 @@ let run list_benches bench mode threads seed scale trace raw_trace metrics
     | _ -> ());
     (match (raw_trace, tr) with
     | Some file, Some tr ->
-      Stx_trace.Trace.write_events ~meta tr ~file;
+      Stx_cli.write file (Stx_trace.Trace.write_events ~meta tr);
       Printf.printf "  raw trace          %d events -> %s (stx_repro lint --validate-trace)\n"
         (Stx_trace.Trace.length tr) file
     | _ -> ());
     (match (trace, tr) with
     | Some file, Some tr ->
-      Stx_trace.Trace.write_chrome tr ~file;
+      Stx_cli.write_file file (Stx_trace.Trace.to_chrome_json tr);
       Printf.printf "  trace              %d events -> %s (chrome://tracing, Perfetto)\n"
         (Stx_trace.Trace.length tr) file;
       print_check "trace" ~ok:"events reconcile with stats"
