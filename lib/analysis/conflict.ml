@@ -16,7 +16,6 @@ type t = {
   c_out_writes : iset;
   c_read_fields : fset array;  (* field refinement of c_reads *)
   c_write_fields : fset array;
-  c_out_read_fields : fset;
   c_out_write_fields : fset;
   c_node_of_gid : (int, Dsnode.t) Hashtbl.t;  (* witness node per global id *)
   c_to_global : (int, iset) Hashtbl.t array;  (* local node id -> global ids *)
@@ -70,7 +69,6 @@ let compute ?(resolution = Stx_policy.Resolution.Requester_wins) prog dsa
   let c_out_writes = iset () in
   let c_read_fields : fset array = Array.init nabs (fun _ -> Hashtbl.create 16) in
   let c_write_fields : fset array = Array.init nabs (fun _ -> Hashtbl.create 16) in
-  let c_out_read_fields : fset = Hashtbl.create 16 in
   let c_out_write_fields : fset = Hashtbl.create 16 in
   let c_node_of_gid : (int, Dsnode.t) Hashtbl.t = Hashtbl.create 64 in
   let c_to_global = Array.init nabs (fun _ -> Hashtbl.create 16) in
@@ -109,10 +107,7 @@ let compute ?(resolution = Stx_policy.Resolution.Requester_wins) prog dsa
           match inst.Ir.op with
           | Ir.Load _ -> (
             match Dsa.access_node dsa inst.Ir.iid with
-            | Some (n, fld) ->
-              let g = grep n in
-              iadd c_out_reads (Dsnode.id g);
-              Hashtbl.replace c_out_read_fields (Dsnode.id g, gfield g fld) ()
+            | Some (n, _) -> iadd c_out_reads (Dsnode.id (grep n))
             | None -> ())
           | Ir.Store _ -> (
             match Dsa.access_node dsa inst.Ir.iid with
@@ -202,7 +197,6 @@ let compute ?(resolution = Stx_policy.Resolution.Requester_wins) prog dsa
     c_out_writes;
     c_read_fields;
     c_write_fields;
-    c_out_read_fields;
     c_out_write_fields;
     c_node_of_gid;
     c_to_global;
@@ -239,7 +233,6 @@ let fset_elems (s : fset) =
 
 let read_fields t ~ab = fset_elems t.c_read_fields.(ab)
 let write_fields t ~ab = fset_elems t.c_write_fields.(ab)
-let outside_read_fields t = fset_elems t.c_out_read_fields
 let outside_write_fields t = fset_elems t.c_out_write_fields
 let node_of_global t gid = Hashtbl.find_opt t.c_node_of_gid gid
 

@@ -73,10 +73,9 @@ val read_fields : t -> ab:int -> (int * int) list
 val write_fields : t -> ab:int -> (int * int) list
 (** Field-granular may-write footprint, mirroring {!read_fields}. *)
 
-val outside_read_fields : t -> (int * int) list
-(** Field-granular footprint of code outside every atomic block. *)
-
 val outside_write_fields : t -> (int * int) list
+(** Field-granular may-write footprint of code outside every atomic
+    block. *)
 
 val node_of_global : t -> int -> Dsnode.t option
 (** A witness {!Dsnode.t} for a whole-program node id seen during the

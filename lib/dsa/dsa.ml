@@ -356,13 +356,6 @@ let access_node t iid =
       ((n : Dsnode.t), if Dsnode.is_collapsed n then 0 else f))
     (Hashtbl.find_opt t.access iid)
 
-let reg_node t fname r =
-  match Hashtbl.find_opt t.states fname with
-  | None -> None
-  | Some st ->
-    if r < 0 || r >= Array.length st.avals then None
-    else Option.map Dsnode.find st.avals.(r).node
-
 let map_callee_node t ~call_iid n =
   match Hashtbl.find_opt t.site_maps call_iid with
   | None -> Dsnode.find n

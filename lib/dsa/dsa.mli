@@ -29,10 +29,6 @@ val access_node : t -> int -> (Dsnode.t * int) option
 (** [access_node t iid] — the DSNode and field accessed by the load/store
     with instruction id [iid], if the analysis saw one. *)
 
-val reg_node : t -> string -> Ir.reg -> Dsnode.t option
-(** The node a function's register points to, if any (for tests and
-    diagnostics). *)
-
 val map_callee_node : t -> call_iid:int -> Dsnode.t -> Dsnode.t
 (** Translate a callee-graph node to the caller's graph across the call
     site with instruction id [call_iid]. Identity for same-SCC (recursive)

@@ -42,7 +42,6 @@ type t = {
   mask_words : int; (* words per holder-mask vector *)
   mutable scratch : int array; (* write-set snapshot for lazy commit *)
   lock_addr : int;
-  mutable conflicts : int;
   mutable ts_counter : int;
   mutable on_publish : (line:int -> unit) option;
   mutable on_doom : (int -> unit) option;
@@ -90,7 +89,6 @@ let create ?(policy = Stx_policy.default) (cfg : Config.t) memory alloc =
     mask_words = Bitmat.words_per_row readers;
     scratch = Array.make 64 0;
     lock_addr;
-    conflicts = 0;
     ts_counter = 0;
     on_publish = None;
     on_doom = None;
@@ -168,7 +166,6 @@ let doom t ~requester ~victim ~conf_addr =
        hardware delivers only the truncated [conf_pc]. *)
     c.st <-
       Doomed (Conflict { conf_addr; conf_pc; conf_pc_full = full; aggressor = requester });
-    t.conflicts <- t.conflicts + 1;
     note_doom t victim
   | Idle | Doomed _ -> ()
 
@@ -194,8 +191,7 @@ let self_doom t ~core ~conf_addr ~full_pc ~aggressor =
   in
   discard_speculative t core;
   c.st <-
-    Doomed (Conflict { conf_addr; conf_pc; conf_pc_full = full; aggressor });
-  t.conflicts <- t.conflicts + 1
+    Doomed (Conflict { conf_addr; conf_pc; conf_pc_full = full; aggressor })
 
 (* the lowest-numbered holder of [line] other than [core] (-1 if none) *)
 let lowest_other t ~line ~with_readers ~core =
@@ -423,7 +419,6 @@ let tx_cleanup t ~core =
   | Idle | Active -> invalid_arg "Htm.tx_cleanup: transaction not doomed"
 
 let read_set_size t ~core = Linetbl.length t.cores.(core).read_set
-let write_set_size t ~core = Linetbl.length t.cores.(core).write_set
 
 let last_set_sizes t ~core =
   let c = t.cores.(core) in
@@ -447,15 +442,12 @@ let nt_cas t ~core ~addr ~expected ~desired =
   end
   else false
 
-let global_lock_addr t = t.lock_addr
 let global_lock_held t = Memory.load t.memory t.lock_addr <> 0
 
 let acquire_global_lock t ~core =
   nt_cas t ~core ~addr:t.lock_addr ~expected:0 ~desired:1
 
 let release_global_lock t = Memory.store t.memory t.lock_addr 0
-
-let conflicts_caused t = t.conflicts
 
 (* Release the reader/writer index rows for reuse by the next run; [t]
    must not be used afterwards. *)
@@ -464,14 +456,6 @@ let retire t =
   Bitmat.retire t.writers
 
 (* --- software-tier interop -------------------------------------------- *)
-
-let mask_of_row bm ~line =
-  (* one-word legacy view; create refuses nothing, but callers are
-     documented to use it only below 63 cores *)
-  Bitmat.row_word bm ~row:line 0
-
-let readers_mask t ~line = mask_of_row t.readers ~line
-let writers_mask t ~line = mask_of_row t.writers ~line
 
 let writers_present t ~line =
   not (Bitmat.row_is_empty t.writers ~row:line)
@@ -486,7 +470,6 @@ let stm_doom t ~aggressor ~victim ~conf_addr =
   | Active ->
     discard_speculative t victim;
     c.st <- Doomed (Stm_conflict { conf_addr; aggressor });
-    t.conflicts <- t.conflicts + 1;
     note_doom t victim
   | Idle | Doomed _ -> ()
 

@@ -100,7 +100,6 @@ val tx_cleanup : t -> core:int -> abort_reason
     reason, and go [Idle]. *)
 
 val read_set_size : t -> core:int -> int
-val write_set_size : t -> core:int -> int
 
 val last_set_sizes : t -> core:int -> int * int
 (** Read/write-set sizes (lines) captured the last time the core's
@@ -121,17 +120,12 @@ val nt_store : t -> core:int -> addr:int -> value:int -> unit
 
 val nt_cas : t -> core:int -> addr:int -> expected:int -> desired:int -> bool
 
-val global_lock_addr : t -> int
 val global_lock_held : t -> bool
 val acquire_global_lock : t -> core:int -> bool
 (** Nontransactional test-and-set of the global lock; aborts transactions
     subscribed to it. *)
 
 val release_global_lock : t -> unit
-
-val conflicts_caused : t -> int
-(** Total conflict aborts inflicted (by any resolution outcome, including
-    self-dooms), for diagnostics. *)
 
 (** {2 Software-tier interop}
 
@@ -144,20 +138,10 @@ val conflicts_caused : t -> int
     lines through the {!set_on_publish} hook so the software tier can
     advance its version clock and keep readers opaque. *)
 
-val readers_mask : t -> line:int -> int
-(** Bitmask of cores speculatively reading [line].  One-word legacy
-    view: meaningful for the first 62 cores only (wider machines are
-    tracked in a multi-word bit matrix; use {!writers_present} for a
-    width-independent test). *)
-
-val writers_mask : t -> line:int -> int
-(** Bitmask of cores speculatively writing [line] (same 62-core caveat
-    as {!readers_mask}). The software tier refuses to commit a write to
-    a hardware-owned line (it defers instead of dooming the hardware
-    optimistically). *)
-
 val writers_present : t -> line:int -> bool
-(** Any speculative hardware writer of [line], at any core count. *)
+(** Any speculative hardware writer of [line], at any core count. The
+    software tier refuses to commit a write to a hardware-owned line (it
+    defers instead of dooming the hardware optimistically). *)
 
 val stm_publish : t -> core:int -> addr:int -> value:int -> unit
 (** Publish one committed software-tier word: dooms every speculative

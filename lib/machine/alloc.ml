@@ -9,7 +9,6 @@ type t = {
   (* slot [thread + 1] (0 = shared): a flat array instead of a Hashtbl so
      the per-simulated-alloc lookup neither hashes nor allocates a [Some] *)
   mutable arenas : arena option array;
-  mutable allocated : int;
 }
 
 let create ?(arena_words = 4096) ?(line_align = true) ~words_per_line memory =
@@ -21,7 +20,6 @@ let create ?(arena_words = 4096) ?(line_align = true) ~words_per_line memory =
     (* start on a line boundary past the null word *)
     wilderness = words_per_line;
     arenas = Array.make 32 None;
-    allocated = 0;
   }
 
 let round_up t n =
@@ -58,7 +56,6 @@ let alloc_in t arena n =
       let base = t.wilderness in
       t.wilderness <- t.wilderness + n;
       Memory.store t.memory (t.wilderness - 1) 0;
-      t.allocated <- t.allocated + n;
       base
     end
     else begin
@@ -67,14 +64,12 @@ let alloc_in t arena n =
       arena.limit <- fresh.limit;
       let base = arena.cursor in
       arena.cursor <- arena.cursor + n;
-      t.allocated <- t.allocated + n;
       base
     end
   end
   else begin
     let base = arena.cursor in
     arena.cursor <- arena.cursor + n;
-    t.allocated <- t.allocated + n;
     base
   end
 
@@ -85,5 +80,3 @@ let alloc t ~thread n =
 let alloc_shared t n =
   if n <= 0 then invalid_arg "Alloc.alloc_shared: size must be positive";
   alloc_in t (arena_for t (-1)) n
-
-let words_allocated t = t.allocated

@@ -20,5 +20,3 @@ val alloc : t -> thread:int -> int -> Memory.addr
 val alloc_shared : t -> int -> Memory.addr
 (** Allocate from a common arena (for structures built during single-threaded
     setup). *)
-
-val words_allocated : t -> int

@@ -107,6 +107,3 @@ let invalidate t line =
     t.data.(last) <- -1
   end
 
-let clear t = Array.fill t.data 0 (Array.length t.data) (-1)
-
-let iter f t = Array.iter (fun v -> if v >= 0 then f v) t.data

@@ -27,11 +27,6 @@ val insert_evict : t -> int -> int
 val invalidate : t -> int -> unit
 (** Drop [line] if present. *)
 
-val clear : t -> unit
-
-val iter : (int -> unit) -> t -> unit
-(** Every resident line, in set/way order. *)
-
 val retire : t -> unit
 (** Release the backing storage into the domain-local array pool; the
     cache must not be used afterwards. *)

@@ -1,11 +1,4 @@
-type core_caches = {
-  l1 : Cache.t;
-  l2 : Cache.t;
-  mutable accesses : int;
-  mutable l1_hits : int;
-  mutable l2_hits : int;
-  mutable l3_hits : int;
-}
+type core_caches = { l1 : Cache.t; l2 : Cache.t }
 
 (* [present] indexes which cores privately cache each line (l1 OR l2),
    so the write-path coherence questions — "does anyone else hold this?"
@@ -25,10 +18,6 @@ let create (cfg : Config.t) =
     {
       l1 = Cache.create ~lines:cfg.l1_lines ~ways:cfg.l1_ways;
       l2 = Cache.create ~lines:cfg.l2_lines ~ways:cfg.l2_ways;
-      accesses = 0;
-      l1_hits = 0;
-      l2_hits = 0;
-      l3_hits = 0;
     }
   in
   {
@@ -55,22 +44,16 @@ let evict_fixup t c ~core victim =
 
 let access t ~core ~line ~write =
   let c = t.cores.(core) in
-  c.accesses <- c.accesses + 1;
   (* a write to a line cached elsewhere pays the coherence upgrade: the
      invalidation round-trip goes through the shared level *)
   let upgrade = write && Bitmat.row_has_other t.present ~row:line ~except:core in
   let latency =
-    if Cache.probe c.l1 line then begin
-      c.l1_hits <- c.l1_hits + 1;
-      t.cfg.l1_latency
-    end
+    if Cache.probe c.l1 line then t.cfg.l1_latency
     else if Cache.probe c.l2 line then begin
-      c.l2_hits <- c.l2_hits + 1;
       evict_fixup t c ~core (Cache.insert_evict c.l1 line);
       t.cfg.l2_latency
     end
     else if Cache.probe t.l3 line then begin
-      c.l3_hits <- c.l3_hits + 1;
       evict_fixup t c ~core (Cache.insert_evict c.l2 line);
       evict_fixup t c ~core (Cache.insert_evict c.l1 line);
       Bitmat.set t.present ~row:line ~col:core;
@@ -104,15 +87,3 @@ let access t ~core ~line ~write =
     max latency t.cfg.Config.l3_latency
   end
   else latency
-
-let invalidate_core t ~core =
-  let c = t.cores.(core) in
-  Cache.iter (fun line -> Bitmat.clear t.present ~row:line ~col:core) c.l1;
-  Cache.iter (fun line -> Bitmat.clear t.present ~row:line ~col:core) c.l2;
-  Cache.clear c.l1;
-  Cache.clear c.l2
-
-let hit_rates t ~core =
-  let c = t.cores.(core) in
-  let r hits = if c.accesses = 0 then 0. else float_of_int hits /. float_of_int c.accesses in
-  (r c.l1_hits, r c.l2_hits, r c.l3_hits)

@@ -15,14 +15,6 @@ val access : t -> core:int -> line:int -> write:bool -> int
 (** [access t ~core ~line ~write] returns the latency in cycles and updates
     cache state. *)
 
-val invalidate_core : t -> core:int -> unit
-(** Drop every line from one core's private caches (not used on abort by
-    default — HTM aborts invalidate only speculative state — but exposed
-    for experiments). *)
-
-val hit_rates : t -> core:int -> float * float * float
-(** Cumulative (l1, l2, l3) hit rates for a core, for diagnostics. *)
-
 val retire : t -> unit
 (** Release every backing array into the domain-local pool for the next
     run; the hierarchy must not be used afterwards. *)

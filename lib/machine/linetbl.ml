@@ -68,7 +68,6 @@ let idx t k =
     if t.keys.(i) = k then i else -1
 
 let value_at t i = t.vals.(i)
-let set_value_at t i v = t.vals.(i) <- v
 let key_of_order t oi = t.keys.(t.order.(oi))
 let value_of_order t oi = t.vals.(t.order.(oi))
 

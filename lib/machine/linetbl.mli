@@ -19,7 +19,6 @@ val idx : t -> int -> int
     next [set]/[add]/[reset]; read it with {!value_at}. *)
 
 val value_at : t -> int -> int
-val set_value_at : t -> int -> int -> unit
 
 val set : t -> int -> int -> int
 (** Insert or overwrite; returns the key's slot. *)

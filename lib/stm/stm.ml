@@ -187,21 +187,6 @@ let iter_write_addrs t ~core f =
     f t.scratch.(i)
   done
 
-let read_set_lines t ~core =
-  let acc = ref [] in
-  iter_read_lines t ~core (fun l -> acc := l :: !acc);
-  List.rev !acc
-
-let write_set_lines t ~core =
-  let acc = ref [] in
-  iter_write_lines t ~core (fun l -> acc := l :: !acc);
-  List.rev !acc
-
-let write_addrs t ~core =
-  let acc = ref [] in
-  iter_write_addrs t ~core (fun a -> acc := a :: !acc);
-  List.rev !acc
-
 let tx_commit t ~core =
   let c = t.cores.(core) in
   match c.st with

@@ -101,22 +101,18 @@ val tx_self_abort : t -> core:int -> unit
 val tx_cleanup : t -> core:int -> abort_kind
 (** Acknowledge a doomed transaction: return the reason and go [Idle]. *)
 
-val read_set_lines : t -> core:int -> int list
-(** Lines currently in the read set, sorted — the machine walks these to
-    charge validation latency {e before} committing. *)
-
-val write_set_lines : t -> core:int -> int list
-
-val write_addrs : t -> core:int -> int list
-(** Buffered store addresses, sorted — for publication cost accounting. *)
-
 val iter_read_lines : t -> core:int -> (int -> unit) -> unit
-(** Allocation-free equivalent of {!read_set_lines}: applies the
-    callback to each read-set line in ascending order (sorted into an
-    internal scratch array, invalidated by the next iter/commit). *)
+(** Applies the callback to each read-set line in ascending order
+    (sorted into an internal scratch array, invalidated by the next
+    iter/commit), without allocating — the machine walks these to charge
+    validation latency {e before} committing. *)
 
 val iter_write_lines : t -> core:int -> (int -> unit) -> unit
+(** The same over the write-set lines. *)
+
 val iter_write_addrs : t -> core:int -> (int -> unit) -> unit
+(** The same over the buffered store addresses — for publication cost
+    accounting. *)
 
 val last_set_sizes : t -> core:int -> int * int
 (** Read/write-set sizes captured the last time the buffered state was

@@ -49,8 +49,6 @@ let reg t n =
 
 let rv t n = Reg (reg t n)
 
-let imm n = Imm n
-
 let fresh t =
   let n = Printf.sprintf "%%t%d" t.fresh_reg in
   t.fresh_reg <- t.fresh_reg + 1;

@@ -21,8 +21,6 @@ val reg : t -> string -> Ir.reg
 val rv : t -> string -> Ir.operand
 (** [rv t n] is [Reg (reg t n)]. *)
 
-val imm : int -> Ir.operand
-
 (* instruction emission; [*_to] forms write a named destination register *)
 
 val mov : t -> Ir.reg -> Ir.operand -> unit

@@ -30,8 +30,6 @@ let pc_of_iid t iid = Hashtbl.find t.pc_of iid
 
 let loc_of_pc t pc = Option.map fst (Hashtbl.find_opt t.at_pc pc)
 
-let iid_at_pc t pc = Option.map snd (Hashtbl.find_opt t.at_pc pc)
-
 let truncate ~bits pc = pc land ((1 lsl bits) - 1)
 
 let num_insts t = t.count

@@ -19,8 +19,6 @@ val pc_of_iid : t -> int -> int
 
 val loc_of_pc : t -> int -> loc option
 
-val iid_at_pc : t -> int -> int option
-
 val truncate : bits:int -> int -> int
 (** Keep the low [bits] bits, as the hardware PC tag does. *)
 

@@ -1,12 +1,8 @@
-type row = Cells of string list | Sep
-
-type t = { headers : string list; mutable rows : row list (* reversed *) }
+type t = { headers : string list; mutable rows : string list list (* reversed *) }
 
 let create headers = { headers; rows = [] }
 
-let add_row t cells = t.rows <- Cells cells :: t.rows
-
-let add_sep t = t.rows <- Sep :: t.rows
+let add_row t cells = t.rows <- cells :: t.rows
 
 let fmt_f ?(dec = 2) x = Printf.sprintf "%.*f" dec x
 let fmt_pct ?(dec = 0) x = Printf.sprintf "%.*f%%" dec x
@@ -25,14 +21,12 @@ let render t =
     in
     take ncols cells
   in
-  let rows = List.rev_map (function Cells c -> Cells (normalize c) | Sep -> Sep) t.rows in
+  let rows = List.rev_map normalize t.rows in
   let widths = Array.of_list (List.map String.length t.headers) in
-  let widen = function
-    | Sep -> ()
-    | Cells cells ->
-      List.iteri
-        (fun i c -> if String.length c > widths.(i) then widths.(i) <- String.length c)
-        cells
+  let widen cells =
+    List.iteri
+      (fun i c -> if String.length c > widths.(i) then widths.(i) <- String.length c)
+      cells
   in
   List.iter widen rows;
   let buf = Buffer.create 256 in
@@ -63,7 +57,7 @@ let render t =
   line '-';
   emit t.headers;
   line '=';
-  List.iter (function Cells c -> emit c | Sep -> line '-') rows;
+  List.iter emit rows;
   line '-';
   Buffer.contents buf
 

@@ -10,9 +10,6 @@ val add_row : t -> string list -> unit
 (** Rows shorter than the header are padded with empty cells; longer rows
     are truncated. *)
 
-val add_sep : t -> unit
-(** Insert a horizontal separator before the next row. *)
-
 val render : t -> string
 (** Render including a border and header rule, newline-terminated. *)
 

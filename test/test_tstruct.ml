@@ -227,132 +227,6 @@ let test_queue_fifo_single_thread () =
     Alcotest.(check (list int)) "fifo order" [ 9; 3; 1; 4; 1; 5 ] (Tqueue.to_list mem q)
   | _ -> Alcotest.fail "roots"
 
-(* --- bst --------------------------------------------------------------- *)
-
-let test_bst_concurrent_disjoint_inserts () =
-  let threads = 4 and per = 25 in
-  let _, mem, roots =
-    run_spec ~threads ~mode:Mode.Staggered_hw
-      ~build:(fun p ->
-        Tbst.register p;
-        let ab = Ir.add_atomic p ~name:"insert" ~func:Tbst.insert_fn in
-        let b = Builder.create p "main" ~params:[ "tree"; "base"; "n" ] in
-        Builder.for_ b ~from:(Ir.Imm 0) ~below:(Builder.param b "n") (fun b i ->
-            let k = Builder.bin b Ir.Add (Builder.param b "base") i in
-            Builder.atomic_call b ab [ Builder.param b "tree"; k; k ]);
-        Builder.ret b None;
-        ignore (Builder.finish b);
-        fun tid roots -> match roots with [ t ] -> [ t; 1000 + (tid * per); per ] | _ -> [])
-      ~setup:(fun env ->
-        [ Tbst.setup env.Machine.memory env.Machine.alloc ~pairs:[ (500, 500) ] ])
-      ()
-  in
-  match roots with
-  | [ t ] ->
-    let ks = Tbst.keys mem t in
-    Alcotest.(check int) "all inserted" (1 + (threads * per)) (List.length ks);
-    Alcotest.(check bool) "bst invariant" true (check_sorted_unique ks);
-    for tid = 0 to threads - 1 do
-      for i = 0 to per - 1 do
-        let k = 1000 + (tid * per) + i in
-        Alcotest.(check (option int)) "value" (Some k) (Tbst.host_lookup mem t k)
-      done
-    done
-  | _ -> Alcotest.fail "roots"
-
-let test_bst_concurrent_updates_sum () =
-  let threads = 8 and per = 20 in
-  let _, mem, roots =
-    run_spec ~threads ~mode:Mode.Staggered_hw
-      ~build:(fun p ->
-        Tbst.register p;
-        let ab = Ir.add_atomic p ~name:"update" ~func:Tbst.update_fn in
-        let b = Builder.create p "main" ~params:[ "tree"; "n" ] in
-        Builder.for_ b ~from:(Ir.Imm 0) ~below:(Builder.param b "n") (fun b _ ->
-            Builder.atomic_call b ab [ Builder.param b "tree"; Ir.Imm 42; Ir.Imm 1 ]);
-        Builder.ret b None;
-        ignore (Builder.finish b);
-        fun _ roots -> match roots with [ t ] -> [ t; per ] | _ -> [])
-      ~setup:(fun env ->
-        [ Tbst.setup env.Machine.memory env.Machine.alloc ~pairs:[ (42, 0); (7, 7) ] ])
-      ()
-  in
-  match roots with
-  | [ t ] ->
-    Alcotest.(check (option int)) "no lost updates" (Some (threads * per))
-      (Tbst.host_lookup mem t 42)
-  | _ -> Alcotest.fail "roots"
-
-(* --- priority queue ---------------------------------------------------- *)
-
-let test_pq_drain_is_sorted_single_thread () =
-  let _, mem, roots =
-    run_spec ~threads:1 ~mode:Mode.Baseline
-      ~build:(fun p ->
-        Tpq.register p;
-        let ab_pop = Ir.add_atomic p ~name:"pop" ~func:Tpq.pop_fn in
-        let b = Builder.create p "main" ~params:[ "pq"; "out"; "n" ] in
-        Builder.for_ b ~from:(Ir.Imm 0) ~below:(Builder.param b "n") (fun b i ->
-            let d = Builder.atomic_call_v b ab_pop [ Builder.param b "pq" ] in
-            Builder.store b ~addr:(Builder.idx b (Builder.param b "out") ~esize:1 i) d);
-        Builder.ret b None;
-        ignore (Builder.finish b);
-        fun _ roots -> match roots with [ q; out ] -> [ q; out; 6 ] | _ -> [])
-      ~setup:(fun env ->
-        let q =
-          Tpq.setup env.Machine.memory env.Machine.alloc
-            ~init:[ (5, 50); (1, 10); (3, 30); (2, 20); (9, 90); (4, 40) ]
-        in
-        let out = Alloc.alloc_shared env.Machine.alloc 8 in
-        [ q; out ])
-      ()
-  in
-  match roots with
-  | [ q; out ] ->
-    let drained = List.init 6 (fun i -> Memory.load mem (out + i)) in
-    Alcotest.(check (list int)) "min-first order" [ 10; 20; 30; 40; 50; 90 ] drained;
-    Alcotest.(check (list int)) "empty after drain" [] (Tpq.to_sorted mem q |> List.map fst)
-  | _ -> Alcotest.fail "roots"
-
-let test_pq_concurrent_conservation () =
-  let threads = 6 in
-  let _, mem, roots =
-    run_spec ~threads ~mode:Mode.Staggered_hw
-      ~build:(fun p ->
-        Tpq.register p;
-        let ab_pop = Ir.add_atomic p ~name:"pop" ~func:Tpq.pop_fn in
-        let ab_ins = Ir.add_atomic p ~name:"ins" ~func:Tpq.insert_fn in
-        let b = Builder.create p "main" ~params:[ "pq"; "ops"; "slot" ] in
-        let pops = Builder.reg b "pops" in
-        Builder.mov b pops (Ir.Imm 0);
-        Builder.for_ b ~from:(Ir.Imm 0) ~below:(Builder.param b "ops") (fun b _ ->
-            let prio = Builder.rng b (Ir.Imm 1000) in
-            Builder.atomic_call b ab_ins [ Builder.param b "pq"; prio; prio ];
-            let r = Builder.atomic_call_v b ab_pop [ Builder.param b "pq" ] in
-            Builder.when_ b
-              (Builder.bin b Ir.Ne r (Ir.Imm (-1)))
-              (fun b -> Builder.bin_to b pops Ir.Add (Ir.Reg pops) (Ir.Imm 1)));
-        Builder.store b ~addr:(Builder.param b "slot") (Ir.Reg pops);
-        Builder.ret b None;
-        ignore (Builder.finish b);
-        fun tid roots ->
-          match roots with q :: slots -> [ q; 25; List.nth slots tid ] | _ -> [])
-      ~setup:(fun env ->
-        let q =
-          Tpq.setup env.Machine.memory env.Machine.alloc
-            ~init:(List.init 10 (fun i -> (i * 7, i)))
-        in
-        let slots = alloc_slots env threads in
-        q :: Array.to_list slots)
-      ()
-  in
-  match roots with
-  | q :: slots ->
-    let pops = List.fold_left (fun acc s -> acc + Memory.load mem s) 0 slots in
-    let left = List.length (Tpq.to_sorted mem q) in
-    Alcotest.(check int) "conservation" (10 + (threads * 25)) (pops + left)
-  | _ -> Alcotest.fail "roots"
-
 (* --- calendar priority queue ------------------------------------------- *)
 
 let test_calqueue_host_roundtrip () =
@@ -541,11 +415,6 @@ let suite =
       test_hash_concurrent_conservation;
     Alcotest.test_case "queue concurrent push/pop" `Quick test_queue_concurrent_push_pop;
     Alcotest.test_case "queue fifo order" `Quick test_queue_fifo_single_thread;
-    Alcotest.test_case "bst concurrent disjoint inserts" `Quick
-      test_bst_concurrent_disjoint_inserts;
-    Alcotest.test_case "bst concurrent updates sum" `Quick test_bst_concurrent_updates_sum;
-    Alcotest.test_case "pq drain sorted" `Quick test_pq_drain_is_sorted_single_thread;
-    Alcotest.test_case "pq concurrent conservation" `Quick test_pq_concurrent_conservation;
     Alcotest.test_case "calqueue host roundtrip" `Quick test_calqueue_host_roundtrip;
     Alcotest.test_case "calqueue overflow drops" `Quick test_calqueue_overflow_drops;
     Alcotest.test_case "calqueue pops min bucket first" `Quick
