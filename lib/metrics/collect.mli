@@ -1,12 +1,14 @@
 open Stx_sim
 
 (** The metrics collector: folds the {!Stx_sim.Machine} event stream into
-    a {!Registry}.
+    a {!Registry}. Attempt, lock-wait and backoff intervals come from the
+    {!Stx_trace.Lifecycle} bracket fold; the collector keeps no
+    per-thread state of its own.
 
     The same fold runs in two places — online, composed onto a live run's
     [on_event] hook, and offline, replaying a full {!Stx_trace.Trace}
-    capture ({!of_trace}). Because both paths execute this one state
-    machine over the same stream, the two registries must be {b equal},
+    capture ({!of_trace}). Because both paths execute this one fold over
+    the same stream, the two registries must be {b equal},
     and {!check} reconciles either of them against the run's [Stats] with
     the same discipline as [Trace.check]: exact equalities wherever the
     simulator's accounting permits, explicit inequalities where it does
@@ -85,7 +87,10 @@ val check : Registry.t -> Stats.t -> (unit, string list) result
     backoff_cycles]. Bounded: acquired+timed-out wait episodes sum to at
     most [lock_wait_cycles] (an episode cut short by an abort folds its
     tail spin into the abort path, so the tracked episodes undercount).
-    [Error] carries one message per divergence. *)
+    A stream whose brackets do not pair — a commit without its begin —
+    leaves cycles out of the phase profile, so the identities fail;
+    [Trace.check] names the protocol violation itself. [Error] carries
+    one message per divergence. *)
 
 val histogram : Registry.t -> string -> (string * string) list -> Hist.t
 (** Every histogram series named [name] whose labels include [labels],
