@@ -168,8 +168,11 @@ let test_tx_stats_accounting () =
   Alcotest.(check bool) "tx insts subset" true
     (stats.Stats.tx_insts <= stats.Stats.insts)
 
-let test_explicit_abort_retries () =
-  (* a tx that aborts explicitly on its first attempt, then succeeds *)
+(* A transaction that aborts explicitly while the counter is even, after
+   storing +1; every speculative attempt therefore rolls back and aborts
+   again, and only a non-speculative attempt gets through. Returns the
+   spec and a reader of the counter's final value. *)
+let flaky_spec () =
   let p = Ir.create_program () in
   Ir.add_struct p counter_ty;
   let b = Builder.create p "flaky" ~params:[ "counter" ] in
@@ -207,6 +210,11 @@ let test_explicit_abort_retries () =
           Array.make threads [| addr |]);
     }
   in
+  (spec, fun () -> Memory.load (Option.get !memo) !addr_ref)
+
+let test_explicit_abort_retries () =
+  (* a tx that aborts explicitly on its first attempt, then succeeds *)
+  let spec, value = flaky_spec () in
   let cfg = Config.with_cores 1 Config.default in
   let stats = Machine.run ~cfg ~mode:Mode.Baseline spec in
   (* every speculative attempt stores +1 then aborts; the store is rolled
@@ -218,8 +226,7 @@ let test_explicit_abort_retries () =
   Alcotest.(check int) "went irrevocable" 1 stats.Stats.irrevocable_entries;
   (* irrevocable: the even branch stores +1 (visible), Abort_tx is a no-op
      outside speculation, then the second store writes v+1 again *)
-  Alcotest.(check int) "rollbacks left no trace" 1
-    (Memory.load (Option.get !memo) !addr_ref)
+  Alcotest.(check int) "rollbacks left no trace" 1 (value ())
 
 let test_uninstrumented_faster_single_thread () =
   let cfg = Config.with_cores 1 Config.default in

@@ -200,6 +200,59 @@ let test_stm_disabled_leaves_counters_zero () =
   Alcotest.(check int) "no stm-conflict aborts without the tier" 0
     stats.Stats.stm_conflict_aborts
 
+(* The whole ladder on one core: [flaky] aborts explicitly on every
+   speculative attempt, hardware or software, so under htm-stm-lock:2:3
+   it spends both hardware attempts, then all three software attempts,
+   and commits only under the global lock. A hardware give-up switches
+   tiers with no backoff; each retry inside a tier backs off first. *)
+let test_explicit_aborts_walk_ladder () =
+  let spec, value = Test_sim.flaky_spec () in
+  let evs = ref [] in
+  let on_event ~time:_ ev =
+    let label =
+      match ev with
+      | Machine.Tx_begin { attempt; _ } -> Some (Printf.sprintf "begin %d" attempt)
+      | Machine.Tx_abort { kind; _ } -> Some ("abort " ^ Machine.abort_label kind)
+      | Machine.Tx_commit { irrevocable; _ } ->
+        Some (if irrevocable then "commit irrevocable" else "commit")
+      | Machine.Tx_irrevocable _ -> Some "irrevocable"
+      | Machine.Backoff_start _ -> Some "backoff-start"
+      | Machine.Backoff_end _ -> Some "backoff-end"
+      | Machine.Stm_begin { attempt; _ } -> Some (Printf.sprintf "stm-begin %d" attempt)
+      | Machine.Stm_abort { kind; _ } -> Some ("stm-abort " ^ Machine.stm_abort_label kind)
+      | Machine.Stm_commit _ -> Some "stm-commit"
+      | _ -> None
+    in
+    Option.iter (fun l -> evs := l :: !evs) label
+  in
+  let s =
+    Machine.run ~htm_policy:(stm_policy ~hw_retries:2 ~stm_retries:3 ()) ~on_event
+      ~cfg:(Config.with_cores 1 Config.default) ~mode:Mode.Baseline spec
+  in
+  Alcotest.(check (list string)) "event order"
+    [
+      "begin 0"; "abort explicit"; "backoff-start"; "backoff-end";
+      "begin 1"; "abort explicit";
+      "stm-begin 2"; "stm-abort stm_explicit"; "backoff-start"; "backoff-end";
+      "stm-begin 3"; "stm-abort stm_explicit"; "backoff-start"; "backoff-end";
+      "stm-begin 4"; "stm-abort stm_explicit";
+      "irrevocable"; "begin 5"; "commit irrevocable";
+    ]
+    (List.rev !evs);
+  Alcotest.(check (list (pair string int))) "counts"
+    [
+      ("commits", 1); ("aborts", 5); ("explicit_aborts", 2); ("stm_aborts", 3);
+      ("stm_commits", 0); ("irrevocable_entries", 1); ("backoff_cycles", 204);
+    ]
+    [
+      ("commits", s.Stats.commits); ("aborts", s.Stats.aborts);
+      ("explicit_aborts", s.Stats.explicit_aborts); ("stm_aborts", s.Stats.stm_aborts);
+      ("stm_commits", s.Stats.stm_commits);
+      ("irrevocable_entries", s.Stats.irrevocable_entries);
+      ("backoff_cycles", s.Stats.backoff_cycles);
+    ];
+  Alcotest.(check int) "final counter" 1 (value ())
+
 (* trace + metrics reconciliation on real workloads under the hybrid *)
 
 let reconcile_workload name =
@@ -291,6 +344,8 @@ let suite =
       test_hot_counter_no_livelock;
     Alcotest.test_case "stm counters stay zero without the tier" `Quick
       test_stm_disabled_leaves_counters_zero;
+    Alcotest.test_case "explicit aborts walk the whole ladder" `Quick
+      test_explicit_aborts_walk_ladder;
     Alcotest.test_case "list-hi reconciles under htm-stm-lock" `Quick
       test_reconcile_list_hi;
     Alcotest.test_case "intruder reconciles under htm-stm-lock" `Quick
