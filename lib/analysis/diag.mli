@@ -32,8 +32,6 @@ val make :
   ?ab:int -> ?func:string -> ?iid:int -> code:string -> severity:severity
   -> string -> t
 
-val severity_label : severity -> string
-
 val sort : t list -> t list
 (** Errors first, then warnings, then infos; within a severity by code,
     block, function, instruction and message. The sort is stable, so the

@@ -79,10 +79,6 @@ val placement : t -> gid:int -> placement option
 (** Placement of a whole-program node id; [None] for an id the conflict
     walk never produced. *)
 
-val placement_of_node : t -> Dsnode.t -> placement
-(** The placement model applied directly to a node (any graph plane) —
-    what {!placement} caches per global id. *)
-
 val struct_of : t -> gid:int -> Types.strct option
 (** The struct type behind a global node id, when it resolves to one the
     program defines (for diagnostics: field names, offsets). *)

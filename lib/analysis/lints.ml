@@ -101,6 +101,14 @@ let dead_alp (p : Pipeline.t) graph =
 (* ---------------------------------------------------------------- *)
 (* STX103: lock-order hazard                                         *)
 
+(* Cycles in the anchored-node acquisition order across atomic blocks
+   (table order approximates execution order). The simulated runtime
+   holds at most one advisory lock per attempt, so a cycle cannot
+   deadlock it, but it convoys and would deadlock any runtime that stacks
+   ALP locks. A warning under requester-wins and responder-wins (whose
+   mutual dooms can repeat indefinitely), an info under timestamp karma
+   (the oldest transaction always progresses). *)
+
 (* Tarjan over an int-keyed adjacency table; returns SCCs of size >= 2. *)
 let sccs_of adj =
   let index = Hashtbl.create 16 in
@@ -436,7 +444,6 @@ let capacity_overflow ~capacity (p : Pipeline.t) plane =
 (* STX109: STM write-lock stripe aliasing (trace-backed)             *)
 
 let stripe_aliasing ?(nslots = 256) ?(min_aborts = 1) tr =
-  let at = Stx_trace.Trace.abort_attribution tr in
   let groups : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun (line, n) ->
@@ -446,7 +453,7 @@ let stripe_aliasing ?(nslots = 256) ?(min_aborts = 1) tr =
         | Some l -> l := (line, n) :: !l
         | None -> Hashtbl.add groups s (ref [ (line, n) ])
       end)
-    at.Stx_trace.Trace.by_line;
+    (Stx_trace.Trace.conflict_lines tr);
   Hashtbl.fold
     (fun stripe lines acc ->
       if List.length !lines >= 2 then (stripe, List.sort compare !lines) :: acc

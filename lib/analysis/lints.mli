@@ -18,24 +18,6 @@ val missed_anchor_entries :
     anchor, and on an instrumented program that anchor must carry an ALP
     site. [STX101], error. *)
 
-val missed_anchor : Pipeline.t -> Conflict.t -> Diag.t list
-
-val dead_alp : Pipeline.t -> Conflict.t -> Diag.t list
-(** Anchors guarding nodes nothing in the program ever writes: their
-    advisory locks serialize read-only data and are pure overhead.
-    [STX102], warning. *)
-
-val lock_order : Pipeline.t -> Conflict.t -> Diag.t list
-(** Cycles in the anchored-node acquisition order across atomic blocks
-    (table order approximates execution order). The simulated runtime
-    holds at most one advisory lock per attempt, so a cycle cannot
-    deadlock it, but it convoys and would deadlock any runtime that
-    stacks ALP locks. Resolution-aware via [Conflict.resolution]: a
-    warning under requester-wins and responder-wins (whose mutual dooms
-    can repeat indefinitely), downgraded to info under timestamp karma
-    (the oldest transaction always progresses, so the cycle cannot
-    livelock the hardware path). [STX103]. *)
-
 val read_only : ?claimed:bool array -> Pipeline.t -> Summary.t -> Diag.t list
 (** Cross-check the pipeline's per-block read-only classification
     against the may-write summaries. A block claimed read-only that may
@@ -64,11 +46,6 @@ val capacity_overflow :
     budget leaves no headroom (info). Empty under [Unbounded].
     [STX107]. *)
 
-val padding_fixit : Pipeline.t -> Layout.t -> Diag.t list
-(** The fix-it companion of {!false_sharing}: for each falsely-shared
-    field pair, the smallest padding that moves the later field onto its
-    own line. [STX108], info. *)
-
 val stripe_aliasing :
   ?nslots:int -> ?min_aborts:int -> Stx_trace.Trace.t -> Diag.t list
 (** Trace-backed: hot conflicting cache lines (at least [min_aborts]
@@ -77,11 +54,6 @@ val stripe_aliasing :
     to the tier's 256). Software-tier traffic on any of them locks and
     versions the same stripe, so validation aborts cross between
     unrelated lines. [STX109], warning. *)
-
-val anchor_span : Pipeline.t -> Conflict.t -> Layout.t -> Diag.t list
-(** Anchors whose guarded node spans several lines of which only some
-    carry conflicting fields: the advisory lock serializes uncontended
-    lines of every instance. [STX110], info. *)
 
 val all :
   ?capacity:Stx_policy.Capacity.t -> ?plane:Layout.t -> Pipeline.t

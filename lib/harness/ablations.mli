@@ -2,13 +2,6 @@
     thresholds, waiter cap, PC-tag width, lock timeout, and probe period.
     Each returns a rendered report. *)
 
-val policy_thresholds : ?seed:int -> ?scale:float -> unit -> string
-(** PC_THR / ADDR_THR sweep (Figure 6 thresholds) on a high- and a
-    medium-contention benchmark. *)
-
-val waiter_cap : ?seed:int -> ?scale:float -> unit -> string
-(** Advisory-lock convoy depth: 1 / 2 / 4 / unbounded. *)
-
 val pc_tag_width : ?seed:int -> ?scale:float -> unit -> string
 (** Conflicting-PC tag width (§4's space/accuracy trade-off): 6, 8, 12
     bits and full width, with anchor-identification accuracy. *)
@@ -18,14 +11,5 @@ val lock_timeout : ?seed:int -> ?scale:float -> unit -> string
 
 val probe_period : ?seed:int -> ?scale:float -> unit -> string
 (** The speculation-probe duty cycle of the runtime extension. *)
-
-val lazy_variant : ?seed:int -> ?scale:float -> unit -> string
-(** Lazy (commit-time committer-wins) vs eager (requester-wins) conflict
-    detection, with and without staggering (the paper's section-8 future
-    work). *)
-
-val read_only_skip : ?seed:int -> ?scale:float -> unit -> string
-(** Policy refinement: never arm ALPs for compiler-proven read-only atomic
-    blocks (they cannot abort anyone under requester-wins). *)
 
 val all : ?seed:int -> ?scale:float -> unit -> string

@@ -55,12 +55,15 @@ type status = Idle | Active | Doomed of abort_reason
 
 type t
 
+val max_cores : int
+(** The most cores an HTM (and so a simulated machine) can have: 4096. *)
+
 val create : ?policy:Stx_policy.t -> Config.t -> Memory.t -> Alloc.t -> t
 (** Allocates the global-lock word out of [Alloc]. [policy] (default
     {!Stx_policy.default}) fixes the conflict-resolution and capacity
-    behaviour for the life of the HTM. Supports up to 4096 cores; the
-    per-core flat set tables are sized from the policy's capacity
-    budget and reused across attempts without allocating. *)
+    behaviour for the life of the HTM. Supports up to {!max_cores}
+    cores; the per-core flat set tables are sized from the policy's
+    capacity budget and reused across attempts without allocating. *)
 
 val config : t -> Config.t
 val policy : t -> Stx_policy.t

@@ -105,8 +105,6 @@ type phase = Prefix | Lock_wait | Suffix | Irrevocable | Stm | Backoff | Wasted
 val phases : phase list
 (** In presentation order. *)
 
-val phase_label : phase -> string
-
 val phase_cycles : Registry.t -> ab:int -> phase -> int
 val abs_profiled : Registry.t -> int list
 (** Atomic blocks with any phase attribution, ascending. *)

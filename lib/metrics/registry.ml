@@ -200,6 +200,7 @@ let equal a b = diff a b = []
 
 (* --- exporters -------------------------------------------------------- *)
 
+(* stamped into the JSON snapshot; bump on any change to its shape *)
 let schema_version = 1
 
 let labels_json labels = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels)

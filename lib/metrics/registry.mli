@@ -62,10 +62,6 @@ val equal : t -> t -> bool
 val diff : t -> t -> string list
 (** Human-readable divergences, [[]] iff {!equal}. *)
 
-val schema_version : int
-(** Version stamped into the JSON snapshot ({b 1}). Bump on any change
-    to the snapshot's shape. *)
-
 val to_json : t -> Json.t
 val to_json_string : t -> string
 (** The snapshot document:

@@ -2,8 +2,7 @@ open Stx_sim
 
 type t = { stats : Stats.t; metrics : Registry.t }
 
-let simulate ?seed ?policy ?htm_policy ?lock_timeout ?locks ?max_waiters
-    ?max_steps ?on_event ~cfg ~mode spec =
+let simulate ?seed ?htm_policy ?on_event ~cfg ~mode spec =
   let c = Collect.create ?policy:htm_policy () in
   let hook =
     match on_event with
@@ -13,10 +12,7 @@ let simulate ?seed ?policy ?htm_policy ?lock_timeout ?locks ?max_waiters
         Collect.handler c ~time ev;
         f ~time ev
   in
-  let stats =
-    Machine.run ?seed ?policy ?htm_policy ?lock_timeout ?locks ?max_waiters
-      ?max_steps ~on_event:hook ~cfg ~mode spec
-  in
+  let stats = Machine.run ?seed ?htm_policy ~on_event:hook ~cfg ~mode spec in
   { stats; metrics = Collect.registry c }
 
 let merge a b =

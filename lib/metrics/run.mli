@@ -8,12 +8,7 @@ type t = { stats : Stats.t; metrics : Registry.t }
 
 val simulate :
   ?seed:int ->
-  ?policy:Stx_core.Policy.params ->
   ?htm_policy:Stx_policy.t ->
-  ?lock_timeout:int ->
-  ?locks:int ->
-  ?max_waiters:int ->
-  ?max_steps:int ->
   ?on_event:(time:int -> Machine.event -> unit) ->
   cfg:Stx_machine.Config.t ->
   mode:Stx_core.Mode.t ->

@@ -81,10 +81,6 @@ module Fallback : sig
   val to_string : t -> string
   val of_string : string -> (t, string) result
 
-  val stm_retries_default : int
-  (** Software attempts a bare ["htm-stm-lock"]/["stm"] allows before the
-      transaction gives up on the STM tier and goes irrevocable. *)
-
   val retry_budget : t -> default:int -> int
   (** Number of hardware attempts before going irrevocable. *)
 end

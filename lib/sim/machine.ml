@@ -166,6 +166,11 @@ type frame = {
 
 type wait = Lock_spin of { idx : int; line : int; deadline : int } | Global_spin
 
+(* Where an attempt runs: speculatively in hardware, on the software tier
+   (htm-stm-lock only), or under the global lock. An atomic call starts
+   in [Hw]; the fallback ladder only ever moves it down. *)
+type tier = Hw | Sw | Irrevocable
+
 (* One pooled record per thread, reset by [start_atomic]; [tx_active] on
    the thread plays the role the option wrapper used to. *)
 type txstate = {
@@ -180,8 +185,7 @@ type txstate = {
   mutable tx_lock : int; (* advisory lock index; -1 none *)
   mutable tx_held_lock : bool; (* a lock was held at some point this attempt *)
   mutable tx_is_probe : bool; (* this attempt deliberately skipped its ALP *)
-  mutable tx_irrevocable : bool;
-  mutable tx_stm : bool; (* attempt runs on the software tier *)
+  mutable tx_tier : tier;
   mutable tx_stm_attempts : int; (* software attempts so far *)
 }
 
@@ -269,9 +273,10 @@ let emit m (th : thread) ev = m.on_event ~time:th.time ev
 let in_tx th = th.tx_active
 
 let speculative th =
-  th.tx_active && (not th.txs.tx_irrevocable) && not th.txs.tx_stm
+  th.tx_active && match th.txs.tx_tier with Hw -> true | Sw | Irrevocable -> false
 
-let stm_active th = th.tx_active && th.txs.tx_stm
+let stm_active th =
+  th.tx_active && match th.txs.tx_tier with Sw -> true | Hw | Irrevocable -> false
 
 let the_stm m =
   match m.stm with
@@ -335,23 +340,18 @@ let pc_of m iid =
     p
   end
 
+(* an unused pool slot: [push_frame] sets every field before the frame
+   is read, reusing [regs] while it is large enough *)
+let new_frame (fn : Ir.func) tgt =
+  let insts = fn.Ir.blocks.(0).Ir.insts in
+  { func = fn; tgt; bi = 0; insts; ip = 0; regs = Array.make 8 0; ret_dst = -1 }
+
 let grow_frames th =
   let old = th.frames in
   let n = Array.length old in
   let tpl = old.(0) in
   th.frames <-
-    Array.init (2 * n) (fun i ->
-        if i < n then old.(i)
-        else
-          {
-            func = tpl.func;
-            tgt = tpl.tgt;
-            bi = 0;
-            insts = tpl.insts;
-            ip = 0;
-            regs = Array.make 8 0;
-            ret_dst = -1;
-          })
+    Array.init (2 * n) (fun i -> if i < n then old.(i) else new_frame tpl.func tpl.tgt)
 
 let push_frame th (tg : tgt) args nargs ret_dst =
   if th.depth >= Array.length th.frames then grow_frames th;
@@ -463,27 +463,29 @@ let wake_parked m =
 (* ------------------------------------------------------------------ *)
 (* advisory lock acquisition (the body of AcquireLockFor)              *)
 
+(* the attempt now holds advisory lock [idx], taken for [line] *)
+let lock_acquired m th ~idx ~line =
+  let tx = th.txs in
+  tx.tx_lock <- idx;
+  tx.tx_held_lock <- true;
+  m.stats.Stats.lock_acquires <- m.stats.Stats.lock_acquires + 1;
+  let ab = Stats.ab m.stats tx.tx_ab in
+  ab.Stats.ab_locks <- ab.Stats.ab_locks + 1;
+  if m.evt then emit m th (Lock_acquired { tid = th.tid; lock = idx; line })
+
 let request_lock m th ~addr =
   if th.tx_active then begin
     let tx = th.txs in
     if tx.tx_lock < 0 then begin
       m.stats.Stats.alps_lock_attempts <- m.stats.Stats.alps_lock_attempts + 1;
-      let idx = Advisory_lock.index_for m.locks ~addr in
-      if m.evt then
-        emit m th (Lock_attempt { tid = th.tid; lock = idx; line = line_of m addr });
+      let idx = Advisory_lock.index_for m.locks ~addr and line = line_of m addr in
+      if m.evt then emit m th (Lock_attempt { tid = th.tid; lock = idx; line });
       let cost =
         mem_latency m th ~addr:(Advisory_lock.lock_addr m.locks idx) ~write:true
       in
       charge m th cost;
-      if Advisory_lock.try_acquire m.locks ~core:th.tid ~idx then begin
-        tx.tx_lock <- idx;
-        tx.tx_held_lock <- true;
-        m.stats.Stats.lock_acquires <- m.stats.Stats.lock_acquires + 1;
-        (Stats.ab m.stats tx.tx_ab).Stats.ab_locks
-        <- (Stats.ab m.stats tx.tx_ab).Stats.ab_locks + 1;
-        if m.evt then
-          emit m th (Lock_acquired { tid = th.tid; lock = idx; line = line_of m addr })
-      end
+      if Advisory_lock.try_acquire m.locks ~core:th.tid ~idx then
+        lock_acquired m th ~idx ~line
       else begin
         (* keep the stagger shallow: a bounded number of spinners may queue;
            the rest run speculatively (Figure 1 staggers transactions, it
@@ -493,10 +495,7 @@ let request_lock m th ~addr =
         if Advisory_lock.waiters m.locks ~idx >= m.max_waiters then ()
         else begin
           Advisory_lock.add_waiter m.locks ~idx;
-          th.wait <-
-            Some
-              (Lock_spin
-                 { idx; line = line_of m addr; deadline = th.time + m.lock_timeout });
+          th.wait <- Some (Lock_spin { idx; line; deadline = th.time + m.lock_timeout });
           if m.evt then emit m th (Lock_waiting { tid = th.tid; lock = idx })
         end
       end
@@ -529,7 +528,8 @@ let begin_attempt m th =
     tx.tx_insts <- 0;
     tx.tx_held_lock <- false;
     charge m th 5;
-    if tx.tx_stm then begin
+    match tx.tx_tier with
+    | Sw ->
       (* software-tier attempts skip the ALP machinery: the stagger is a
          hardware-contention device; the software tier already serializes
          through validation *)
@@ -537,8 +537,7 @@ let begin_attempt m th =
       if m.evt then
         emit m th
           (Stm_begin { tid = th.tid; ab = tx.tx_ab; attempt = tx.tx_attempt })
-    end
-    else if not tx.tx_irrevocable then begin
+    | Hw ->
       (* a retry keeps its begin timestamp: under the Timestamp resolution
          policy an aborted transaction ages into priority *)
       Htm.tx_begin ~fresh:(tx.tx_attempt = 0) m.htm ~core:th.tid;
@@ -563,33 +562,25 @@ let begin_attempt m th =
                probe = tx.tx_is_probe;
              });
       (* AddrOnly and TxSched place their single pseudo-ALP at the very
-         top of the atomic block *)
-      (match m.mode with
-      | Mode.Addr_only ->
-        if
-          ctx.Abcontext.active_site = Abcontext.entry_site
-          && ctx.Abcontext.block_addr <> 0
-        then begin
-          ignore (Abcontext.consume_active ctx ~site:Abcontext.entry_site);
-          request_lock m th ~addr:ctx.Abcontext.block_addr
-        end
-      | Mode.Tx_sched ->
-        if ctx.Abcontext.active_site = Abcontext.entry_site then begin
-          ignore (Abcontext.consume_active ctx ~site:Abcontext.entry_site);
-          (* one lock per atomic block: a synthetic line per block id *)
-          request_lock m th
-            ~addr:((tx.tx_ab + 1) * m.cfg.Config.words_per_line)
-        end
-      | Mode.Baseline | Mode.Staggered_sw | Mode.Staggered_hw -> ())
-    end
-    else if
+         top of the atomic block; TxSched takes one lock per atomic block,
+         through a synthetic line per block id *)
+      let addr =
+        match m.mode with
+        | Mode.Addr_only -> ctx.Abcontext.block_addr
+        | Mode.Tx_sched -> (tx.tx_ab + 1) * m.cfg.Config.words_per_line
+        | Mode.Baseline | Mode.Staggered_sw | Mode.Staggered_hw -> 0
+      in
+      if addr <> 0 && ctx.Abcontext.active_site = Abcontext.entry_site then begin
+        ignore (Abcontext.consume_active ctx ~site:Abcontext.entry_site);
+        request_lock m th ~addr
+      end
+    | Irrevocable ->
       (* irrevocable attempts begin too: the trace needs a uniform
          begin/commit bracket per attempt, speculative or not *)
-      m.evt
-    then
-      emit m th
-        (Tx_begin
-           { tid = th.tid; ab = tx.tx_ab; attempt = tx.tx_attempt; probe = false })
+      if m.evt then
+        emit m th
+          (Tx_begin
+             { tid = th.tid; ab = tx.tx_ab; attempt = tx.tx_attempt; probe = false })
   end
 
 let start_atomic m th ~ab ~dst ~args ~nargs =
@@ -606,8 +597,7 @@ let start_atomic m th ~ab ~dst ~args ~nargs =
   tx.tx_lock <- -1;
   tx.tx_held_lock <- false;
   tx.tx_is_probe <- false;
-  tx.tx_irrevocable <- false;
-  tx.tx_stm <- false;
+  tx.tx_tier <- Hw;
   tx.tx_stm_attempts <- 0;
   th.tx_active <- true;
   begin_attempt m th
@@ -615,112 +605,124 @@ let start_atomic m th ~ab ~dst ~args ~nargs =
 let pop_to_base th (tx : txstate) =
   if th.depth > tx.tx_base_depth then th.depth <- tx.tx_base_depth
 
-let finish_tx m th (tx : txstate) ~rset ~wset retval =
+(* the attempt at the root of the atomic call committed, on any tier *)
+let commit m th ~rset ~wset ~vcycles retval =
+  let tx = th.txs in
   th.tx_active <- false;
   if tx.tx_dst >= 0 && th.depth > 0 then
     th.frames.(th.depth - 1).regs.(tx.tx_dst) <- retval;
-  (* decision (1) is about the FREQUENCY of contention aborts: conflict-free
-     commits while no ALP is armed push empty records through the history,
-     so arming demands aborts dense in recent transactions, not merely
-     accumulated over a lifetime. A commit of an armed transaction that did
-     not end up holding its lock (a probe, or an address mismatch) decays
-     the armed evidence the same way an uncontended lock does. *)
-  (if (match m.mode with Mode.Baseline -> false | _ -> true) then
-     let ctx = th.contexts.(tx.tx_ab) in
-     if ctx.Abcontext.armed_site = Abcontext.no_site then Abcontext.append ctx None
-     else if tx.tx_is_probe then Policy.on_probe_commit ctx
-     else if not tx.tx_held_lock then Policy.on_commit_uncontended_lock m.policy ctx);
+  let irrevocable = match tx.tx_tier with Irrevocable -> true | Hw | Sw -> false in
+  (match tx.tx_tier with
+  | Sw ->
+    (* software attempts never arm or probe, so leave no ALP history *)
+    m.stats.Stats.stm_commits <- m.stats.Stats.stm_commits + 1
+  | Hw | Irrevocable ->
+    (* decision (1) is about the FREQUENCY of contention aborts:
+       conflict-free commits while no ALP is armed push empty records
+       through the history, so arming demands aborts dense in recent
+       transactions, not merely accumulated over a lifetime. A commit of
+       an armed transaction that did not end up holding its lock (a
+       probe, or an address mismatch) decays the armed evidence the same
+       way an uncontended lock does. *)
+    if (match m.mode with Mode.Baseline -> false | _ -> true) then begin
+      let ctx = th.contexts.(tx.tx_ab) in
+      if ctx.Abcontext.armed_site = Abcontext.no_site then Abcontext.append ctx None
+      else if tx.tx_is_probe then Policy.on_probe_commit ctx
+      else if not tx.tx_held_lock then Policy.on_commit_uncontended_lock m.policy ctx
+    end);
   m.stats.Stats.commits <- m.stats.Stats.commits + 1;
   m.stats.Stats.useful_cycles <- m.stats.Stats.useful_cycles + (th.time - tx.tx_start);
   m.stats.Stats.committed_tx_insts <- m.stats.Stats.committed_tx_insts + tx.tx_insts;
   let ab = Stats.ab m.stats tx.tx_ab in
   ab.Stats.ab_commits <- ab.Stats.ab_commits + 1;
-  if tx.tx_irrevocable then ab.Stats.ab_irrevocable <- ab.Stats.ab_irrevocable + 1;
-  if m.evt then
+  if irrevocable then ab.Stats.ab_irrevocable <- ab.Stats.ab_irrevocable + 1;
+  if m.evt then begin
+    let cycles = th.time - tx.tx_start in
     emit m th
-      (Tx_commit
-         {
-           tid = th.tid;
-           ab = tx.tx_ab;
-           cycles = th.time - tx.tx_start;
-           irrevocable = tx.tx_irrevocable;
-           rset;
-           wset;
-           probe = tx.tx_is_probe;
-         });
+      (match tx.tx_tier with
+      | Sw -> Stm_commit { tid = th.tid; ab = tx.tx_ab; cycles; vcycles; rset; wset }
+      | Hw | Irrevocable ->
+        Tx_commit
+          {
+            tid = th.tid;
+            ab = tx.tx_ab;
+            cycles;
+            irrevocable;
+            rset;
+            wset;
+            probe = tx.tx_is_probe;
+          })
+  end;
   if th.cur_req >= 0 then begin
     if m.evt then
       emit m th (Req_done { tid = th.tid; req = th.cur_req; ab = tx.tx_ab });
     th.cur_req <- -1
   end
 
-(* a software-tier commit: same bookkeeping as a hardware commit minus
-   the ALP history (software attempts never arm or probe) *)
-let finish_stm_tx m th (tx : txstate) ~rset ~wset ~vcycles retval =
-  th.tx_active <- false;
-  if tx.tx_dst >= 0 && th.depth > 0 then
-    th.frames.(th.depth - 1).regs.(tx.tx_dst) <- retval;
-  m.stats.Stats.commits <- m.stats.Stats.commits + 1;
-  m.stats.Stats.stm_commits <- m.stats.Stats.stm_commits + 1;
-  m.stats.Stats.useful_cycles <- m.stats.Stats.useful_cycles + (th.time - tx.tx_start);
-  m.stats.Stats.committed_tx_insts <- m.stats.Stats.committed_tx_insts + tx.tx_insts;
-  let ab = Stats.ab m.stats tx.tx_ab in
-  ab.Stats.ab_commits <- ab.Stats.ab_commits + 1;
-  if m.evt then
-    emit m th
-      (Stm_commit
-         {
-           tid = th.tid;
-           ab = tx.tx_ab;
-           cycles = th.time - tx.tx_start;
-           vcycles;
-           rset;
-           wset;
-         });
-  if th.cur_req >= 0 then begin
-    if m.evt then
-      emit m th (Req_done { tid = th.tid; req = th.cur_req; ab = tx.tx_ab });
-    th.cur_req <- -1
-  end
-
-(* identify the anchor the abort traces back to, per the configured
-   conflicting-PC scheme, and score it against the full-PC oracle *)
-let identify_anchor m th table reason =
-  match reason with
-  | Htm.Conflict { conf_addr; conf_pc; conf_pc_full; _ } ->
-    let line = line_of m conf_addr in
-    let runtime_anchor =
-      match m.mode with
-      | Mode.Staggered_hw -> Policy.resolve_anchor table ~conf_pc
-      | Mode.Tx_sched -> None
-      | Mode.Staggered_sw -> (
-        match Softcpc.lookup th.softcpc ~line with
+(* identify the anchor a conflict abort on [line] traces back to, per the
+   configured conflicting-PC scheme, and score it against the full-PC
+   oracle *)
+let identify_anchor m th ~ab ~line ~conf_pc ~conf_pc_full =
+  let table = Pipeline.table_for m.compiled ~ab in
+  let runtime_anchor =
+    match m.mode with
+    | Mode.Staggered_hw -> Policy.resolve_anchor table ~conf_pc
+    | Mode.Tx_sched -> None
+    | Mode.Staggered_sw -> (
+      match Softcpc.lookup th.softcpc ~line with
+      | None -> None
+      | Some site -> (
+        match Unified.entry_of_site table site with
         | None -> None
-        | Some site -> (
-          match Unified.entry_of_site table site with
-          | None -> None
-          | Some e -> Unified.anchor_of table e))
-      | Mode.Baseline | Mode.Addr_only -> None
-    in
-    (* oracle: exact full-width PC lookup.  Only the ALP modes score
-       anchor accuracy, so skip the (side-effect-free) lookup elsewhere *)
-    (if Mode.uses_alps m.mode then
-       match
-         Option.bind conf_pc_full (fun pc ->
-             match Unified.search_by_pc table pc with
-             | Some e -> Unified.anchor_of table e
-             | None -> None)
-       with
-       | Some oracle ->
-         m.stats.Stats.accuracy_total <- m.stats.Stats.accuracy_total + 1;
-         (match runtime_anchor with
-         | Some ra when ra.Unified.ue_iid = oracle.Unified.ue_iid ->
-           m.stats.Stats.accuracy_hits <- m.stats.Stats.accuracy_hits + 1
-         | _ -> ())
-       | None -> ());
-    (Some (conf_addr, line), runtime_anchor)
-  | Htm.Lock_subscription | Htm.Capacity | Htm.Explicit | Htm.Stm_conflict _ ->
-    (None, None)
+        | Some e -> Unified.anchor_of table e))
+    | Mode.Baseline | Mode.Addr_only -> None
+  in
+  (* oracle: exact full-width PC lookup.  Only the ALP modes score
+     anchor accuracy, so skip the (side-effect-free) lookup elsewhere *)
+  (if Mode.uses_alps m.mode then
+     let oracle =
+       match conf_pc_full with
+       | None -> None
+       | Some pc -> (
+         match Unified.search_by_pc table pc with
+         | Some e -> Unified.anchor_of table e
+         | None -> None)
+     in
+     match oracle with
+     | Some oracle ->
+       m.stats.Stats.accuracy_total <- m.stats.Stats.accuracy_total + 1;
+       (match runtime_anchor with
+       | Some ra when ra.Unified.ue_iid = oracle.Unified.ue_iid ->
+         m.stats.Stats.accuracy_hits <- m.stats.Stats.accuracy_hits + 1
+       | _ -> ())
+     | None -> ());
+  runtime_anchor
+
+(* charge an aborted attempt of any tier and book it; returns the cycles
+   it wasted *)
+let book_abort m th =
+  let tx = th.txs in
+  charge m th (m.cfg.Config.abort_cost + m.cfg.Config.handler_cost);
+  m.stats.Stats.aborts <- m.stats.Stats.aborts + 1;
+  let wasted = th.time - tx.tx_start in
+  m.stats.Stats.wasted_cycles <- m.stats.Stats.wasted_cycles + wasted;
+  let ab = Stats.ab m.stats tx.tx_ab in
+  ab.Stats.ab_aborts <- ab.Stats.ab_aborts + 1;
+  wasted
+
+(* polite backoff: mean delay proportional to the tier's retry count *)
+let polite_delay m th retries =
+  let base = m.cfg.Config.backoff_base * retries in
+  let jitter = Stx_util.Rng.int th.rng (imax 1 base) in
+  (base / 2) + jitter
+
+(* back off for [delay] cycles, then begin the next attempt *)
+let retry_after m th delay =
+  if m.evt then emit m th (Backoff_start { tid = th.tid });
+  charge m th delay;
+  m.stats.Stats.backoff_cycles <- m.stats.Stats.backoff_cycles + delay;
+  if m.evt then emit m th (Backoff_end { tid = th.tid });
+  begin_attempt m th
 
 let handle_abort m th =
   (match th.wait with
@@ -735,22 +737,18 @@ let handle_abort m th =
        transaction was doomed, possibly long before this handler ran *)
     let rset, wset = Htm.last_set_sizes m.htm ~core:th.tid in
     release_lock m th ~committed:false;
-    charge m th (m.cfg.Config.abort_cost + m.cfg.Config.handler_cost);
-    m.stats.Stats.aborts <- m.stats.Stats.aborts + 1;
-    let wasted = th.time - tx.tx_start in
-    m.stats.Stats.wasted_cycles <- m.stats.Stats.wasted_cycles + wasted;
-    (Stats.ab m.stats tx.tx_ab).Stats.ab_aborts
-    <- (Stats.ab m.stats tx.tx_ab).Stats.ab_aborts + 1;
-    let table = Pipeline.table_for m.compiled ~ab:tx.tx_ab in
+    let wasted = book_abort m th in
     let ctx = th.contexts.(tx.tx_ab) in
-    let conf = ref None in
+    let conf_line = ref (-1) in
     (match reason with
-    | Htm.Conflict { conf_addr; conf_pc; _ } ->
+    | Htm.Conflict { conf_addr; conf_pc; conf_pc_full; _ } ->
       m.stats.Stats.conflict_aborts <- m.stats.Stats.conflict_aborts + 1;
       let line = line_of m conf_addr in
-      conf := Some line;
+      conf_line := line;
       Stats.note_conflict m.stats ~conf_line:line ~conf_pc;
-      let _, runtime_anchor = identify_anchor m th table reason in
+      let runtime_anchor =
+        identify_anchor m th ~ab:tx.tx_ab ~line ~conf_pc ~conf_pc_full
+      in
       let skip =
         m.policy.Policy.skip_read_only
         && Pipeline.is_read_only m.compiled ~ab:tx.tx_ab
@@ -782,7 +780,7 @@ let handle_abort m th =
          there is no anchor to activate — tally the line only *)
       m.stats.Stats.stm_conflict_aborts <- m.stats.Stats.stm_conflict_aborts + 1;
       let line = line_of m conf_addr in
-      conf := Some line;
+      conf_line := line;
       Stats.note_conflict m.stats ~conf_line:line ~conf_pc:None);
     if m.evt then begin
       let kind, abort_conf_pc, aggressor =
@@ -799,7 +797,7 @@ let handle_abort m th =
              tid = th.tid;
              ab = tx.tx_ab;
              kind;
-             conf_line = !conf;
+             conf_line = (if !conf_line < 0 then None else Some !conf_line);
              conf_pc = abort_conf_pc;
              aggressor;
              cycles = wasted;
@@ -808,7 +806,7 @@ let handle_abort m th =
              probe = tx.tx_is_probe;
            })
     end;
-    th.contexts.(tx.tx_ab).Abcontext.probe_streak <- 0;
+    ctx.Abcontext.probe_streak <- 0;
     tx.tx_is_probe <- false;
     pop_to_base th tx;
     tx.tx_attempt <- tx.tx_attempt + 1;
@@ -826,33 +824,23 @@ let handle_abort m th =
            hardware retries and the irrevocable lock: capacity overflows
            in particular fit there, since the software tier has no
            footprint budget *)
-        tx.tx_stm <- true;
+        tx.tx_tier <- Sw;
         tx.tx_stm_attempts <- 0;
         begin_attempt m th
       | None ->
         (* fall back to irrevocable execution under the global lock *)
         th.wait <- Some Global_spin
     end
-    else begin
-      let delay =
-        match m.htm_policy.Stx_policy.fallback with
+    else
+      retry_after m th
+        (match m.htm_policy.Stx_policy.fallback with
         | Stx_policy.Fallback.Polite _ | Stx_policy.Fallback.Stm_tier _ ->
-          (* polite backoff: mean delay proportional to the retry count *)
-          let base = m.cfg.Config.backoff_base * tx.tx_attempt in
-          let jitter = Stx_util.Rng.int th.rng (imax 1 base) in
-          (base / 2) + jitter
+          polite_delay m th tx.tx_attempt
         | Stx_policy.Fallback.Backoff { base; max_exp; _ } ->
           (* exponential randomized backoff with a capped exponent, drawn
              from the dedicated per-thread stream *)
           let e = imin tx.tx_attempt max_exp in
-          Stx_util.Rng.int th.backoff_rng (imax 1 (base * (1 lsl e)))
-      in
-      if m.evt then emit m th (Backoff_start { tid = th.tid });
-      charge m th delay;
-      m.stats.Stats.backoff_cycles <- m.stats.Stats.backoff_cycles + delay;
-      if m.evt then emit m th (Backoff_end { tid = th.tid });
-      begin_attempt m th
-    end
+          Stx_util.Rng.int th.backoff_rng (imax 1 (base * (1 lsl e))))
   end
 
 (* a software-tier attempt died (failed validation, deferred to hardware
@@ -866,59 +854,30 @@ let handle_stm_abort m th ~vcycles =
     let stm = the_stm m in
     let kind = Stm.tx_cleanup stm ~core:th.tid in
     let rset, wset = Stm.last_set_sizes stm ~core:th.tid in
-    charge m th (m.cfg.Config.abort_cost + m.cfg.Config.handler_cost);
-    m.stats.Stats.aborts <- m.stats.Stats.aborts + 1;
+    let wasted = book_abort m th in
     m.stats.Stats.stm_aborts <- m.stats.Stats.stm_aborts + 1;
-    (match kind with
-    | Stm.Validation ->
-      m.stats.Stats.stm_validation_aborts <- m.stats.Stats.stm_validation_aborts + 1
-    | Stm.Hw_owned ->
-      m.stats.Stats.stm_hw_owned_aborts <- m.stats.Stats.stm_hw_owned_aborts + 1
-    | Stm.Locksub ->
-      m.stats.Stats.stm_locksub_aborts <- m.stats.Stats.stm_locksub_aborts + 1
-    | Stm.Explicit -> ());
-    let wasted = th.time - tx.tx_start in
-    m.stats.Stats.wasted_cycles <- m.stats.Stats.wasted_cycles + wasted;
-    (Stats.ab m.stats tx.tx_ab).Stats.ab_aborts
-    <- (Stats.ab m.stats tx.tx_ab).Stats.ab_aborts + 1;
-    if m.evt then begin
-      let ev_kind =
-        match kind with
-        | Stm.Validation -> Stm_validation
-        | Stm.Hw_owned -> Stm_hw_owned
-        | Stm.Locksub -> Stm_locksub
-        | Stm.Explicit -> Stm_explicit
-      in
+    let kind =
+      match kind with
+      | Stm.Validation ->
+        m.stats.Stats.stm_validation_aborts <- m.stats.Stats.stm_validation_aborts + 1;
+        Stm_validation
+      | Stm.Hw_owned ->
+        m.stats.Stats.stm_hw_owned_aborts <- m.stats.Stats.stm_hw_owned_aborts + 1;
+        Stm_hw_owned
+      | Stm.Locksub ->
+        m.stats.Stats.stm_locksub_aborts <- m.stats.Stats.stm_locksub_aborts + 1;
+        Stm_locksub
+      | Stm.Explicit -> Stm_explicit
+    in
+    if m.evt then
       emit m th
         (Stm_abort
-           {
-             tid = th.tid;
-             ab = tx.tx_ab;
-             kind = ev_kind;
-             cycles = wasted;
-             vcycles;
-             rset;
-             wset;
-           })
-    end;
+           { tid = th.tid; ab = tx.tx_ab; kind; cycles = wasted; vcycles; rset; wset });
     pop_to_base th tx;
     tx.tx_attempt <- tx.tx_attempt + 1;
     tx.tx_stm_attempts <- tx.tx_stm_attempts + 1;
-    if tx.tx_stm_attempts >= m.stm_retries then begin
-      tx.tx_stm <- false;
-      th.wait <- Some Global_spin
-    end
-    else begin
-      (* polite backoff, same schedule as the hardware tier's *)
-      let base = m.cfg.Config.backoff_base * tx.tx_stm_attempts in
-      let jitter = Stx_util.Rng.int th.rng (imax 1 base) in
-      let delay = (base / 2) + jitter in
-      if m.evt then emit m th (Backoff_start { tid = th.tid });
-      charge m th delay;
-      m.stats.Stats.backoff_cycles <- m.stats.Stats.backoff_cycles + delay;
-      if m.evt then emit m th (Backoff_end { tid = th.tid });
-      begin_attempt m th
-    end
+    if tx.tx_stm_attempts >= m.stm_retries then th.wait <- Some Global_spin
+    else retry_after m th (polite_delay m th tx.tx_stm_attempts)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -926,12 +885,7 @@ let handle_stm_abort m th ~vcycles =
 
 let exec_alp m th (a : Ir.alp) =
   charge m th m.cfg.Config.alp_inactive_cost;
-  if
-    th.tx_active
-    && (not th.txs.tx_irrevocable)
-    && (not th.txs.tx_stm)
-    && Mode.uses_alps m.mode
-  then begin
+  if speculative th && Mode.uses_alps m.mode then begin
     let tx = th.txs in
     m.stats.Stats.alps_executed <- m.stats.Stats.alps_executed + 1;
     let f = frame_of th in
@@ -982,9 +936,7 @@ let exec_intr m th f dst intr args =
   | Ir.Work, [ n ] ->
     let n = ev f n in
     charge m th (imax 0 n)
-  | Ir.Print, [ v ] ->
-    charge m th 1;
-    Logs.debug (fun k -> k "thread %d prints %d" th.tid (ev f v))
+  | Ir.Print, [ _ ] -> charge m th 1
   | Ir.Abort_tx, [] ->
     charge m th 1;
     if speculative th then begin
@@ -1007,15 +959,13 @@ let do_return m th retval =
   charge m th 2;
   let at_tx_root = th.tx_active && th.depth = th.txs.tx_base_depth in
   if at_tx_root then begin
-    let tx = th.txs in
-    if tx.tx_irrevocable then begin
-      release_lock m th ~committed:true;
+    match th.txs.tx_tier with
+    | Irrevocable ->
       Htm.release_global_lock m.htm;
       wake_parked m;
       (* irrevocable execution is non-speculative: no read/write sets *)
-      finish_tx m th tx ~rset:0 ~wset:0 retval
-    end
-    else if tx.tx_stm then begin
+      commit m th ~rset:0 ~wset:0 ~vcycles:0 retval
+    | Sw ->
       let stm = the_stm m in
       charge m th m.cfg.Config.commit_cost;
       (* version-word traffic the TL2 commit would execute: one probe
@@ -1036,19 +986,17 @@ let do_return m th retval =
           charge m th (mem_latency m th ~addr ~write:true));
       if Stm.tx_commit stm ~core:th.tid then begin
         let rset, wset = Stm.last_set_sizes stm ~core:th.tid in
-        finish_stm_tx m th tx ~rset ~wset ~vcycles retval
+        commit m th ~rset ~wset ~vcycles retval
       end
       else handle_stm_abort m th ~vcycles
-    end
-    else begin
+    | Hw ->
       charge m th m.cfg.Config.commit_cost;
       if Htm.tx_commit m.htm ~core:th.tid then begin
         let rset, wset = Htm.last_set_sizes m.htm ~core:th.tid in
         release_lock m th ~committed:true;
-        finish_tx m th tx ~rset ~wset retval
+        commit m th ~rset ~wset ~vcycles:0 retval
       end
       else handle_abort m th
-    end
   end
   else begin
     if frame.ret_dst >= 0 && th.depth > 0 then
@@ -1258,16 +1206,10 @@ let step m th =
     match th.wait with
     | Some (Lock_spin { idx; line; deadline }) ->
       spin_wait m th;
-      let tx = th.txs in
       if Advisory_lock.try_acquire m.locks ~core:th.tid ~idx then begin
         Advisory_lock.remove_waiter m.locks ~idx;
-        tx.tx_lock <- idx;
-        tx.tx_held_lock <- true;
-        m.stats.Stats.lock_acquires <- m.stats.Stats.lock_acquires + 1;
-        (Stats.ab m.stats tx.tx_ab).Stats.ab_locks
-        <- (Stats.ab m.stats tx.tx_ab).Stats.ab_locks + 1;
         th.wait <- None;
-        if m.evt then emit m th (Lock_acquired { tid = th.tid; lock = idx; line })
+        lock_acquired m th ~idx ~line
       end
       else if th.time >= deadline then begin
         Advisory_lock.remove_waiter m.locks ~idx;
@@ -1278,8 +1220,9 @@ let step m th =
     | Some Global_spin ->
       spin_wait m th;
       if Htm.acquire_global_lock m.htm ~core:th.tid then begin
+        (* whichever tier gave up, the next attempt runs irrevocably *)
         let tx = th.txs in
-        tx.tx_irrevocable <- true;
+        tx.tx_tier <- Irrevocable;
         m.stats.Stats.irrevocable_entries <- m.stats.Stats.irrevocable_entries + 1;
         th.wait <- None;
         if m.evt then emit m th (Tx_irrevocable { tid = th.tid; ab = tx.tx_ab });
@@ -1348,10 +1291,12 @@ let run_ahead m th =
 (* ------------------------------------------------------------------ *)
 (* the run loop                                                        *)
 
+(* entries in the advisory lock table that ALPs hash addresses into *)
+let advisory_locks = 256
+
 let run ?(seed = 1) ?(policy = Policy.default_params)
-    ?(htm_policy = Stx_policy.default) ?(lock_timeout = 100_000) ?(locks = 256)
-    ?(max_waiters = 2) ?(max_steps = 400_000_000) ?on_event ?injector ~cfg ~mode
-    spec =
+    ?(htm_policy = Stx_policy.default) ?(lock_timeout = 100_000) ?(max_waiters = 2)
+    ?(max_steps = 400_000_000) ?on_event ?injector ~cfg ~mode spec =
   let evt, on_event =
     match on_event with
     | Some f -> (true, f)
@@ -1360,7 +1305,7 @@ let run ?(seed = 1) ?(policy = Policy.default_params)
   let memory = Memory.create () in
   let allocator = Alloc.create ~words_per_line:cfg.Config.words_per_line memory in
   let htm = Htm.create ~policy:htm_policy cfg memory allocator in
-  let locks = Advisory_lock.create ~count:locks htm allocator in
+  let locks = Advisory_lock.create ~count:advisory_locks htm allocator in
   (* the software tier (and its version-word table in simulated memory)
      exists only under the hybrid fallback, so every other bundle keeps
      the seed's exact allocation layout *)
@@ -1392,17 +1337,7 @@ let run ?(seed = 1) ?(policy = Policy.default_params)
     {
       tid;
       time = 0;
-      frames =
-        Array.init 8 (fun _ ->
-            {
-              func = main_fn;
-              tgt = main_tgt.ttgt;
-              bi = 0;
-              insts = main_fn.Ir.blocks.(0).Ir.insts;
-              ip = 0;
-              regs = Array.make 8 0;
-              ret_dst = -1;
-            });
+      frames = Array.init 8 (fun _ -> new_frame main_fn main_tgt.ttgt);
       depth = 0;
       argbuf = Array.make 16 0;
       finished = false;
@@ -1420,8 +1355,7 @@ let run ?(seed = 1) ?(policy = Policy.default_params)
           tx_lock = -1;
           tx_held_lock = false;
           tx_is_probe = false;
-          tx_irrevocable = false;
-          tx_stm = false;
+          tx_tier = Hw;
           tx_stm_attempts = 0;
         };
       tx_active = false;

@@ -162,7 +162,6 @@ val run :
   ?policy:Policy.params ->
   ?htm_policy:Stx_policy.t ->
   ?lock_timeout:int ->
-  ?locks:int ->
   ?max_waiters:int ->
   ?max_steps:int ->
   ?on_event:(time:int -> event -> unit) ->
@@ -182,10 +181,11 @@ val run :
     [policy] is the ALP activation policy (Figure 6); [htm_policy]
     (default {!Stx_policy.default}, the paper's hardware point) bundles
     conflict resolution, set capacity, and the fallback schedule.
-    [lock_timeout] defaults to 100_000 cycles; [locks] to 256;
-    [max_waiters] (default 2) caps the spinners per advisory lock — an
-    ALP finding a full queue proceeds speculatively, keeping the
-    mechanism a stagger rather than a convoy; [max_steps] bounds the
+    ALPs hash addresses into a fixed table of 256 advisory locks.
+    [lock_timeout] defaults to 100_000 cycles; [max_waiters] (default 2)
+    caps the spinners per advisory lock — an ALP finding a full queue
+    proceeds speculatively, keeping the mechanism a stagger rather than
+    a convoy; [max_steps] bounds the
     total step count (instructions, terminators, lock rechecks and idle
     polls) as a runaway backstop, raising [Sim_error] past it. Steps a
     thread has run ahead count when they run, so a run within 64 steps

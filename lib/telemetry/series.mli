@@ -63,12 +63,6 @@ val htm_cycles : window -> int
 (** Busy cycles in neither the software tier nor under the global lock:
     [busy_total - stm_cycles - lock_cycles]. *)
 
-val top_line : window -> (int * int) option
-(** Dominant conflicting cache line (highest count, ties to the lower
-    line id); [None] in a conflict-free window. *)
-
-val top_pc : window -> (int * int) option
-
 val merge : t -> t -> t
 (** Pointwise sum of two series of the same width and thread count
     (counts and occupancies add, queue peaks max, sojourn sketches

@@ -1,7 +1,6 @@
 type t = {
   nblocks : int;
   reach : bool array;
-  idoms : int array; (* -1 for unreachable *)
   (* interval numbering of the dominator tree for O(1) dominance queries *)
   tin : int array;
   tout : int array;
@@ -85,13 +84,9 @@ let compute (f : Ir.func) =
     tout.(b) <- !clock
   in
   if reach.(0) then dfs 0;
-  { nblocks = n; reach; idoms; tin; tout; pre = List.rev !pre }
+  { nblocks = n; reach; tin; tout; pre = List.rev !pre }
 
 let reachable t i = i >= 0 && i < t.nblocks && t.reach.(i)
-
-let idom t i =
-  if not (reachable t i) then invalid_arg "Dom.idom: unreachable block";
-  t.idoms.(i)
 
 let dominates t a b =
   reachable t a && reachable t b && t.tin.(a) <= t.tin.(b) && t.tout.(b) <= t.tout.(a)

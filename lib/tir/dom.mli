@@ -14,10 +14,6 @@ val successors : Ir.func -> int -> int list
 
 val reachable : t -> int -> bool
 
-val idom : t -> int -> int
-(** Immediate dominator of a reachable block; the entry is its own idom.
-    Raises [Invalid_argument] for unreachable blocks. *)
-
 val dominates : t -> int -> int -> bool
 (** [dominates t a b]: block [a] dominates block [b] (reflexive). False if
     either block is unreachable. *)

@@ -244,23 +244,29 @@ type attribution = {
   conflict_aborts : int;
 }
 
+let bump tbl k =
+  Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+
+let conflict_lines t =
+  let lines = Hashtbl.create 32 in
+  iter t (fun ~time:_ ev ->
+      match ev with
+      | Machine.Tx_abort { kind = Machine.Conflict; conf_line = Some l; _ } -> bump lines l
+      | _ -> ());
+  Stx_util.Stat.ranked lines
+
 let abort_attribution t =
   let n = t.n_threads in
   let matrix = Array.make_matrix n n 0 in
   let unattributed = ref 0 and total = ref 0 in
-  let lines = Hashtbl.create 32 in
   let pcs = Hashtbl.create 32 in
   let abs = Hashtbl.create 8 in
-  let bump tbl k =
-    Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
-  in
   iter t (fun ~time:_ ev ->
       match ev with
       | Machine.Tx_abort
-          { tid; ab; kind = Machine.Conflict; conf_line; conf_pc; aggressor; _ } ->
+          { tid; ab; kind = Machine.Conflict; conf_pc; aggressor; _ } ->
         incr total;
         bump abs ab;
-        (match conf_line with Some l -> bump lines l | None -> ());
         (match conf_pc with Some pc -> bump pcs pc | None -> ());
         (match aggressor with
         | Some a when a >= 0 && a < n && tid >= 0 && tid < n ->
@@ -272,7 +278,7 @@ let abort_attribution t =
   {
     agg_matrix = matrix;
     unattributed = !unattributed;
-    by_line = ranked lines;
+    by_line = conflict_lines t;
     by_pc = ranked pcs;
     by_ab = ranked abs;
     conflict_aborts = !total;
@@ -655,8 +661,12 @@ let read_events ~file =
       let threads =
         match String.split_on_char ' ' (next ()) with
         | [ "threads"; n ] -> (
+          (* bounded by the simulator's own core limit: consumers size
+             per-thread state from this header *)
           match int_of_string_opt n with
-          | Some n when n > 0 -> n
+          | Some n when n > 0 && n <= Stx_htm.Htm.max_cores -> n
+          | Some n when n > 0 ->
+            codec_fail "threads %d out of range 1..%d" n Stx_htm.Htm.max_cores
           | _ -> codec_fail "bad threads header")
         | _ -> codec_fail "missing threads header"
       in

@@ -79,6 +79,10 @@ type attribution = {
 val abort_attribution : t -> attribution
 (** Who aborted whom, where: the raw material of [stx_repro hotspots]. *)
 
+val conflict_lines : t -> (int * int) list
+(** [by_line] alone: conflicting cache line -> conflict aborts,
+    descending, without the threads × threads aggressor matrix. *)
+
 (** {2 Chrome trace_event export} *)
 
 val to_chrome_json : t -> string

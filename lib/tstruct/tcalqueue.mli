@@ -15,8 +15,6 @@ open Stx_tir
       (the item is dropped; size buckets generously)
     - [stx_cq_pop cq] → data of a minimum-bucket entry, or -1 when empty *)
 
-val cq : Types.strct
-
 val register : Ir.program -> unit
 
 val insert_fn : string

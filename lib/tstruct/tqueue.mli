@@ -10,7 +10,6 @@ open Stx_tir
     empty). *)
 
 val queue : Types.strct
-val qnode : Types.strct
 
 val register : Ir.program -> unit
 
@@ -19,4 +18,3 @@ val pop_fn : string
 
 val setup : Memory.t -> Alloc.t -> init:int list -> int
 val to_list : Memory.t -> int -> int list
-val host_push : Memory.t -> Alloc.t -> int -> int -> unit

@@ -17,9 +17,6 @@ val bench_with : params -> Workload.t
 val bench : Workload.t
 (** [bench_with default_params]. *)
 
-val service_with : params -> Workload.service
-(** The open-loop service under explicit parameters: get/set requests
-    against the same hash table and statistics block as {!bench_with}. *)
-
 val service : Workload.service
-(** [service_with default_params]. *)
+(** The open-loop service: get/set requests against the same hash table
+    and statistics block as {!bench}. *)

@@ -62,10 +62,6 @@ type service = {
           [abs] resolves an atomic block's name to its id *)
 }
 
-val service_entry : string
-(** Name of the no-op thread entry compiled into serving specs
-    (["stx_serve_idle"]). *)
-
 val service_spec :
   ?instrument:bool ->
   ?anchor_mode:Stx_compiler.Anchors.mode ->

@@ -630,6 +630,25 @@ let test_codec_rejects_out_of_range_ids () =
       rejected "aggressor id" [ abort ~tid:1 ~ab:0 ~agg:"2" ];
       rejected "negative block id" [ abort ~tid:1 ~ab:(-1) ~agg:"0" ])
 
+(* STX109 reads only the by-line ranking, so a capture whose header
+   claims the simulator's full 4096 cores costs it nothing per thread
+   (a threads x threads aggressor matrix would be 128 MiB) *)
+let test_stripe_aliasing_wide_capture () =
+  let tr = Stx_trace.Trace.create ~threads:Stx_htm.Htm.max_cores () in
+  Stx_trace.Trace.handler tr ~time:9
+    (Machine.Tx_abort
+       {
+         tid = 4095; ab = 0; kind = Machine.Conflict; conf_line = Some 3;
+         conf_pc = Some 4; aggressor = Some 0; cycles = 9; rset = 1; wset = 1;
+         probe = false;
+       });
+  let before = Gc.allocated_bytes () in
+  let diags = Lints.stripe_aliasing tr in
+  let bytes = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "one hot line aliases nothing" 0 (List.length diags);
+  Alcotest.(check bool) (Printf.sprintf "allocated %.0f bytes < 1 MB" bytes) true
+    (bytes < 1e6)
+
 let suite =
   [
     Alcotest.test_case "summary: disjoint program" `Quick test_summary_disjoint;
@@ -663,4 +682,6 @@ let suite =
     Alcotest.test_case "codec: rejects garbage" `Quick test_codec_rejects_garbage;
     Alcotest.test_case "codec: rejects out-of-range ids" `Quick
       test_codec_rejects_out_of_range_ids;
+    Alcotest.test_case "lint: STX109 on a 4096-thread capture stays small" `Quick
+      test_stripe_aliasing_wide_capture;
   ]
