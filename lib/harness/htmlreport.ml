@@ -359,31 +359,27 @@ let render inp =
   pf "<h2>Time series (%d-cycle windows)</h2>\n" series.Series.width;
   let marks = episode_marks inp.episodes in
   let col f = Array.map f series.Series.windows in
+  let get c = col (fun w -> Series.get w c) in
+  let any c = Array.exists (fun w -> Series.get w c > 0) series.Series.windows in
   sparkline buf ~label:"commits (all tiers)" ~marks (col Series.commits);
   sparkline buf ~label:"aborts (all kinds)" ~color:"#c62828" ~marks
     (col Series.aborts);
   sparkline buf ~label:"conflict aborts" ~color:"#e53935" ~marks
-    (col (fun w -> w.Series.conflict_aborts));
+    (get Series.conflict_aborts);
   sparkline buf ~label:"advisory-lock waits begun" ~color:"#ef6c00"
-    (col (fun w -> w.Series.lock_waits));
-  if Array.exists (fun (w : Series.window) -> w.Series.stm_cycles > 0)
-       series.Series.windows
-  then
+    (get Series.lock_waits);
+  if any Series.stm_cycles then
     sparkline buf ~label:"stm-tier occupancy (cycles)" ~color:"#00695c" ~marks
-      (col (fun w -> w.Series.stm_cycles));
-  if Array.exists (fun (w : Series.window) -> w.Series.lock_cycles > 0)
-       series.Series.windows
-  then
+      (get Series.stm_cycles);
+  if any Series.lock_cycles then
     sparkline buf ~label:"global-lock occupancy (cycles)" ~color:"#4a148c"
       ~marks
-      (col (fun w -> w.Series.lock_cycles));
-  if Array.exists (fun (w : Series.window) -> w.Series.offered > 0)
-       series.Series.windows
-  then begin
+      (get Series.lock_cycles);
+  if any Series.offered then begin
     sparkline buf ~label:"offered requests" ~color:"#2e7d32"
-      (col (fun w -> w.Series.offered));
+      (get Series.offered);
     sparkline buf ~label:"completed requests" ~color:"#1565c0" ~marks
-      (col (fun w -> w.Series.completed))
+      (get Series.completed)
   end;
   heat_strip buf series;
 

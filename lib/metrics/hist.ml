@@ -77,19 +77,24 @@ let merge a b =
   Array.iteri (fun i m -> t.bmax.(i) <- max m b.bmax.(i)) a.bmax;
   t
 
-let buckets t =
-  let acc = ref [] in
-  for k = nbuckets - 1 downto 0 do
-    if t.buckets.(k) > 0 then acc := (k, t.buckets.(k)) :: !acc
-  done;
-  !acc
-
 let buckets_full t =
   let acc = ref [] in
   for k = nbuckets - 1 downto 0 do
     if t.buckets.(k) > 0 then acc := (k, t.buckets.(k), t.bmax.(k)) :: !acc
   done;
   !acc
+
+let json_fields t =
+  let int i = Json.Int i in
+  [
+    ("count", int t.count);
+    ("sum", int t.sum);
+    ("min", int (min_value t));
+    ("max", int (max_value t));
+    ( "buckets",
+      Json.List
+        (List.map (fun (k, c, m) -> Json.List [ int k; int c; int m ]) (buckets_full t)) );
+  ]
 
 let equal a b =
   a.count = b.count && a.sum = b.sum

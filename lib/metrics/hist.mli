@@ -47,12 +47,14 @@ val p99 : t -> int
 val merge : t -> t -> t
 (** Fresh combined histogram; the arguments are not mutated. *)
 
-val buckets : t -> (int * int) list
-(** Non-empty buckets as [(index, count)], index ascending. *)
-
 val buckets_full : t -> (int * int * int) list
 (** Non-empty buckets as [(index, count, observed_max)], index ascending;
     the serialization shape. *)
+
+val json_fields : t -> (string * Json.t) list
+(** [count], [sum], [min], [max] and [buckets] ({!buckets_full} as
+    triples): the histogram's fields in the metrics snapshot and the
+    telemetry JSONL. *)
 
 val bucket_index : int -> int
 (** The bucket a value falls into: 0 for 0, bit width otherwise. *)

@@ -210,21 +210,7 @@ let metric_json (name, labels) c =
   match c with
   | C r -> Json.Obj (base @ [ ("type", Json.Str "counter"); ("value", Json.Int !r) ])
   | G r -> Json.Obj (base @ [ ("type", Json.Str "gauge"); ("value", Json.Int !r) ])
-  | H h ->
-    Json.Obj
-      (base
-      @ [
-          ("type", Json.Str "histogram");
-          ("count", Json.Int (Hist.count h));
-          ("sum", Json.Int (Hist.sum h));
-          ("min", Json.Int (Hist.min_value h));
-          ("max", Json.Int (Hist.max_value h));
-          ( "buckets",
-            Json.List
-              (List.map
-                 (fun (k, c, m) -> Json.List [ Json.Int k; Json.Int c; Json.Int m ])
-                 (Hist.buckets_full h)) );
-        ])
+  | H h -> Json.Obj (base @ (("type", Json.Str "histogram") :: Hist.json_fields h))
 
 let to_json t =
   Json.Obj

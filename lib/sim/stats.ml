@@ -116,22 +116,14 @@ let pct_tx_time t =
 let accuracy t = Stx_util.Stat.percent t.accuracy_hits t.accuracy_total
 
 let locality ?(top = 1) freq =
-  let total = Hashtbl.fold (fun _ c acc -> acc + c) freq 0 in
-  if total = 0 then 0.
-  else begin
-    let counts = Hashtbl.fold (fun _ c acc -> c :: acc) freq [] in
-    let sorted = List.sort (fun a b -> compare b a) counts in
-    let rec take k = function
-      | c :: rest when k > 0 -> c + take (k - 1) rest
-      | _ -> 0
-    in
-    float_of_int (take top sorted) /. float_of_int total
-  end
+  let sum = List.fold_left (fun acc (_, c) -> acc + c) 0 in
+  let ranked = Stx_util.Stat.ranked freq in
+  Stx_util.Stat.ratio (sum (List.filteri (fun i _ -> i < top) ranked)) (sum ranked)
 
 let ab t id =
-  match Hashtbl.find_opt t.per_ab id with
-  | Some a -> a
-  | None ->
+  match Hashtbl.find t.per_ab id with
+  | a -> a
+  | exception Not_found ->
     let a = { ab_commits = 0; ab_aborts = 0; ab_locks = 0; ab_irrevocable = 0 } in
     Hashtbl.add t.per_ab id a;
     a
@@ -143,11 +135,6 @@ let policy_tally t label =
     let p = { p_commits = 0; p_aborts = 0; p_capacity = 0; p_irrevocable = 0 } in
     Hashtbl.add t.per_policy label p;
     p
-
-let bump tbl key = Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-
-let add_into tbl key n =
-  Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
 let merge a b =
   let m = create ~threads:(max a.threads b.threads) in
@@ -188,7 +175,7 @@ let merge a b =
   m.insts <- a.insts + b.insts;
   m.tx_insts <- a.tx_insts + b.tx_insts;
   m.committed_tx_insts <- a.committed_tx_insts + b.committed_tx_insts;
-  let union dst src = Hashtbl.iter (fun k v -> add_into dst k v) src in
+  let union = Stx_util.Stat.merge_into in
   union m.conf_addr_freq a.conf_addr_freq;
   union m.conf_addr_freq b.conf_addr_freq;
   union m.conf_pc_freq a.conf_pc_freq;
@@ -220,5 +207,5 @@ let merge a b =
   m
 
 let note_conflict t ~conf_line ~conf_pc =
-  bump t.conf_addr_freq conf_line;
-  match conf_pc with Some pc -> bump t.conf_pc_freq pc | None -> ()
+  Stx_util.Stat.bump t.conf_addr_freq conf_line;
+  match conf_pc with Some pc -> Stx_util.Stat.bump t.conf_pc_freq pc | None -> ()

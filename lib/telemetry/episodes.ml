@@ -31,14 +31,14 @@ let saturation (s : Series.t) =
   let coff = Array.make (max 1 n) 0 and ccomp = Array.make (max 1 n) 0 in
   let off = ref 0 and comp = ref 0 in
   for i = 0 to n - 1 do
-    off := !off + s.windows.(i).offered;
-    comp := !comp + s.windows.(i).completed;
+    off := !off + Series.get s.windows.(i) Series.offered;
+    comp := !comp + Series.get s.windows.(i) Series.completed;
     coff.(i) <- !off;
     ccomp.(i) <- !comp
   done;
   let last_off = ref (-1) in
   for i = 0 to n - 1 do
-    if s.windows.(i).offered > 0 then last_off := i
+    if Series.get s.windows.(i) Series.offered > 0 then last_off := i
   done;
   let misses i =
     let due = if i = 0 then 0 else coff.(i - 1) in
@@ -54,43 +54,28 @@ let saturation (s : Series.t) =
 
 (* --- conflict storms -------------------------------------------------- *)
 
+let conflicts w = Series.get w Series.conflict_aborts
+
 let storm_threshold (s : Series.t) =
   let total = ref 0 and nz = ref 0 in
   Array.iter
-    (fun (w : Series.window) ->
-      if w.conflict_aborts > 0 then begin
-        total := !total + w.conflict_aborts;
+    (fun w ->
+      if conflicts w > 0 then begin
+        total := !total + conflicts w;
         incr nz
       end)
     s.windows;
   if !nz = 0 then 4 else max 4 (2 * !total / !nz)
-
-let merge_tally acc l =
-  List.iter
-    (fun (id, c) ->
-      Hashtbl.replace acc id (c + Option.value ~default:0 (Hashtbl.find_opt acc id)))
-    l
-
-let dominant tbl =
-  Hashtbl.fold (fun id c acc -> (id, c) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-  |> List.fold_left
-       (fun best (id, c) ->
-         match best with
-         | Some (_, bc) when bc >= c -> best
-         | _ -> Some (id, c))
-       None
-  |> Option.map fst
 
 let storms ~threshold (s : Series.t) =
   let n = Array.length s.windows in
   let out = ref [] in
   let i = ref 0 in
   while !i < n do
-    if s.windows.(!i).conflict_aborts >= threshold then begin
+    if conflicts s.windows.(!i) >= threshold then begin
       let first = !i in
       let j = ref !i in
-      while !j + 1 < n && s.windows.(!j + 1).conflict_aborts >= threshold do
+      while !j + 1 < n && conflicts s.windows.(!j + 1) >= threshold do
         incr j
       done;
       let last = !j in
@@ -98,10 +83,10 @@ let storms ~threshold (s : Series.t) =
       let lines = Hashtbl.create 8 and pcs = Hashtbl.create 8 in
       for k = first to last do
         let w = s.windows.(k) in
-        aborts := !aborts + w.conflict_aborts;
-        if w.conflict_aborts > !peak then peak := w.conflict_aborts;
-        merge_tally lines w.conf_lines;
-        merge_tally pcs w.conf_pcs
+        aborts := !aborts + conflicts w;
+        if conflicts w > !peak then peak := conflicts w;
+        Stx_util.Stat.merge_into lines w.conf_lines;
+        Stx_util.Stat.merge_into pcs w.conf_pcs
       done;
       out :=
         Conflict_storm
@@ -110,8 +95,8 @@ let storms ~threshold (s : Series.t) =
             last;
             aborts = !aborts;
             peak = !peak;
-            line = dominant lines;
-            pc = dominant pcs;
+            line = Option.map fst (Stx_util.Stat.top lines);
+            pc = Option.map fst (Stx_util.Stat.top pcs);
           }
         :: !out;
       i := last + 1
@@ -128,8 +113,10 @@ let dominant_tier (w : Series.window) =
   if Series.busy_total w = 0 then None
   else
     let htm = Series.htm_cycles w in
-    if htm >= w.stm_cycles && htm >= w.lock_cycles then Some Htm
-    else if w.stm_cycles >= w.lock_cycles then Some Stm
+    let stm = Series.get w Series.stm_cycles in
+    let lock = Series.get w Series.lock_cycles in
+    if htm >= stm && htm >= lock then Some Htm
+    else if stm >= lock then Some Stm
     else Some Lock
 
 let tier_shifts (s : Series.t) =

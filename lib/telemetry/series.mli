@@ -18,36 +18,58 @@
     overlaps, so per-window occupancy cycles sum exactly to the run's
     totals no matter where the window boundaries cut. *)
 
+type column = private { index : int; name : string }
+(** One per-window count: its slot in [window.counts], and its name in
+    the CSV header, the JSONL objects and {!diff}'s messages. *)
+
+(** The columns, in output order: speculative hardware, irrevocable
+    (global-lock) and software-tier commits; the five hardware abort
+    kinds ([stm_conflict_aborts] are inflicted by software-tier
+    publishes) and software-tier aborts of every kind; advisory-lock
+    wait episodes begun, acquires and timeouts; software-tier and
+    global-lock occupancy cycles; and the serving plane's arrivals,
+    completed requests and deepest queue seen at a dispatch. *)
+
+val hw_commits : column
+val irrevocable_commits : column
+val stm_commits : column
+val conflict_aborts : column
+val locksub_aborts : column
+val capacity_aborts : column
+val explicit_aborts : column
+val stm_conflict_aborts : column
+val stm_aborts : column
+val lock_waits : column
+val lock_acquires : column
+val lock_timeouts : column
+val stm_cycles : column
+val lock_cycles : column
+val offered : column
+val completed : column
+val queue_peak : column
+
+val columns : column list
+(** Every column, [index] ascending: the output order. *)
+
 type window = {
-  hw_commits : int;  (** speculative hardware commits *)
-  irrevocable_commits : int;  (** commits under the global lock *)
-  stm_commits : int;  (** software-tier commits *)
-  conflict_aborts : int;
-  locksub_aborts : int;
-  capacity_aborts : int;
-  explicit_aborts : int;
-  stm_conflict_aborts : int;  (** hw aborts inflicted by stm publishes *)
-  stm_aborts : int;  (** software-tier aborts, all kinds *)
-  lock_waits : int;  (** advisory-lock wait episodes begun *)
-  lock_acquires : int;
-  lock_timeouts : int;
+  counts : int array;  (** one slot per column *)
   busy : int array;
       (** per-core cycles spent inside transactional attempts (either
           tier, committed or aborted, incl. irrevocable), span-split
           across windows *)
-  stm_cycles : int;  (** software-tier occupancy cycles *)
-  lock_cycles : int;  (** global-lock (irrevocable) occupancy cycles *)
-  offered : int;  (** serving plane: requests that arrived *)
-  completed : int;  (** serving plane: requests whose txn committed *)
-  queue_peak : int;  (** serving plane: deepest queue seen at a dispatch *)
   sojourn : Stx_metrics.Hist.t;
       (** serving plane: sojourn sketch of requests completing in this
           window; empty in closed-loop runs *)
-  conf_lines : (int * int) list;
-      (** conflicting cache line -> conflict aborts, line ascending *)
-  conf_pcs : (int * int) list;
-      (** conflicting PC tag -> conflict aborts, tag ascending *)
+  conf_lines : (int, int) Hashtbl.t;
+      (** conflicting cache line -> conflict aborts *)
+  conf_pcs : (int, int) Hashtbl.t;  (** conflicting PC tag -> conflict aborts *)
 }
+(** {!Collect} fills its windows in place and hands out copies. *)
+
+val empty : threads:int -> window
+(** A window with every count zero. *)
+
+val get : window -> column -> int
 
 type t = { width : int; threads : int; windows : window array }
 

@@ -71,13 +71,6 @@ let events t =
 
 (* --- invariant checking ------------------------------------------------ *)
 
-type ab_tally = {
-  mutable t_commits : int;
-  mutable t_aborts : int;
-  mutable t_locks : int;
-  mutable t_irrevocable : int;
-}
-
 let check t (stats : Stats.t) =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
@@ -90,34 +83,38 @@ let check t (stats : Stats.t) =
   end
   else begin
     let n = t.n_threads in
-    let commits = ref 0 and aborts = ref 0 in
-    let conflict_aborts = ref 0 and lock_sub_aborts = ref 0 and explicit_aborts = ref 0 in
-    let capacity_aborts = ref 0 and stm_conflict_aborts = ref 0 in
-    let stm_commits = ref 0 and stm_aborts = ref 0 in
-    let stm_validation = ref 0 and stm_hw_owned = ref 0 and stm_locksub = ref 0 in
-    let stm_vcycles = ref 0 in
-    let irrevocable = ref 0 and acquires = ref 0 and timeouts = ref 0 in
-    let alps = ref 0 and lock_attempts = ref 0 in
-    let useful = ref 0 and wasted = ref 0 and backoff = ref 0 in
-    let abs : (int, ab_tally) Hashtbl.t = Hashtbl.create 8 in
-    let ab_tally id =
-      match Hashtbl.find_opt abs id with
-      | Some a -> a
-      | None ->
-        let a = { t_commits = 0; t_aborts = 0; t_locks = 0; t_irrevocable = 0 } in
-        Hashtbl.add abs id a;
-        a
-    in
+    (* the replayed counts, in the record the simulator counts into *)
+    let r = Stats.create ~threads:n in
     let on_span (s : Lifecycle.span) _ =
       match s.kind with
       | Lifecycle.Attempt ->
-        if s.acquires > 0 then
-          (ab_tally s.ab).t_locks <- (ab_tally s.ab).t_locks + s.acquires
-      | Lifecycle.Backoff -> backoff := !backoff + (s.stop - s.start)
+        if s.acquires > 0 then begin
+          let a = Stats.ab r s.ab in
+          a.ab_locks <- a.ab_locks + s.acquires
+        end
+      | Lifecycle.Backoff -> r.backoff_cycles <- r.backoff_cycles + (s.stop - s.start)
       | Lifecycle.Wait | Lifecycle.Hold | Lifecycle.Request -> ()
     in
     let lc =
       Lifecycle.create ~on_error:(fun e -> errs := e :: !errs) ~on_span ()
+    in
+    let commit ab cycles =
+      let a = Stats.ab r ab in
+      a.ab_commits <- a.ab_commits + 1;
+      r.commits <- r.commits + 1;
+      r.useful_cycles <- r.useful_cycles + cycles
+    in
+    let abort ab cycles =
+      let a = Stats.ab r ab in
+      a.ab_aborts <- a.ab_aborts + 1;
+      r.aborts <- r.aborts + 1;
+      r.wasted_cycles <- r.wasted_cycles + cycles
+    in
+    let software tid time ~what ~cycles ~vcycles =
+      if vcycles > cycles then
+        err "thread %d: software %s at %d has vcycles %d > cycles %d" tid what
+          time vcycles cycles;
+      r.stm_validation_cycles <- r.stm_validation_cycles + vcycles
     in
     iter t (fun ~time ev ->
         let tid = Machine.tid_of ev in
@@ -126,50 +123,38 @@ let check t (stats : Stats.t) =
         else begin
           Lifecycle.step lc ~time ev;
           match ev with
-          | Machine.Tx_commit { ab; cycles; irrevocable = irr; _ } ->
-            incr commits;
-            useful := !useful + cycles;
-            let tally = ab_tally ab in
-            tally.t_commits <- tally.t_commits + 1;
-            if irr then tally.t_irrevocable <- tally.t_irrevocable + 1
+          | Machine.Tx_commit { ab; cycles; irrevocable; _ } ->
+            commit ab cycles;
+            if irrevocable then
+              (Stats.ab r ab).ab_irrevocable <- (Stats.ab r ab).ab_irrevocable + 1
           | Machine.Tx_abort { ab; kind; cycles; _ } ->
-            incr aborts;
             (match kind with
-            | Machine.Conflict -> incr conflict_aborts
-            | Machine.Lock_subscription -> incr lock_sub_aborts
-            | Machine.Capacity -> incr capacity_aborts
-            | Machine.Explicit -> incr explicit_aborts
-            | Machine.Stm_conflict -> incr stm_conflict_aborts);
-            wasted := !wasted + cycles;
-            (ab_tally ab).t_aborts <- (ab_tally ab).t_aborts + 1
+            | Machine.Conflict -> r.conflict_aborts <- r.conflict_aborts + 1
+            | Machine.Lock_subscription -> r.lock_sub_aborts <- r.lock_sub_aborts + 1
+            | Machine.Capacity -> r.capacity_aborts <- r.capacity_aborts + 1
+            | Machine.Explicit -> r.explicit_aborts <- r.explicit_aborts + 1
+            | Machine.Stm_conflict ->
+              r.stm_conflict_aborts <- r.stm_conflict_aborts + 1);
+            abort ab cycles
           | Machine.Stm_commit { ab; cycles; vcycles; _ } ->
-            if vcycles > cycles then
-              err "thread %d: software commit at %d has vcycles %d > cycles %d" tid
-                time vcycles cycles;
-            incr commits;
-            incr stm_commits;
-            stm_vcycles := !stm_vcycles + vcycles;
-            useful := !useful + cycles;
-            (ab_tally ab).t_commits <- (ab_tally ab).t_commits + 1
+            software tid time ~what:"commit" ~cycles ~vcycles;
+            r.stm_commits <- r.stm_commits + 1;
+            commit ab cycles
           | Machine.Stm_abort { ab; kind; cycles; vcycles; _ } ->
-            if vcycles > cycles then
-              err "thread %d: software abort at %d has vcycles %d > cycles %d" tid
-                time vcycles cycles;
-            incr aborts;
-            incr stm_aborts;
-            stm_vcycles := !stm_vcycles + vcycles;
+            software tid time ~what:"abort" ~cycles ~vcycles;
+            r.stm_aborts <- r.stm_aborts + 1;
             (match kind with
-            | Machine.Stm_validation -> incr stm_validation
-            | Machine.Stm_hw_owned -> incr stm_hw_owned
-            | Machine.Stm_locksub -> incr stm_locksub
+            | Machine.Stm_validation ->
+              r.stm_validation_aborts <- r.stm_validation_aborts + 1
+            | Machine.Stm_hw_owned -> r.stm_hw_owned_aborts <- r.stm_hw_owned_aborts + 1
+            | Machine.Stm_locksub -> r.stm_locksub_aborts <- r.stm_locksub_aborts + 1
             | Machine.Stm_explicit -> ());
-            wasted := !wasted + cycles;
-            (ab_tally ab).t_aborts <- (ab_tally ab).t_aborts + 1
-          | Machine.Tx_irrevocable _ -> incr irrevocable
-          | Machine.Alp_executed _ -> incr alps
-          | Machine.Lock_attempt _ -> incr lock_attempts
-          | Machine.Lock_acquired _ -> incr acquires
-          | Machine.Lock_timeout _ -> incr timeouts
+            abort ab cycles
+          | Machine.Tx_irrevocable _ -> r.irrevocable_entries <- r.irrevocable_entries + 1
+          | Machine.Alp_executed _ -> r.alps_executed <- r.alps_executed + 1
+          | Machine.Lock_attempt _ -> r.alps_lock_attempts <- r.alps_lock_attempts + 1
+          | Machine.Lock_acquired _ -> r.lock_acquires <- r.lock_acquires + 1
+          | Machine.Lock_timeout _ -> r.lock_timeouts <- r.lock_timeouts + 1
           | Machine.Tx_begin _ | Machine.Stm_begin _ | Machine.Lock_released _
           | Machine.Lock_waiting _ | Machine.Backoff_start _ | Machine.Backoff_end _
           | Machine.Req_dispatch _ | Machine.Req_done _ ->
@@ -180,56 +165,52 @@ let check t (stats : Stats.t) =
     let eq name trace stats =
       if trace <> stats then err "%s: trace says %d, stats say %d" name trace stats
     in
-    eq "commits" !commits stats.Stats.commits;
-    eq "aborts" !aborts stats.Stats.aborts;
-    eq "conflict aborts" !conflict_aborts stats.Stats.conflict_aborts;
-    eq "lock-subscription aborts" !lock_sub_aborts stats.Stats.lock_sub_aborts;
-    eq "capacity aborts" !capacity_aborts stats.Stats.capacity_aborts;
-    eq "explicit aborts" !explicit_aborts stats.Stats.explicit_aborts;
-    eq "stm-conflict aborts" !stm_conflict_aborts stats.Stats.stm_conflict_aborts;
-    eq "stm commits" !stm_commits stats.Stats.stm_commits;
-    eq "stm aborts" !stm_aborts stats.Stats.stm_aborts;
-    eq "stm validation aborts" !stm_validation stats.Stats.stm_validation_aborts;
-    eq "stm hw-owned aborts" !stm_hw_owned stats.Stats.stm_hw_owned_aborts;
-    eq "stm lock-subscription aborts" !stm_locksub stats.Stats.stm_locksub_aborts;
-    eq "stm validation cycles" !stm_vcycles stats.Stats.stm_validation_cycles;
-    eq "irrevocable entries" !irrevocable stats.Stats.irrevocable_entries;
-    eq "lock acquires" !acquires stats.Stats.lock_acquires;
-    eq "lock timeouts" !timeouts stats.Stats.lock_timeouts;
-    eq "ALPs executed" !alps stats.Stats.alps_executed;
-    eq "ALP lock attempts" !lock_attempts stats.Stats.alps_lock_attempts;
-    eq "useful cycles" !useful stats.Stats.useful_cycles;
-    eq "wasted cycles" !wasted stats.Stats.wasted_cycles;
-    eq "backoff cycles" !backoff stats.Stats.backoff_cycles;
-    if stats.Stats.tx_mode_cycles < !useful + !wasted + !backoff then
+    eq "commits" r.commits stats.commits;
+    eq "aborts" r.aborts stats.aborts;
+    eq "conflict aborts" r.conflict_aborts stats.conflict_aborts;
+    eq "lock-subscription aborts" r.lock_sub_aborts stats.lock_sub_aborts;
+    eq "capacity aborts" r.capacity_aborts stats.capacity_aborts;
+    eq "explicit aborts" r.explicit_aborts stats.explicit_aborts;
+    eq "stm-conflict aborts" r.stm_conflict_aborts stats.stm_conflict_aborts;
+    eq "stm commits" r.stm_commits stats.stm_commits;
+    eq "stm aborts" r.stm_aborts stats.stm_aborts;
+    eq "stm validation aborts" r.stm_validation_aborts stats.stm_validation_aborts;
+    eq "stm hw-owned aborts" r.stm_hw_owned_aborts stats.stm_hw_owned_aborts;
+    eq "stm lock-subscription aborts" r.stm_locksub_aborts stats.stm_locksub_aborts;
+    eq "stm validation cycles" r.stm_validation_cycles stats.stm_validation_cycles;
+    eq "irrevocable entries" r.irrevocable_entries stats.irrevocable_entries;
+    eq "lock acquires" r.lock_acquires stats.lock_acquires;
+    eq "lock timeouts" r.lock_timeouts stats.lock_timeouts;
+    eq "ALPs executed" r.alps_executed stats.alps_executed;
+    eq "ALP lock attempts" r.alps_lock_attempts stats.alps_lock_attempts;
+    eq "useful cycles" r.useful_cycles stats.useful_cycles;
+    eq "wasted cycles" r.wasted_cycles stats.wasted_cycles;
+    eq "backoff cycles" r.backoff_cycles stats.backoff_cycles;
+    let attempts = r.useful_cycles + r.wasted_cycles + r.backoff_cycles in
+    if stats.tx_mode_cycles < attempts then
       err "tx_mode_cycles (%d) below useful+wasted+backoff (%d)"
-        stats.Stats.tx_mode_cycles
-        (!useful + !wasted + !backoff);
-    if stats.Stats.thread_cycles > 0 && stats.Stats.tx_mode_cycles > stats.Stats.thread_cycles
+        stats.tx_mode_cycles attempts;
+    if stats.thread_cycles > 0 && stats.tx_mode_cycles > stats.thread_cycles
     then
-      err "tx_mode_cycles (%d) exceeds thread_cycles (%d)" stats.Stats.tx_mode_cycles
-        stats.Stats.thread_cycles;
+      err "tx_mode_cycles (%d) exceeds thread_cycles (%d)" stats.tx_mode_cycles
+        stats.thread_cycles;
     Hashtbl.iter
-      (fun id (tr : ab_tally) ->
-        match Hashtbl.find_opt stats.Stats.per_ab id with
+      (fun id (tr : Stats.ab_stat) ->
+        match Hashtbl.find_opt stats.per_ab id with
         | None -> err "ab%d: seen in trace but absent from stats" id
-        | Some (st : Stats.ab_stat) ->
-          eq (Printf.sprintf "ab%d commits" id) tr.t_commits st.Stats.ab_commits;
-          eq (Printf.sprintf "ab%d aborts" id) tr.t_aborts st.Stats.ab_aborts;
-          eq (Printf.sprintf "ab%d locks" id) tr.t_locks st.Stats.ab_locks;
-          eq
-            (Printf.sprintf "ab%d irrevocable" id)
-            tr.t_irrevocable st.Stats.ab_irrevocable)
-      abs;
+        | Some st ->
+          eq (Printf.sprintf "ab%d commits" id) tr.ab_commits st.ab_commits;
+          eq (Printf.sprintf "ab%d aborts" id) tr.ab_aborts st.ab_aborts;
+          eq (Printf.sprintf "ab%d locks" id) tr.ab_locks st.ab_locks;
+          eq (Printf.sprintf "ab%d irrevocable" id) tr.ab_irrevocable st.ab_irrevocable)
+      r.per_ab;
     Hashtbl.iter
       (fun id (st : Stats.ab_stat) ->
         if
-          (not (Hashtbl.mem abs id))
-          && st.Stats.ab_commits + st.Stats.ab_aborts + st.Stats.ab_locks
-             + st.Stats.ab_irrevocable
-             > 0
+          (not (Hashtbl.mem r.per_ab id))
+          && st.ab_commits + st.ab_aborts + st.ab_locks + st.ab_irrevocable > 0
         then err "ab%d: counted in stats but absent from trace" id)
-      stats.Stats.per_ab;
+      stats.per_ab;
     match List.rev !errs with [] -> Ok () | es -> Error es
   end
 
@@ -244,14 +225,12 @@ type attribution = {
   conflict_aborts : int;
 }
 
-let bump tbl k =
-  Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
-
 let conflict_lines t =
   let lines = Hashtbl.create 32 in
   iter t (fun ~time:_ ev ->
       match ev with
-      | Machine.Tx_abort { kind = Machine.Conflict; conf_line = Some l; _ } -> bump lines l
+      | Machine.Tx_abort { kind = Machine.Conflict; conf_line = Some l; _ } ->
+        Stx_util.Stat.bump lines l
       | _ -> ());
   Stx_util.Stat.ranked lines
 
@@ -266,8 +245,8 @@ let abort_attribution t =
       | Machine.Tx_abort
           { tid; ab; kind = Machine.Conflict; conf_pc; aggressor; _ } ->
         incr total;
-        bump abs ab;
-        (match conf_pc with Some pc -> bump pcs pc | None -> ());
+        Stx_util.Stat.bump abs ab;
+        (match conf_pc with Some pc -> Stx_util.Stat.bump pcs pc | None -> ());
         (match aggressor with
         | Some a when a >= 0 && a < n && tid >= 0 && tid < n ->
           matrix.(a).(tid) <- matrix.(a).(tid) + 1

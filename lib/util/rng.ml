@@ -1,4 +1,6 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a mutable [int64] field
+   would box every update, so every draw would allocate. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
@@ -7,15 +9,19 @@ let mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
+
+let create seed = of_state (mix64 (Int64.of_int seed))
 
 let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix64 s
 
-let split t =
-  let s = next_int64 t in
-  { state = s }
+let split t = of_state (next_int64 t)
 
 let next t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 

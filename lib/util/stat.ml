@@ -48,3 +48,22 @@ let ranked tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (k1, c1) (k2, c2) ->
          if c1 <> c2 then compare (c2 : int) c1 else compare k1 k2)
+
+let add_count tbl key n =
+  let c = match Hashtbl.find tbl key with c -> c | exception Not_found -> 0 in
+  Hashtbl.replace tbl key (c + n)
+
+let bump tbl key = add_count tbl key 1
+let merge_into dst src = Hashtbl.iter (add_count dst) src
+
+let top tbl =
+  Hashtbl.fold
+    (fun key c best ->
+      match best with
+      | Some (bk, bc) when bc > c || (bc = c && bk < key) -> best
+      | _ -> Some (key, c))
+    tbl None
+
+let by_key tbl =
+  Hashtbl.fold (fun key c acc -> (key, c) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)

@@ -42,3 +42,22 @@ val ranked : ('k, int) Hashtbl.t -> ('k * int) list
     practice). [Hashtbl.fold] order varies with the hash seed and the
     OCaml version, so every report that prints a ranking must come
     through here to stay byte-stable. *)
+
+(** {2 Tallies}
+
+    Integer frequency tables ([id -> count]): Table 1's conflicting lines
+    and PCs, and the per-window tallies of the telemetry series. Counting
+    a key already present allocates nothing. *)
+
+val bump : (int, int) Hashtbl.t -> int -> unit
+(** One more occurrence of a key. *)
+
+val merge_into : (int, int) Hashtbl.t -> (int, int) Hashtbl.t -> unit
+(** [merge_into dst src] adds every count of [src] into [dst]. *)
+
+val top : (int, int) Hashtbl.t -> (int * int) option
+(** The most frequent key with its count, ties to the lower key, so the
+    choice is a function of the tally alone; [None] when empty. *)
+
+val by_key : (int, int) Hashtbl.t -> (int * int) list
+(** The tally as [(key, count)] pairs, key ascending. *)

@@ -128,7 +128,7 @@ let test_boundary_point_and_span () =
   Collect.handler c ~time:10 (commit ~tid:0 ~cycles:10);
   let s = Collect.finalize c in
   Alcotest.(check int) "commit counted in window 1" 1
-    s.Series.windows.(1).Series.hw_commits;
+    (Series.get s.Series.windows.(1) Series.hw_commits);
   Alcotest.(check int) "span fully in window 0" 10
     s.Series.windows.(0).Series.busy.(0);
   Alcotest.(check int) "no span in window 1" 0
@@ -143,10 +143,10 @@ let test_span_split_across_windows () =
   Alcotest.(check int) "window 1 share" 2 s.Series.windows.(1).Series.busy.(1);
   Alcotest.(check int) "window 2 share" 5 s.Series.windows.(2).Series.busy.(1);
   Alcotest.(check int) "abort in window 2" 1
-    s.Series.windows.(2).Series.conflict_aborts;
+    (Series.get s.Series.windows.(2) Series.conflict_aborts);
   Alcotest.(check (list (pair int int)))
     "line tally" [ (7, 1) ]
-    s.Series.windows.(2).Series.conf_lines
+    (Stx_util.Stat.by_key s.Series.windows.(2).Series.conf_lines)
 
 let test_span_clamped_at_zero () =
   let c = Collect.create ~window:10 ~threads:1 () in
@@ -174,29 +174,16 @@ let test_finalize_pads_and_stays_live () =
 let mk_window ?(hw_commits = 0) ?(conflict_aborts = 0) ?(stm_cycles = 0)
     ?(lock_cycles = 0) ?(offered = 0) ?(completed = 0) ?(busy = [| 0 |])
     ?(conf_lines = []) () =
-  {
-    Series.hw_commits;
-    irrevocable_commits = 0;
-    stm_commits = 0;
-    conflict_aborts;
-    locksub_aborts = 0;
-    capacity_aborts = 0;
-    explicit_aborts = 0;
-    stm_conflict_aborts = 0;
-    stm_aborts = 0;
-    lock_waits = 0;
-    lock_acquires = 0;
-    lock_timeouts = 0;
-    busy;
-    stm_cycles;
-    lock_cycles;
-    offered;
-    completed;
-    queue_peak = 0;
-    sojourn = Stx_metrics.Hist.create ();
-    conf_lines;
-    conf_pcs = [];
-  }
+  let w = { (Series.empty ~threads:1) with busy } in
+  List.iter
+    (fun ((c : Series.column), v) -> w.counts.(c.index) <- v)
+    [
+      (Series.hw_commits, hw_commits); (Series.conflict_aborts, conflict_aborts);
+      (Series.stm_cycles, stm_cycles); (Series.lock_cycles, lock_cycles);
+      (Series.offered, offered); (Series.completed, completed);
+    ];
+  List.iter (fun (line, n) -> Hashtbl.replace w.conf_lines line n) conf_lines;
+  w
 
 let mk_series windows =
   { Series.width = 10; threads = 1; windows = Array.of_list windows }
@@ -343,15 +330,23 @@ let check_jsonl label (s : Series.t) =
       let w = s.Series.windows.(i) in
       let counters =
         [
-          ("window", i); ("hw_commits", w.Series.hw_commits);
-          ("irrevocable_commits", w.irrevocable_commits); ("stm_commits", w.stm_commits);
-          ("conflict_aborts", w.conflict_aborts); ("locksub_aborts", w.locksub_aborts);
-          ("capacity_aborts", w.capacity_aborts); ("explicit_aborts", w.explicit_aborts);
-          ("stm_conflict_aborts", w.stm_conflict_aborts); ("stm_aborts", w.stm_aborts);
-          ("lock_waits", w.lock_waits); ("lock_acquires", w.lock_acquires);
-          ("lock_timeouts", w.lock_timeouts); ("stm_cycles", w.stm_cycles);
-          ("lock_cycles", w.lock_cycles); ("offered", w.offered);
-          ("completed", w.completed); ("queue_peak", w.queue_peak);
+          ("window", i); ("hw_commits", Series.get w Series.hw_commits);
+          ("irrevocable_commits", Series.get w Series.irrevocable_commits);
+          ("stm_commits", Series.get w Series.stm_commits);
+          ("conflict_aborts", Series.get w Series.conflict_aborts);
+          ("locksub_aborts", Series.get w Series.locksub_aborts);
+          ("capacity_aborts", Series.get w Series.capacity_aborts);
+          ("explicit_aborts", Series.get w Series.explicit_aborts);
+          ("stm_conflict_aborts", Series.get w Series.stm_conflict_aborts);
+          ("stm_aborts", Series.get w Series.stm_aborts);
+          ("lock_waits", Series.get w Series.lock_waits);
+          ("lock_acquires", Series.get w Series.lock_acquires);
+          ("lock_timeouts", Series.get w Series.lock_timeouts);
+          ("stm_cycles", Series.get w Series.stm_cycles);
+          ("lock_cycles", Series.get w Series.lock_cycles);
+          ("offered", Series.get w Series.offered);
+          ("completed", Series.get w Series.completed);
+          ("queue_peak", Series.get w Series.queue_peak);
         ]
       in
       Alcotest.(check (list string)) "fields"
@@ -367,7 +362,7 @@ let check_jsonl label (s : Series.t) =
       Alcotest.(check (list (list int))) "sojourn buckets"
         (List.map (fun (k, c, m) -> [ k; c; m ]) (Stx_metrics.Hist.buckets_full h))
         (List.map ints (list "buckets" sj));
-      let pairs l = List.map (fun (id, c) -> [ id; c ]) l in
+      let pairs t = List.map (fun (id, c) -> [ id; c ]) (Stx_util.Stat.by_key t) in
       Alcotest.(check (list (list int))) "conf_lines" (pairs w.conf_lines)
         (List.map ints (list "conf_lines" j));
       Alcotest.(check (list (list int))) "conf_pcs" (pairs w.conf_pcs)
@@ -390,7 +385,10 @@ let test_jsonl_parses_back () =
   let served = Option.get (Serve.run ~jobs:1 cfg).Serve.telemetry in
   let some f (s : Series.t) = Array.exists f s.Series.windows in
   Alcotest.(check bool) "closed loop tallies conflicts" true
-    (some (fun w -> w.Series.conf_lines <> [] && w.conf_pcs <> []) closed);
+    (some
+       (fun w ->
+         Hashtbl.length w.Series.conf_lines > 0 && Hashtbl.length w.conf_pcs > 0)
+       closed);
   Alcotest.(check bool) "serving fills sojourn sketches" true
     (some (fun w -> not (Stx_metrics.Hist.is_empty w.Series.sojourn)) served);
   check_jsonl "closed loop" closed;

@@ -304,6 +304,36 @@ let test_lifecycle_allocates_nothing_per_event () =
     true
     (words < 64.)
 
+(* Each observer's allocation per event, read on a second replay of the
+   same genome capture through the same handler, so every window and
+   registry series it needs already exists. Trace keeps one 3-word
+   {time; ev} entry per event; telemetry fills its windows in place;
+   metrics is held at its current cost until its series are resolved
+   ahead of the handler. *)
+let test_observers_words_per_event () =
+  let w = Option.get (Registry.find "genome") in
+  let tr, _ = run_traced ~mode:Mode.Staggered_hw w in
+  let n = float_of_int (Trace.length tr) in
+  let second_pass handler =
+    Trace.iter tr handler;
+    let w0 = Gc.minor_words () in
+    Trace.iter tr handler;
+    (Gc.minor_words () -. w0) /. n
+  in
+  let ceiling name bound handler =
+    let words = second_pass handler in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.2f words/event, ceiling %.2f" name words bound)
+      true (words <= bound)
+  in
+  ceiling "trace" 3.0 (Trace.handler (Trace.create ~threads ()));
+  ceiling "telemetry" 0.1
+    (Stx_telemetry.Collect.handler
+       (Stx_telemetry.Collect.create ~threads ()));
+  (* 61.94 is what it reads with the registry keyed per event *)
+  ceiling "metrics" 61.94
+    (Stx_metrics.Collect.handler (Stx_metrics.Collect.create ()))
+
 let suite =
   [
     Alcotest.test_case "checker green on every workload x mode" `Slow
@@ -321,6 +351,8 @@ let suite =
       test_lifecycle_reports_violations;
     Alcotest.test_case "lifecycle allocates nothing per event" `Quick
       test_lifecycle_allocates_nothing_per_event;
+    Alcotest.test_case "observers stay under words-per-event ceilings" `Quick
+      test_observers_words_per_event;
     Alcotest.test_case "merge keeps %TM bounded" `Quick
       test_merge_keeps_pct_tx_time_bounded;
     Alcotest.test_case "merged real runs stay bounded" `Quick

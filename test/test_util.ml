@@ -48,6 +48,39 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 (fun i -> i)) sorted
 
+(* SplitMix64's first draws for seed 42: a change of state layout must
+   leave every stream bit-identical *)
+let test_rng_pinned_draws () =
+  let r = Rng.create 42 in
+  Alcotest.(check (list int)) "first four draws"
+    [ 2749113066540076570; 739554815828047797; 767374426118319285;
+      221479889520321091 ]
+    (List.init 4 (fun _ -> Rng.next r))
+
+(* a draw runs on every polite backoff and every TIR rng intrinsic, so
+   it must not allocate *)
+let test_rng_allocates_nothing () =
+  let r = Rng.create 1 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000_000 do
+    ignore (Sys.opaque_identity (Rng.int r 1000))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words over 10^6 draws" words)
+    true (words < 64.)
+
+let test_tally_helpers () =
+  let a = Hashtbl.create 4 and b = Hashtbl.create 4 in
+  List.iter (Stat.bump a) [ 9; 5; 9; 5; 2 ];
+  List.iter (Stat.bump b) [ 2; 2 ];
+  Alcotest.(check (option (pair int int))) "tie goes to the lower key" (Some (5, 2))
+    (Stat.top a);
+  Stat.merge_into a b;
+  Alcotest.(check (list (pair int int))) "merged, key ascending"
+    [ (2, 3); (5, 2); (9, 2) ] (Stat.by_key a);
+  Alcotest.(check (option (pair int int))) "empty" None (Stat.top (Hashtbl.create 1))
+
 let test_stat_basic () =
   let s = Stat.create () in
   List.iter (Stat.add s) [ 1.; 2.; 3.; 4. ];
@@ -119,6 +152,9 @@ let suite =
     Alcotest.test_case "rng next nonnegative" `Quick test_rng_nonnegative;
     Alcotest.test_case "rng float range" `Quick test_rng_float_range;
     Alcotest.test_case "rng shuffle is a permutation" `Quick test_rng_shuffle_permutation;
+    Alcotest.test_case "rng draws pinned" `Quick test_rng_pinned_draws;
+    Alcotest.test_case "rng draws allocate nothing" `Quick test_rng_allocates_nothing;
+    Alcotest.test_case "tally bump, merge, top" `Quick test_tally_helpers;
     Alcotest.test_case "stat basic" `Quick test_stat_basic;
     Alcotest.test_case "stat empty" `Quick test_stat_empty;
     Alcotest.test_case "harmonic mean" `Quick test_harmonic_mean;
