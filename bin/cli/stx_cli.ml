@@ -140,15 +140,25 @@ let checked_run ~seed ~scale ~threads ~htm_policy ~mode w =
   in
   let cfg = Stx_machine.Config.with_cores threads Stx_machine.Config.default in
   let tr = Stx_trace.Trace.create ~threads () in
-  let r =
-    Stx_metrics.Run.simulate ~seed ~htm_policy ~cfg ~mode
-      ~on_event:(Stx_trace.Trace.handler tr) spec
+  let c = Stx_metrics.Collect.create ~policy:htm_policy () in
+  let on_event ~time ev =
+    Stx_metrics.Collect.handler c ~time ev;
+    Stx_trace.Trace.handler tr ~time ev
   in
-  let s = r.Stx_metrics.Run.stats in
+  let s = Stx_sim.Machine.run ~seed ~htm_policy ~cfg ~mode ~on_event spec in
   let errs prefix = function
     | Ok () -> []
     | Error es -> List.map (fun e -> prefix ^ e) es
   in
   ( s,
     errs "trace: " (Stx_trace.Trace.check tr s)
-    @ errs "metrics: " (Stx_metrics.Collect.check r.Stx_metrics.Run.metrics s) )
+    @ errs "metrics: " (Stx_metrics.Collect.check (Stx_metrics.Collect.registry c) s) )
+
+let pool_map ~jobs f cells =
+  Array.of_list cells
+  |> Array.map (fun cell () -> f cell)
+  |> Stx_runner.Pool.map ~jobs
+  |> Array.to_list
+  |> List.map (function
+       | Stx_runner.Pool.Done r -> r
+       | Stx_runner.Pool.Failed msg -> failwith msg)

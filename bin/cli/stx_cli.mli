@@ -70,6 +70,11 @@ val checked_run :
   mode:Stx_core.Mode.t ->
   Stx_workloads.Workload.t ->
   Stx_sim.Stats.t * string list
-(** One simulation with a full trace attached, and every divergence
-    {!Stx_trace.Trace.check} and {!Stx_metrics.Collect.check} find in
-    it, prefixed ["trace: "] and ["metrics: "]. *)
+(** One simulation with a full trace and the metrics collector on, and
+    every divergence {!Stx_trace.Trace.check} and {!Stx_metrics.Collect.check}
+    find in it, prefixed ["trace: "] and ["metrics: "]. *)
+
+val pool_map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [f] over the list on a pool of [jobs] domains, in input order, so
+    what is printed from the results is the same at any [jobs]; a cell
+    that raises fails the call. *)

@@ -77,7 +77,6 @@ let scaling_cmd =
 let profile_cmd =
   let run c bench format =
     let w = Stx_cli.bench bench in
-    Exp.prefetch ~progress:true c (Reports.profile_cells c w);
     match format with
     | Stx_analysis.Driver.Text ->
       section ("profile: " ^ bench) (Reports.profile c w)
@@ -352,31 +351,34 @@ let policies_cmd =
       (Printf.sprintf "%-13s %-15s %8s %8s %9s %9s %6s %10s %12s  %s\n" "mode"
          "resolution" "commits" "aborts" "conflict" "capacity" "irrev"
          "ab/commit" "cycles" "checks");
-    List.iter
-      (fun mode ->
+    let cells =
+      List.concat_map
+        (fun mode -> List.map (fun r -> (mode, r)) Stx_policy.Resolution.all)
+        modes
+    in
+    let cell (mode, resolution) =
+      let htm_policy = { base with Stx_policy.resolution } in
+      Stx_cli.checked_run ~seed ~scale ~threads ~htm_policy ~mode w
+    in
+    List.iter2
+      (fun (mode, resolution) (s, errs) ->
+        if errs <> [] then failed := true;
+        Buffer.add_string buf
+          (Printf.sprintf "%-13s %-15s %8d %8d %9d %9d %6d %10.2f %12d  %s\n"
+             (Stx_core.Mode.to_string mode)
+             (Stx_policy.Resolution.to_string resolution)
+             s.Stx_sim.Stats.commits s.Stx_sim.Stats.aborts
+             s.Stx_sim.Stats.conflict_aborts
+             s.Stx_sim.Stats.capacity_aborts
+             s.Stx_sim.Stats.irrevocable_entries
+             (Stx_sim.Stats.aborts_per_commit s)
+             s.Stx_sim.Stats.total_cycles
+             (if errs = [] then "ok" else "FAILED"));
         List.iter
-          (fun resolution ->
-            let htm_policy = { base with Stx_policy.resolution } in
-            let s, errs =
-              Stx_cli.checked_run ~seed ~scale ~threads ~htm_policy ~mode w
-            in
-            if errs <> [] then failed := true;
-            Buffer.add_string buf
-              (Printf.sprintf "%-13s %-15s %8d %8d %9d %9d %6d %10.2f %12d  %s\n"
-                 (Stx_core.Mode.to_string mode)
-                 (Stx_policy.Resolution.to_string resolution)
-                 s.Stx_sim.Stats.commits s.Stx_sim.Stats.aborts
-                 s.Stx_sim.Stats.conflict_aborts
-                 s.Stx_sim.Stats.capacity_aborts
-                 s.Stx_sim.Stats.irrevocable_entries
-                 (Stx_sim.Stats.aborts_per_commit s)
-                 s.Stx_sim.Stats.total_cycles
-                 (if errs = [] then "ok" else "FAILED"));
-            List.iter
-              (fun e -> Buffer.add_string buf ("    " ^ e ^ "\n"))
-              errs)
-          Stx_policy.Resolution.all)
-      modes;
+          (fun e -> Buffer.add_string buf ("    " ^ e ^ "\n"))
+          errs)
+      cells
+      (Stx_cli.pool_map ~jobs:(Exp.jobs c) cell cells);
     section ("policies: " ^ bench) (Buffer.contents buf);
     if !failed then exit 1
   in
@@ -423,29 +425,32 @@ let hybrid_cmd =
     let cell w mode htm_policy =
       Stx_cli.checked_run ~seed ~scale ~threads ~htm_policy ~mode w
     in
-    List.iter
-      (fun (w : Stx_workloads.Workload.t) ->
-        List.iter
-          (fun mode ->
-            let ls, lerrs = cell w mode lock_only in
-            let hs, herrs = cell w mode hybrid in
-            let errs = lerrs @ herrs in
-            if errs <> [] then failed := true;
-            Buffer.add_string buf
-              (Printf.sprintf
-                 "%-11s %-13s %9d %7d %12d %9d %7d %7d %12d %7d  %s\n"
-                 w.Stx_workloads.Workload.name
-                 (Stx_core.Mode.to_string mode)
-                 ls.Stx_sim.Stats.commits ls.Stx_sim.Stats.irrevocable_entries
-                 ls.Stx_sim.Stats.total_cycles hs.Stx_sim.Stats.commits
-                 hs.Stx_sim.Stats.irrevocable_entries
-                 hs.Stx_sim.Stats.stm_commits hs.Stx_sim.Stats.total_cycles
-                 (hs.Stx_sim.Stats.irrevocable_entries
-                 - ls.Stx_sim.Stats.irrevocable_entries)
-                 (if errs = [] then "ok" else "FAILED"));
-            List.iter (fun e -> Buffer.add_string buf ("    " ^ e ^ "\n")) errs)
-          modes)
-      Stx_workloads.Registry.all;
+    let rows =
+      List.concat_map
+        (fun w -> List.map (fun mode -> (w, mode)) modes)
+        Stx_workloads.Registry.all
+    in
+    List.iter2
+      (fun ((w : Stx_workloads.Workload.t), mode) ((ls, lerrs), (hs, herrs)) ->
+        let errs = lerrs @ herrs in
+        if errs <> [] then failed := true;
+        Buffer.add_string buf
+          (Printf.sprintf
+             "%-11s %-13s %9d %7d %12d %9d %7d %7d %12d %7d  %s\n"
+             w.Stx_workloads.Workload.name
+             (Stx_core.Mode.to_string mode)
+             ls.Stx_sim.Stats.commits ls.Stx_sim.Stats.irrevocable_entries
+             ls.Stx_sim.Stats.total_cycles hs.Stx_sim.Stats.commits
+             hs.Stx_sim.Stats.irrevocable_entries
+             hs.Stx_sim.Stats.stm_commits hs.Stx_sim.Stats.total_cycles
+             (hs.Stx_sim.Stats.irrevocable_entries
+             - ls.Stx_sim.Stats.irrevocable_entries)
+             (if errs = [] then "ok" else "FAILED"));
+        List.iter (fun e -> Buffer.add_string buf ("    " ^ e ^ "\n")) errs)
+      rows
+      (Stx_cli.pool_map ~jobs:(Exp.jobs c)
+         (fun (w, mode) -> (cell w mode lock_only, cell w mode hybrid))
+         rows);
     Buffer.add_string buf
       "left: lock-only fallback; right: htm-stm-lock. stm: software-tier \
        commits. d-irrev: hybrid minus lock-only irrevocable entries\n\
@@ -639,14 +644,15 @@ let report_cmd =
     let cfg = Stx_machine.Config.with_cores threads Stx_machine.Config.default in
     let tr = Stx_trace.Trace.create ~threads () in
     let tc = Stx_telemetry.Collect.create ~window ~threads () in
-    let r =
-      Stx_metrics.Run.simulate ~seed ~htm_policy ~cfg ~mode
+    let mc = Stx_metrics.Collect.create ~policy:htm_policy () in
+    let stats =
+      Stx_sim.Machine.run ~seed ~htm_policy ~cfg ~mode
         ~on_event:(fun ~time ev ->
+          Stx_metrics.Collect.handler mc ~time ev;
           Stx_trace.Trace.handler tr ~time ev;
           Stx_telemetry.Collect.handler tc ~time ev)
         spec
     in
-    let stats = r.Stx_metrics.Run.stats in
     let series =
       Stx_telemetry.Collect.finalize ~horizon:stats.Stx_sim.Stats.total_cycles
         tc
@@ -671,7 +677,7 @@ let report_cmd =
           series;
           episodes;
           stats;
-          registry = r.Stx_metrics.Run.metrics;
+          registry = Stx_metrics.Collect.registry mc;
           attribution = Stx_trace.Trace.abort_attribution tr;
           ab_name;
         }

@@ -80,8 +80,7 @@ let run_many benches mode threads seed scale jobs policy =
   List.iter2
     (fun w (_, outcome) ->
       match outcome with
-      | Pool.Done r ->
-        let stats = r.Stx_metrics.Run.stats in
+      | Pool.Done stats ->
         print_stats w.Workload.name mode threads stats;
         let spec = Workload.spec ~instrument:(Mode.uses_alps mode) ~scale w in
         print_per_ab spec stats;

@@ -1,6 +1,5 @@
 open Stx_core
 open Stx_sim
-open Stx_metrics
 open Stx_workloads
 open Stx_runner
 
@@ -12,7 +11,7 @@ type t = {
   threads : int;
   jobs : int;
   policy : Stx_policy.t;
-  memo : (string * string * int, Run.t) Hashtbl.t;
+  memo : (string * string * int, Stats.t) Hashtbl.t;
 }
 
 let create ?(seed = 1) ?(scale = 1.0) ?(threads = 16) ?(jobs = 1)
@@ -35,7 +34,7 @@ let job_of t (w : Workload.t) mode ~threads =
 
 let memo_key (w : Workload.t) mode threads = (w.Workload.name, mode_key mode, threads)
 
-let measure_at t w mode ~threads =
+let run_at t w mode ~threads =
   let key = memo_key w mode threads in
   match Hashtbl.find_opt t.memo key with
   | Some r -> r
@@ -44,9 +43,7 @@ let measure_at t w mode ~threads =
     Hashtbl.add t.memo key r;
     r
 
-let run_at t w mode ~threads = (measure_at t w mode ~threads).Run.stats
 let run t w mode = run_at t w mode ~threads:t.threads
-let metrics t w mode = (measure_at t w mode ~threads:t.threads).Run.metrics
 
 let sequential t w = run_at t w Mode.Baseline ~threads:1
 

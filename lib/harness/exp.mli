@@ -45,11 +45,6 @@ val run : t -> Workload.t -> Mode.t -> Stats.t
 val run_at : t -> Workload.t -> Mode.t -> threads:int -> Stats.t
 (** As {!run} at an explicit thread count (memoized separately). *)
 
-val metrics : t -> Workload.t -> Mode.t -> Stx_metrics.Registry.t
-(** The metrics registry of the same memoized cell as {!run} — the
-    profile report reads histograms and phase counters from here, so it
-    always describes the very runs the tables were built from. *)
-
 val sequential : t -> Workload.t -> Stats.t
 (** The 1-thread uninstrumented reference used for speedups. *)
 

@@ -557,11 +557,26 @@ Aggressor -> victim conflict aborts (rows: aggressor core; '.' = 0):
     a.Trace.unattributed (Table.render t) (Table.render t2) (Table.render t3)
     collisions (Table.render tm) health
 
-let profile_modes =
-  [ Mode.Baseline; Mode.Addr_only; Mode.Staggered_sw; Mode.Staggered_hw ]
-
-let profile_cells ctx w =
-  List.map (fun m -> (w, m, Exp.threads ctx)) profile_modes
+(* Exp cells run bare: the profile collects its own four cells, on the pool *)
+let profile_registries ctx w =
+  let cell mode () =
+    let spec =
+      Workload.spec ~instrument:(Mode.uses_alps mode) ~scale:(Exp.scale ctx) w
+    in
+    let c = Stx_metrics.Collect.create ~policy:(Exp.policy ctx) () in
+    ignore
+      (Machine.run ~seed:(Exp.seed ctx) ~htm_policy:(Exp.policy ctx)
+         ~cfg:(Config.with_cores (Exp.threads ctx) Config.default)
+         ~mode ~on_event:(Stx_metrics.Collect.handler c) spec);
+    (mode, Stx_metrics.Collect.registry c)
+  in
+  Array.map cell
+    [| Mode.Baseline; Mode.Addr_only; Mode.Staggered_sw; Mode.Staggered_hw |]
+  |> Stx_runner.Pool.map ~jobs:(Exp.jobs ctx)
+  |> Array.to_list
+  |> List.map (function
+       | Stx_runner.Pool.Done r -> r
+       | Stx_runner.Pool.Failed msg -> failwith ("profile cell failed: " ^ msg))
 
 let profile ctx w =
   let module C = Stx_metrics.Collect in
@@ -573,6 +588,7 @@ let profile ctx w =
       Printf.sprintf "%d:%s" id atomics.(id).Stx_tir.Ir.ab_name
     else string_of_int id
   in
+  let regs = profile_registries ctx w in
   let t =
     Table.create
       [
@@ -581,8 +597,7 @@ let profile ctx w =
       ]
   in
   List.iter
-    (fun m ->
-      let reg = Exp.metrics ctx w m in
+    (fun (m, reg) ->
       List.iter
         (fun ab ->
           let p ph = C.phase_cycles reg ~ab ph in
@@ -604,7 +619,7 @@ let profile ctx w =
               string_of_int (p C.Backoff);
             ])
         (C.abs_profiled reg))
-    profile_modes;
+    regs;
   let lt =
     Table.create
       [
@@ -613,8 +628,7 @@ let profile ctx w =
       ]
   in
   List.iter
-    (fun m ->
-      let reg = Exp.metrics ctx w m in
+    (fun (m, reg) ->
       (* label-subset reads: every series carries the run's policy label;
          an empty histogram (HTM takes no advisory locks) prints "-" *)
       let hist name labels = C.histogram reg name labels in
@@ -632,7 +646,7 @@ let profile ctx w =
           show (fun h -> Table.fmt_f ~dec:2 (H.mean h)) (hist "stx_tx_retries" []);
           q H.p99 wait_h;
         ])
-    profile_modes;
+    regs;
   Printf.sprintf
     "Phase profile of %s (%d threads): committed transaction cycles split at\n\
      the first advisory-lock acquire — speculative prefix runs in parallel,\n\
@@ -655,8 +669,7 @@ let profile_tsv ctx w =
   Buffer.add_string b
     "workload\tmode\tab\tab_name\tprefix\tlock_wait\tsuffix\tirrevocable\tstm\twasted\tbackoff\n";
   List.iter
-    (fun m ->
-      let reg = Exp.metrics ctx w m in
+    (fun (m, reg) ->
       List.iter
         (fun ab ->
           let p ph = C.phase_cycles reg ~ab ph in
@@ -677,7 +690,7 @@ let profile_tsv ctx w =
                ]);
           Buffer.add_char b '\n')
         (C.abs_profiled reg))
-    profile_modes;
+    (profile_registries ctx w);
   Buffer.contents b
 
 let scaling ctx w =

@@ -62,7 +62,8 @@ val profile : Exp.t -> Workload.t -> string
     (plus irrevocable, wasted and backoff cycles), with the latency and
     retry distributions beneath. The paper's core claim made visible:
     the baseline serializes nothing (no suffix), staggered modes
-    serialize only the conflicting portion. *)
+    serialize only the conflicting portion. Its four cells run apart
+    from the memo, each with a metrics collector, on [Exp.jobs] domains. *)
 
 val profile_tsv : Exp.t -> Workload.t -> string
 (** The same phase-cycle cells as {!profile}, machine-readable: a
@@ -85,4 +86,3 @@ val fig8_cells : Exp.t -> Exp.cell list
 val granularity_cells : Exp.t -> Exp.cell list
 val scaling_cells : Exp.t -> Workload.t -> Exp.cell list
 val hotspot_cells : Exp.t -> Workload.t -> Exp.cell list
-val profile_cells : Exp.t -> Workload.t -> Exp.cell list

@@ -4,24 +4,22 @@
 
 let nbuckets = 63
 
+(* the bucket arrays stay [||] until the first observation *)
 type t = {
   mutable count : int;
   mutable sum : int;
   mutable min_v : int; (* max_int while empty *)
   mutable max_v : int;
-  buckets : int array;
-  bmax : int array; (* largest value observed per bucket; 0 where empty *)
+  mutable buckets : int array;
+  mutable bmax : int array; (* largest value observed per bucket; 0 where empty *)
 }
 
 let create () =
-  {
-    count = 0;
-    sum = 0;
-    min_v = max_int;
-    max_v = 0;
-    buckets = Array.make nbuckets 0;
-    bmax = Array.make nbuckets 0;
-  }
+  { count = 0; sum = 0; min_v = max_int; max_v = 0; buckets = [||]; bmax = [||] }
+
+let fill t =
+  t.buckets <- Array.make nbuckets 0;
+  t.bmax <- Array.make nbuckets 0
 
 let is_empty t = t.count = 0
 
@@ -34,6 +32,7 @@ let bucket_upper k = if k = 0 then 0 else (1 lsl k) - 1
 
 let add t v =
   if v < 0 then invalid_arg "Hist.add: negative value";
+  if t.count = 0 then fill t;
   t.count <- t.count + 1;
   t.sum <- t.sum + v;
   if v < t.min_v then t.min_v <- v;
@@ -67,19 +66,26 @@ let quantile t q =
 let p50 t = quantile t 0.5
 let p99 t = quantile t 0.99
 
+let add_into t h =
+  for i = 0 to Array.length h.buckets - 1 do
+    t.buckets.(i) <- t.buckets.(i) + h.buckets.(i);
+    if h.bmax.(i) > t.bmax.(i) then t.bmax.(i) <- h.bmax.(i)
+  done
+
 let merge a b =
   let t = create () in
   t.count <- a.count + b.count;
   t.sum <- a.sum + b.sum;
   t.min_v <- min a.min_v b.min_v;
   t.max_v <- max a.max_v b.max_v;
-  Array.iteri (fun i c -> t.buckets.(i) <- c + b.buckets.(i)) a.buckets;
-  Array.iteri (fun i m -> t.bmax.(i) <- max m b.bmax.(i)) a.bmax;
+  if t.count > 0 then fill t;
+  add_into t a;
+  add_into t b;
   t
 
 let buckets_full t =
   let acc = ref [] in
-  for k = nbuckets - 1 downto 0 do
+  for k = Array.length t.buckets - 1 downto 0 do
     if t.buckets.(k) > 0 then acc := (k, t.buckets.(k), t.bmax.(k)) :: !acc
   done;
   !acc

@@ -1,20 +1,20 @@
 open Stx_machine
 open Stx_core
-open Stx_metrics
+open Stx_sim
 open Stx_workloads
 
-let run_job (j : Job.t) : Run.t =
+let run_job (j : Job.t) : Stats.t =
   match Registry.find j.Job.workload with
   | None -> invalid_arg ("Sweep.run_job: unknown workload " ^ j.Job.workload)
   | Some w ->
     let instrument = Mode.uses_alps j.Job.mode in
     let spec = Workload.spec ~instrument ~scale:j.Job.scale w in
     let cfg = Config.with_cores j.Job.threads Config.default in
-    Run.simulate ~seed:j.Job.seed ~htm_policy:j.Job.policy ~cfg
+    Machine.run ~seed:j.Job.seed ~htm_policy:j.Job.policy ~cfg
       ~mode:j.Job.mode spec
 
 type batch = {
-  results : (Job.t * Run.t Pool.outcome) list;
+  results : (Job.t * Stats.t Pool.outcome) list;
   executed : int;
 }
 

@@ -1,4 +1,4 @@
-open Stx_metrics
+open Stx_sim
 
 (** The experiment engine's front door: execute a batch of simulation
     jobs on a {!Pool} of domains.
@@ -8,13 +8,13 @@ open Stx_metrics
     input order — so a batch at [jobs = 4] is result-identical to the
     same batch at [jobs = 1]. *)
 
-val run_job : Job.t -> Run.t
+val run_job : Job.t -> Stats.t
 (** Resolve the workload, compile it (with ALPs iff the mode uses them),
-    and run the simulation with the metrics collector attached. Raises
+    and run the simulation with no observer attached. Raises
     [Invalid_argument] on an unknown workload name. *)
 
 type batch = {
-  results : (Job.t * Run.t Pool.outcome) list;
+  results : (Job.t * Stats.t Pool.outcome) list;
       (** one entry per input job, in input order *)
   executed : int;  (** distinct simulations actually run *)
 }

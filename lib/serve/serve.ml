@@ -181,9 +181,9 @@ let run_shard cfg ~shard ~shard_seed =
         let depth = arrived_by ats now - req in
         if depth > !max_depth then max_depth := depth;
         Registry.observe sreg "stx_req_queue_depth" [] depth;
-        Option.iter
-          (fun tc -> Stx_telemetry.Collect.note_queue_depth tc ~at:now depth)
-          telem;
+        (match telem with
+        | Some tc -> Stx_telemetry.Collect.note_queue_depth tc ~at:now depth
+        | None -> ());
         let mk = Option.get !synth in
         let { Workload.rq_ab; rq_args } = mk ~write:r.write ~key:r.key in
         r.dispatched <- now;
@@ -196,7 +196,9 @@ let run_shard cfg ~shard ~shard_seed =
   let dispatch_events = ref 0 and done_events = ref 0 in
   let on_event ~time ev =
     Collect.handler collector ~time ev;
-    Option.iter (fun tc -> Stx_telemetry.Collect.handler tc ~time ev) telem;
+    (match telem with
+    | Some tc -> Stx_telemetry.Collect.handler tc ~time ev
+    | None -> ());
     match ev with
     | Machine.Req_dispatch _ -> incr dispatch_events
     | Machine.Req_done { req; _ } ->
@@ -213,11 +215,10 @@ let run_shard cfg ~shard ~shard_seed =
   Array.iter
     (fun r ->
       if r.completed >= 0 then begin
-        Option.iter
-          (fun tc ->
-            Stx_telemetry.Collect.note_sojourn tc ~at:r.completed
-              (r.completed - r.at))
-          telem;
+        (match telem with
+        | Some tc ->
+          Stx_telemetry.Collect.note_sojourn tc ~at:r.completed (r.completed - r.at)
+        | None -> ());
         Registry.observe sreg "stx_req_sojourn_cycles" [] (r.completed - r.at);
         Registry.observe sreg "stx_req_wait_cycles" [] (r.dispatched - r.at);
         Registry.observe sreg "stx_req_service_cycles" []

@@ -215,9 +215,12 @@ let suite_digest w =
   List.iter
     (fun mode ->
       let spec = Stx_workloads.Workload.spec ~instrument:(Mode.uses_alps mode) ~scale w in
-      let r = Stx_metrics.Run.simulate ~seed:3 ~cfg ~mode spec in
-      Buffer.add_string b (fingerprint r.Stx_metrics.Run.stats);
-      Buffer.add_string b (Stx_metrics.Registry.to_json_string r.Stx_metrics.Run.metrics))
+      let c = Stx_metrics.Collect.create () in
+      let s =
+        Machine.run ~seed:3 ~cfg ~mode ~on_event:(Stx_metrics.Collect.handler c) spec
+      in
+      Buffer.add_string b (fingerprint s);
+      Buffer.add_string b (Stx_metrics.Registry.to_json_string (Stx_metrics.Collect.registry c)))
     suite_modes;
   Digest.to_hex (Digest.string (Buffer.contents b))
 

@@ -267,16 +267,17 @@ let render_report () =
   let cfg = Stx_machine.Config.with_cores threads Stx_machine.Config.default in
   let tr = Stx_trace.Trace.create ~threads () in
   let tc = Stx_telemetry.Collect.create ~window:1000 ~threads () in
-  let r =
-    Stx_metrics.Run.simulate ~seed ~htm_policy:policy ~cfg ~mode
+  let mc = Stx_metrics.Collect.create ~policy () in
+  let stats =
+    Stx_sim.Machine.run ~seed ~htm_policy:policy ~cfg ~mode
       ~on_event:(fun ~time ev ->
+        Stx_metrics.Collect.handler mc ~time ev;
         Stx_trace.Trace.handler tr ~time ev;
         Stx_telemetry.Collect.handler tc ~time ev)
       spec
   in
   let series =
-    Stx_telemetry.Collect.finalize
-      ~horizon:r.Stx_metrics.Run.stats.Stx_sim.Stats.total_cycles tc
+    Stx_telemetry.Collect.finalize ~horizon:stats.Stx_sim.Stats.total_cycles tc
   in
   Htmlreport.render
     {
@@ -288,8 +289,8 @@ let render_report () =
       policy;
       series;
       episodes = Stx_telemetry.Episodes.detect series;
-      stats = r.Stx_metrics.Run.stats;
-      registry = r.Stx_metrics.Run.metrics;
+      stats;
+      registry = Stx_metrics.Collect.registry mc;
       attribution = Stx_trace.Trace.abort_attribution tr;
       ab_name = string_of_int;
     }

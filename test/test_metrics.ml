@@ -23,6 +23,14 @@ let test_hist_empty () =
   Alcotest.(check int) "quantile" 0 (Hist.p99 h);
   Alcotest.(check (float 0.)) "mean" 0. (Hist.mean h)
 
+(* every telemetry window carries a sojourn sketch that only serving
+   runs fill, so an empty histogram must not hold its bucket arrays *)
+let test_hist_create_allocates_little () =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Hist.create ()));
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) (Printf.sprintf "%.0f words" words) true (words < 16.)
+
 let test_hist_negative_rejected () =
   let h = Hist.create () in
   Alcotest.check_raises "negative observation"
@@ -265,13 +273,17 @@ let run_with_trace (w : Stx_workloads.Workload.t) mode =
     in
     let tr = Stx_trace.Trace.create ~threads () in
     let cfg = Stx_machine.Config.with_cores threads Stx_machine.Config.default in
-    let r =
-      Run.simulate ~seed ~cfg ~mode
-        ~on_event:(Stx_trace.Trace.handler tr)
+    let c = Collect.create () in
+    let stats =
+      Stx_sim.Machine.run ~seed ~cfg ~mode
+        ~on_event:(fun ~time ev ->
+          Collect.handler c ~time ev;
+          Stx_trace.Trace.handler tr ~time ev)
         spec
     in
-    Hashtbl.add measured key (r, tr);
-    (r, tr)
+    let r = (stats, Collect.registry c, tr) in
+    Hashtbl.add measured key r;
+    r
 
 let test_online_equals_replay () =
   List.iter
@@ -282,9 +294,9 @@ let test_online_equals_replay () =
             Printf.sprintf "%s/%s" w.Stx_workloads.Workload.name
               (Stx_core.Mode.to_string mode)
           in
-          let r, tr = run_with_trace w mode in
+          let _, reg, tr = run_with_trace w mode in
           let replayed = Collect.of_trace tr in
-          match Registry.diff r.Run.metrics replayed with
+          match Registry.diff reg replayed with
           | [] -> ()
           | errs ->
             Alcotest.fail
@@ -302,8 +314,8 @@ let test_collect_check_reconciles () =
             Printf.sprintf "%s/%s" w.Stx_workloads.Workload.name
               (Stx_core.Mode.to_string mode)
           in
-          let r, _ = run_with_trace w mode in
-          match Collect.check r.Run.metrics r.Run.stats with
+          let s, reg, _ = run_with_trace w mode in
+          match Collect.check reg s with
           | Ok () -> ()
           | Error errs ->
             Alcotest.fail
@@ -313,25 +325,25 @@ let test_collect_check_reconciles () =
     Stx_workloads.Registry.all
 
 let test_run_merge_matches_stats_merge () =
-  let a, _ = run_with_trace (List.hd Stx_workloads.Registry.all) Stx_core.Mode.Baseline in
-  let b, _ =
+  let sa, ra, _ = run_with_trace (List.hd Stx_workloads.Registry.all) Stx_core.Mode.Baseline in
+  let sb, rb, _ =
     run_with_trace (List.hd Stx_workloads.Registry.all) Stx_core.Mode.Staggered_hw
   in
-  let m = Run.merge a b in
+  let stats = Stx_sim.Stats.merge sa sb and reg = Registry.merge ra rb in
   Alcotest.(check int) "commits sum"
-    (a.Run.stats.Stx_sim.Stats.commits + b.Run.stats.Stx_sim.Stats.commits)
-    m.Run.stats.Stx_sim.Stats.commits;
+    (sa.Stx_sim.Stats.commits + sb.Stx_sim.Stats.commits)
+    stats.Stx_sim.Stats.commits;
   (* both runs carry the default bundle's policy label: read the
      counters under it, not with an exact empty label set *)
   let commits r =
-    Registry.counter_value r.Run.metrics "stx_commits"
+    Registry.counter_value r "stx_commits"
       [ ("policy", Stx_policy.label Stx_policy.default) ]
   in
-  let sum = commits a + commits b in
+  let sum = commits ra + commits rb in
   Alcotest.(check bool) "registry commits nonzero" true (sum > 0);
-  Alcotest.(check int) "registry counter sums" sum (commits m);
+  Alcotest.(check int) "registry counter sums" sum (commits reg);
   Alcotest.(check int) "registry agrees with merged stats"
-    m.Run.stats.Stx_sim.Stats.commits (commits m)
+    stats.Stx_sim.Stats.commits (commits reg)
 
 (* --- GC pressure stamped at export time -------------------------------- *)
 
@@ -395,20 +407,20 @@ let genome () =
   | None -> Alcotest.fail "genome workload missing"
 
 let test_baseline_has_no_suffix () =
-  let r, _ = run_with_trace (genome ()) Stx_core.Mode.Baseline in
+  let _, reg, _ = run_with_trace (genome ()) Stx_core.Mode.Baseline in
   Alcotest.(check int) "no advisory locks, no serialized suffix" 0
-    (Collect.phase_total r.Run.metrics Collect.Suffix);
+    (Collect.phase_total reg Collect.Suffix);
   Alcotest.(check int) "nor lock wait" 0
-    (Collect.phase_total r.Run.metrics Collect.Lock_wait);
+    (Collect.phase_total reg Collect.Lock_wait);
   Alcotest.(check bool) "but committed prefix cycles exist" true
-    (Collect.phase_total r.Run.metrics Collect.Prefix > 0)
+    (Collect.phase_total reg Collect.Prefix > 0)
 
 let test_staggered_has_nonzero_suffix () =
-  let r, _ = run_with_trace (genome ()) Stx_core.Mode.Staggered_hw in
+  let _, reg, _ = run_with_trace (genome ()) Stx_core.Mode.Staggered_hw in
   Alcotest.(check bool) "serialized suffix present" true
-    (Collect.phase_total r.Run.metrics Collect.Suffix > 0);
+    (Collect.phase_total reg Collect.Suffix > 0);
   Alcotest.(check bool) "speculative prefix still present" true
-    (Collect.phase_total r.Run.metrics Collect.Prefix > 0)
+    (Collect.phase_total reg Collect.Prefix > 0)
 
 (* --- the benchmark's gated fields, read by label subset -----------------
    Every series carries the run's policy label, so exact-label reads see
@@ -418,13 +430,12 @@ let test_staggered_has_nonzero_suffix () =
    vacuously. *)
 let test_bench_gated_fields_nonzero () =
   let w = Option.get (Stx_workloads.Registry.find "list-hi") in
-  let r, _ = run_with_trace w Stx_core.Mode.Baseline in
-  let s = r.Run.stats in
+  let s, reg, _ = run_with_trace w Stx_core.Mode.Baseline in
   Alcotest.(check bool) "commits" true (s.Stx_sim.Stats.commits > 0);
   Alcotest.(check bool) "aborts" true (s.Stx_sim.Stats.aborts > 0);
   Alcotest.(check bool) "p99 commit latency" true
     (Hist.p99
-       (Collect.histogram r.Run.metrics "stx_tx_latency_cycles"
+       (Collect.histogram reg "stx_tx_latency_cycles"
           [ ("outcome", "commit") ])
     > 0)
 
@@ -432,6 +443,8 @@ let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
     Alcotest.test_case "empty histogram" `Quick test_hist_empty;
+    Alcotest.test_case "empty histogram allocates no buckets" `Quick
+      test_hist_create_allocates_little;
     Alcotest.test_case "negative observation rejected" `Quick
       test_hist_negative_rejected;
     Alcotest.test_case "count/sum/min/max exact" `Quick test_hist_exact_fields;

@@ -202,11 +202,14 @@ let test_non_default_policies_reconcile () =
           in
           let cfg = Config.with_cores threads Config.default in
           let tr = Stx_trace.Trace.create ~threads () in
-          let r =
-            Stx_metrics.Run.simulate ~seed:3 ~htm_policy ~cfg ~mode
-              ~on_event:(Stx_trace.Trace.handler tr) spec
+          let mc = Stx_metrics.Collect.create ~policy:htm_policy () in
+          let s =
+            Machine.run ~seed:3 ~htm_policy ~cfg ~mode
+              ~on_event:(fun ~time ev ->
+                Stx_metrics.Collect.handler mc ~time ev;
+                Stx_trace.Trace.handler tr ~time ev)
+              spec
           in
-          let s = r.Stx_metrics.Run.stats in
           let label = Stx_policy.label htm_policy in
           Alcotest.(check bool)
             (Printf.sprintf "%s/%s made progress" name label)
@@ -217,7 +220,7 @@ let test_non_default_policies_reconcile () =
             Alcotest.fail
               (Printf.sprintf "%s/%s trace check: %s" name label
                  (String.concat "; " errs)));
-          match Stx_metrics.Collect.check r.Stx_metrics.Run.metrics s with
+          match Stx_metrics.Collect.check (Stx_metrics.Collect.registry mc) s with
           | Ok () -> ()
           | Error errs ->
             Alcotest.fail

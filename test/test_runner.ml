@@ -17,16 +17,14 @@ let small_batch () =
     job ~workload:"kmeans" ~mode:Mode.Staggered_hw ();
   ]
 
-(* total representation of a batch's outcomes: every [Stats] field and
-   the metrics registry's JSON snapshot *)
+(* total representation of a batch's outcomes: every [Stats] field. A
+   sweep cell carries no registry; serve "jobs count never changes the
+   result" pins the registry's jobs-invariance *)
 let outcomes_fingerprinted batch =
   List.map
     (fun (j, out) ->
       match out with
-      | Pool.Done r ->
-        ( Job.label j,
-          Test_exact.fingerprint r.Stx_metrics.Run.stats
-          ^ Stx_metrics.Registry.to_json_string r.Stx_metrics.Run.metrics )
+      | Pool.Done s -> (Job.label j, Test_exact.fingerprint s)
       | Pool.Failed m -> (Job.label j, "failed: " ^ m))
     batch.Sweep.results
 
@@ -110,8 +108,7 @@ let test_digest_sensitive_to_every_field () =
   match (List.hd b.Sweep.results, List.nth b.Sweep.results 6) with
   | (_, Pool.Done r0), (_, Pool.Done r6) ->
     Alcotest.(check string) "the copy shares the base's outcome"
-      (Test_exact.fingerprint r0.Stx_metrics.Run.stats)
-      (Test_exact.fingerprint r6.Stx_metrics.Run.stats)
+      (Test_exact.fingerprint r0) (Test_exact.fingerprint r6)
   | _ -> Alcotest.fail "expected both base occurrences to succeed"
 
 (* --- progress ---------------------------------------------------------- *)
@@ -222,6 +219,31 @@ let test_job_make_rejects_bad_threads_and_scale () =
     (fun scale -> rejects (Printf.sprintf "scale %g" scale) (fun () -> job ~scale ()))
     [ 0.; Float.nan; Float.infinity ]
 
+(* the reports built on sweep cells read only [Stats], so a cell runs
+   bare: an observer composed into [Sweep.run_job] would show up as
+   allocation beyond that of the bare machine on the same spec *)
+let test_sweep_cells_run_bare () =
+  let j = job ~workload:"list-hi" ~mode:Mode.Staggered_hw ~threads:4 () in
+  let bare () =
+    let w = Option.get (Stx_workloads.Registry.find "list-hi") in
+    let spec = Stx_workloads.Workload.spec ~instrument:true ~scale:0.05 w in
+    let cfg = Stx_machine.Config.with_cores 4 Stx_machine.Config.default in
+    Stx_sim.Machine.run ~seed:3 ~cfg ~mode:Mode.Staggered_hw spec
+  in
+  let words f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  ignore (bare ());
+  ignore (Sweep.run_job j);
+  let sweep = words (fun () -> Sweep.run_job j) and bare = words bare in
+  Alcotest.(check bool)
+    (Printf.sprintf "sweep %.0f words, bare %.0f (%.3fx)" sweep bare
+       (sweep /. bare))
+    true
+    (sweep <= 1.01 *. bare)
+
 let suite =
   [
     Alcotest.test_case "pool keeps input order" `Quick
@@ -245,4 +267,6 @@ let suite =
       test_batch_dedupes_duplicate_specs;
     Alcotest.test_case "Job.make rejects bad threads and scale" `Quick
       test_job_make_rejects_bad_threads_and_scale;
+    Alcotest.test_case "sweep cells attach no observer" `Quick
+      test_sweep_cells_run_bare;
   ]

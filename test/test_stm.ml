@@ -266,17 +266,20 @@ let reconcile_workload name =
   let spec = Stx_workloads.Workload.spec ~instrument:true ~scale:0.05 w in
   let cfg = Config.with_cores threads Config.default in
   let tr = Stx_trace.Trace.create ~threads () in
-  let r =
-    Stx_metrics.Run.simulate ~seed:3 ~htm_policy:(stm_policy ~hw_retries:2 ())
-      ~cfg ~mode
-      ~on_event:(Stx_trace.Trace.handler tr) spec
+  let htm_policy = stm_policy ~hw_retries:2 () in
+  let mc = Stx_metrics.Collect.create ~policy:htm_policy () in
+  let s =
+    Machine.run ~seed:3 ~htm_policy ~cfg ~mode
+      ~on_event:(fun ~time ev ->
+        Stx_metrics.Collect.handler mc ~time ev;
+        Stx_trace.Trace.handler tr ~time ev)
+      spec
   in
-  let s = r.Stx_metrics.Run.stats in
   (match Stx_trace.Trace.check tr s with
   | Ok () -> ()
   | Error es ->
     Alcotest.fail (name ^ ": trace check: " ^ String.concat "; " es));
-  (match Stx_metrics.Collect.check r.Stx_metrics.Run.metrics s with
+  (match Stx_metrics.Collect.check (Stx_metrics.Collect.registry mc) s with
   | Ok () -> ()
   | Error es ->
     Alcotest.fail (name ^ ": metrics check: " ^ String.concat "; " es));
