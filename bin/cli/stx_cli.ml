@@ -133,6 +133,14 @@ let print_episodes series =
         (Stx_telemetry.Episodes.to_string series e))
     (Stx_telemetry.Episodes.detect series)
 
+let divergences tr reg s =
+  let errs prefix = function
+    | Ok () -> []
+    | Error es -> List.map (fun e -> prefix ^ e) es
+  in
+  errs "trace: " (Stx_trace.Trace.check tr s)
+  @ errs "metrics: " (Stx_metrics.Collect.check reg s)
+
 let checked_run ~seed ~scale ~threads ~htm_policy ~mode w =
   let spec =
     Stx_workloads.Workload.spec ~instrument:(Stx_core.Mode.uses_alps mode)
@@ -146,13 +154,7 @@ let checked_run ~seed ~scale ~threads ~htm_policy ~mode w =
     Stx_trace.Trace.handler tr ~time ev
   in
   let s = Stx_sim.Machine.run ~seed ~htm_policy ~cfg ~mode ~on_event spec in
-  let errs prefix = function
-    | Ok () -> []
-    | Error es -> List.map (fun e -> prefix ^ e) es
-  in
-  ( s,
-    errs "trace: " (Stx_trace.Trace.check tr s)
-    @ errs "metrics: " (Stx_metrics.Collect.check (Stx_metrics.Collect.registry c) s) )
+  (s, divergences tr (Stx_metrics.Collect.registry c) s)
 
 let pool_map ~jobs f cells =
   Array.of_list cells

@@ -62,6 +62,13 @@ val write_telemetry :
 val print_episodes : Stx_telemetry.Series.t -> unit
 (** One [episode] line per detected episode. *)
 
+val divergences :
+  Stx_trace.Trace.t -> Stx_metrics.Registry.t -> Stx_sim.Stats.t -> string list
+(** Every divergence {!Stx_trace.Trace.check} and
+    {!Stx_metrics.Collect.check} find between one run's full trace,
+    metrics registry and statistics, prefixed ["trace: "] and
+    ["metrics: "]. *)
+
 val checked_run :
   seed:int ->
   scale:float ->
@@ -71,8 +78,7 @@ val checked_run :
   Stx_workloads.Workload.t ->
   Stx_sim.Stats.t * string list
 (** One simulation with a full trace and the metrics collector on, and
-    every divergence {!Stx_trace.Trace.check} and {!Stx_metrics.Collect.check}
-    find in it, prefixed ["trace: "] and ["metrics: "]. *)
+    its {!divergences}. *)
 
 val pool_map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [f] over the list on a pool of [jobs] domains, in input order, so

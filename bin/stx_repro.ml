@@ -687,7 +687,22 @@ let report_cmd =
       w.Stx_workloads.Workload.name (Stx_core.Mode.to_string mode) out
       (String.length html)
       (Stx_telemetry.Series.length series)
-      (List.length episodes)
+      (List.length episodes);
+    (* the report renders all three planes, so it reconciles all three:
+       trace and metrics against the stats, telemetry online = replay *)
+    let replayed =
+      Stx_telemetry.Collect.of_trace ~window
+        ~horizon:stats.Stx_sim.Stats.total_cycles tr
+    in
+    match
+      Stx_cli.divergences tr (Stx_metrics.Collect.registry mc) stats
+      @ List.map (( ^ ) "telemetry: ") (Stx_telemetry.Series.diff series replayed)
+    with
+    | [] -> ()
+    | errs ->
+      print_endline "  checks FAILED:";
+      List.iter (fun e -> print_endline ("    " ^ e)) errs;
+      exit 1
   in
   Cmd.v
     (Cmd.info "report"
@@ -697,7 +712,9 @@ let report_cmd =
           episode annotations, per-core occupancy, conflict hot spots, the \
           per-atomic-block phase profile and the policy bundle — as a \
           single self-contained HTML file (inline CSS, hand-rolled SVG, no \
-          external assets; byte-deterministic for a fixed seed)")
+          external assets; byte-deterministic for a fixed seed), \
+          cross-checking the trace, metrics and telemetry it renders \
+          (non-zero exit on any reconciliation failure)")
     Term.(
       const run $ ctx_term $ bench_arg $ Stx_cli.mode $ window_arg $ out_arg)
 

@@ -64,32 +64,27 @@ let print_check name ~ok = function
     List.iter (fun e -> Printf.printf "    %s\n" e) errs;
     exit 1
 
-(* several benchmarks at once: fan out over the Stx_runner domain pool,
-   print each stats block in the requested order *)
+(* several benchmarks at once: prefetch them through an experiment
+   context's domain pool, print each stats block in the requested order *)
 let run_many benches mode threads seed scale jobs policy =
-  let open Stx_runner in
-  let specs =
-    List.map
-      (fun w ->
-        Job.make ~policy ~workload:w.Workload.name ~mode ~threads ~seed ~scale
-          ())
-      benches
-  in
-  let batch = Sweep.run_batch ~jobs ~progress:true specs in
+  let ctx = Stx_harness.Exp.create ~seed ~scale ~threads ~jobs ~policy () in
+  Stx_harness.Exp.prefetch ~progress:true ctx
+    (List.map (fun w -> (w, mode, threads)) benches);
   let failed = ref false in
-  List.iter2
-    (fun w (_, outcome) ->
-      match outcome with
-      | Pool.Done stats ->
+  List.iter
+    (fun w ->
+      (* a cell that failed in the pool simulates once more, here *)
+      match Stx_harness.Exp.run ctx w mode with
+      | stats ->
         print_stats w.Workload.name mode threads stats;
         let spec = Workload.spec ~instrument:(Mode.uses_alps mode) ~scale w in
         print_per_ab spec stats;
         print_newline ()
-      | Pool.Failed msg ->
+      | exception e ->
         failed := true;
         Printf.printf "%s / %s / %d threads: FAILED: %s\n\n" w.Workload.name
-          (Mode.to_string mode) threads msg)
-    benches batch.Sweep.results;
+          (Mode.to_string mode) threads (Printexc.to_string e))
+    benches;
   if !failed then exit 1
 
 let run list_benches bench mode threads seed scale trace raw_trace metrics

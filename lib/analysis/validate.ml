@@ -36,46 +36,65 @@ let source_label = function
    table entry. The entry's root-context node translates through
    [Conflict.to_global]; its field comes from the DSA and is stable
    across graph planes (it is fixed by the access instruction itself). *)
-let resolve_victim (pipeline : Stx_compiler.Pipeline.t) graph ~ab ~conf_pc =
-  match conf_pc with
-  | None -> None
-  | Some tag -> (
-    let table = Stx_compiler.Pipeline.table_for pipeline ~ab in
-    if Stx_compiler.Unified.tag_ambiguous table tag then None
-    else
-      (* The tag names an instruction, not a calling context: one iid can
-         appear in several table entries (one per context), each mapping
-         the access to a different whole-program node. The dynamic
-         instance went through exactly one of them, but the tag cannot
-         tell which — union the global ids of every matching entry. The
-         field is the same across contexts (fixed by the instruction). *)
-      let matching =
-        Array.to_list (Stx_compiler.Unified.entries table)
-        |> List.filter (fun (e : Stx_compiler.Unified.entry) ->
-               Stx_tir.Layout.truncate
-                 ~bits:pipeline.Stx_compiler.Pipeline.pc_bits
-                 (Stx_tir.Layout.pc_of_iid
-                    pipeline.Stx_compiler.Pipeline.layout
-                    e.Stx_compiler.Unified.ue_iid)
-               = tag)
-      in
-      match matching with
-      | [] -> None
-      | e :: _ -> (
-        match
-          Stx_dsa.Dsa.access_node pipeline.Stx_compiler.Pipeline.dsa
-            e.Stx_compiler.Unified.ue_iid
-        with
-        | None -> None
-        | Some (_, field) -> (
-          let gids =
-            List.concat_map
-              (fun (e : Stx_compiler.Unified.entry) ->
-                Conflict.to_global graph ~ab e.Stx_compiler.Unified.ue_node)
-              matching
-            |> List.sort_uniq compare
-          in
-          match gids with [] -> None | _ -> Some (gids, field))))
+let resolve_victim (pipeline : Stx_compiler.Pipeline.t) graph ~ab ~tag =
+  let table = Stx_compiler.Pipeline.table_for pipeline ~ab in
+  if Stx_compiler.Unified.tag_ambiguous table tag then None
+  else
+    (* The tag names an instruction, not a calling context: one iid can
+       appear in several table entries (one per context), each mapping
+       the access to a different whole-program node. The dynamic
+       instance went through exactly one of them, but the tag cannot
+       tell which — union the global ids of every matching entry. The
+       field is the same across contexts (fixed by the instruction). *)
+    let matching =
+      Array.to_list (Stx_compiler.Unified.entries table)
+      |> List.filter (fun (e : Stx_compiler.Unified.entry) ->
+             Stx_tir.Layout.truncate
+               ~bits:pipeline.Stx_compiler.Pipeline.pc_bits
+               (Stx_tir.Layout.pc_of_iid pipeline.Stx_compiler.Pipeline.layout
+                  e.Stx_compiler.Unified.ue_iid)
+             = tag)
+    in
+    match matching with
+    | [] -> None
+    | e :: _ -> (
+      match
+        Stx_dsa.Dsa.access_node pipeline.Stx_compiler.Pipeline.dsa
+          e.Stx_compiler.Unified.ue_iid
+      with
+      | None -> None
+      | Some (_, field) -> (
+        let gids =
+          List.concat_map
+            (fun (e : Stx_compiler.Unified.entry) ->
+              Conflict.to_global graph ~ab e.Stx_compiler.Unified.ue_node)
+            matching
+          |> List.sort_uniq compare
+        in
+        match gids with [] -> None | _ -> Some (gids, field)))
+
+(* unresolved < uncovered < false sharing < true sharing: true wins over
+   false, keeping the reported false-sharing fraction a lower bound *)
+let rank = function
+  | None -> 0
+  | Some Layout.Unpredicted -> 1
+  | Some (Layout.Attributed Layout.False_sharing) -> 2
+  | Some (Layout.Attributed Layout.True_sharing) -> 3
+
+let classify_tag pipeline graph plane ~tag victims =
+  let best a b = if rank b > rank a then b else a in
+  List.fold_left
+    (fun acc (ab, srcs) ->
+      match resolve_victim pipeline graph ~ab ~tag with
+      | None -> acc
+      | Some (gids, field) ->
+        List.fold_left
+          (fun acc src ->
+            best acc
+              (Some (Layout.classify_conflict plane ~src ~dst:ab ~gids ~field)))
+          (best acc (Some Layout.Unpredicted))
+          srcs)
+    None victims
 
 let run ?ctx graph trace =
   let nt = Trace.threads trace in
@@ -124,33 +143,22 @@ let run ?ctx graph trace =
     | None -> ()
     | Some (pipeline, plane) -> (
       let tr, fa, un = sharing_of key in
-      match resolve_victim pipeline graph ~ab ~conf_pc with
+      match
+        Option.bind conf_pc (fun tag ->
+            classify_tag pipeline graph plane ~tag [ (ab, srcs) ])
+      with
       | None ->
         incr sharing_unknown;
         incr un
-      | Some (gids, field) -> (
-        let best =
-          List.fold_left
-            (fun acc src ->
-              match
-                Layout.classify_conflict plane ~src ~dst:ab ~gids ~field
-              with
-              | Layout.Attributed Layout.True_sharing -> `True
-              | Layout.Attributed Layout.False_sharing ->
-                if acc = `True then `True else `False
-              | Layout.Unpredicted -> acc)
-            `None srcs
-        in
-        match best with
-        | `True ->
-          incr true_sharing;
-          incr tr
-        | `False ->
-          incr false_sharing;
-          incr fa
-        | `None ->
-          incr line_unsound;
-          incr un))
+      | Some (Layout.Attributed Layout.True_sharing) ->
+        incr true_sharing;
+        incr tr
+      | Some (Layout.Attributed Layout.False_sharing) ->
+        incr false_sharing;
+        incr fa
+      | Some Layout.Unpredicted ->
+        incr line_unsound;
+        incr un)
   in
   let idx = ref 0 in
   Trace.iter trace (fun ~time:_ ev ->

@@ -61,6 +61,22 @@ type t = {
           line plane is sound on this trace *)
 }
 
+val classify_tag :
+  Stx_compiler.Pipeline.t ->
+  Conflict.t ->
+  Layout.t ->
+  tag:int ->
+  (int * Conflict.source list) list ->
+  Layout.attribution option
+(** Line-granular verdict on one conflicting-PC tag, as {!run} gives it
+    for each predicted abort. For each victim block [ab] and its
+    candidate sources, the tag resolves through [ab]'s unified table to
+    the access it names, and {!Layout.classify_conflict} is asked once
+    per source. [None] when the tag resolves in no listed block (absent,
+    ambiguous, or without a DSA field); [Some Unpredicted] when no
+    line-colliding pair covers it; otherwise true sharing wins over
+    false across every block and source. *)
+
 val run : ?ctx:Stx_compiler.Pipeline.t * Layout.t -> Conflict.t -> Trace.t -> t
 (** Without [ctx] the sharing counters stay zero (node-level validation
     only, the seed behaviour). *)

@@ -6,29 +6,30 @@ open Stx_workloads
 
 let cfg16 = Config.default
 
-let run_custom ?(seed = 1) ?(scale = 1.0) ?policy ?lock_timeout ?max_waiters
-    ?(cfg = cfg16) ~mode w =
+let run_custom ctx ?policy ?lock_timeout ?max_waiters ?(cfg = cfg16) ~mode w =
   (* the compiled anchor tables must be indexed with the same truncation the
      simulated hardware applies to its PC tags *)
   let pc_bits = cfg.Config.pc_tag_bits in
+  let scale = Exp.scale ctx in
   let spec = Workload.spec ~instrument:(Mode.uses_alps mode) ~scale ~pc_bits w in
-  Machine.run ~seed ?policy ?lock_timeout ?max_waiters ~cfg ~mode spec
+  Machine.run ~seed:(Exp.seed ctx) ?policy ?lock_timeout ?max_waiters ~cfg ~mode spec
 
-let baseline_cycles ?seed ?scale w =
-  (run_custom ?seed ?scale ~mode:Mode.Baseline w).Stats.total_cycles
+(* every study's HTM reference is the same cell (16 cores, the default
+   bundle, 12-bit tags), so one context simulates it once per workload *)
+let baseline_cycles ctx w = (Exp.run ctx w Mode.Baseline).Stats.total_cycles
 
 let subjects names =
   List.filter_map Registry.find names
 
-let policy_thresholds ?seed ?scale () =
+let policy_thresholds ctx =
   let t = Table.create [ "Benchmark"; "PC_THR"; "ADDR_THR"; "vs HTM"; "aborts" ] in
   List.iter
     (fun w ->
-      let base = baseline_cycles ?seed ?scale w in
+      let base = baseline_cycles ctx w in
       List.iter
         (fun (pc_thr, addr_thr) ->
           let policy = { Policy.default_params with Policy.pc_thr; Policy.addr_thr } in
-          let s = run_custom ?seed ?scale ~policy ~mode:Mode.Staggered_hw w in
+          let s = run_custom ctx ~policy ~mode:Mode.Staggered_hw w in
           Table.add_row t
             [
               w.Workload.name;
@@ -42,14 +43,14 @@ let policy_thresholds ?seed ?scale () =
   "Ablation: Figure 6 policy thresholds (activation evidence required).\n"
   ^ Table.render t
 
-let waiter_cap ?seed ?scale () =
+let waiter_cap ctx =
   let t = Table.create [ "Benchmark"; "cap"; "vs HTM"; "aborts"; "lock waits (cyc)" ] in
   List.iter
     (fun w ->
-      let base = baseline_cycles ?seed ?scale w in
+      let base = baseline_cycles ctx w in
       List.iter
         (fun cap ->
-          let s = run_custom ?seed ?scale ~max_waiters:cap ~mode:Mode.Staggered_hw w in
+          let s = run_custom ctx ~max_waiters:cap ~mode:Mode.Staggered_hw w in
           Table.add_row t
             [
               w.Workload.name;
@@ -63,15 +64,15 @@ let waiter_cap ?seed ?scale () =
   "Ablation: advisory-lock convoy depth (waiters allowed per lock before\n"
   ^ "excess transactions proceed speculatively).\n" ^ Table.render t
 
-let pc_tag_width ?seed ?(scale = 1.0) () =
+let pc_tag_width ctx =
   let t = Table.create [ "Benchmark"; "tag bits"; "accuracy"; "vs HTM" ] in
   List.iter
     (fun w ->
-      let base = baseline_cycles ?seed ~scale w in
+      let base = baseline_cycles ctx w in
       List.iter
         (fun bits ->
           let cfg = { cfg16 with Config.pc_tag_bits = bits } in
-          let s = run_custom ?seed ~scale ~cfg ~mode:Mode.Staggered_hw w in
+          let s = run_custom ctx ~cfg ~mode:Mode.Staggered_hw w in
           Table.add_row t
             [
               w.Workload.name;
@@ -85,15 +86,15 @@ let pc_tag_width ?seed ?(scale = 1.0) () =
   "Ablation: conflicting-PC tag width (the paper uses 12 bits for <2.4%\n"
   ^ "L1 space overhead; narrower tags alias more).\n" ^ Table.render t
 
-let lock_timeout ?seed ?scale () =
+let lock_timeout ctx =
   let t = Table.create [ "Benchmark"; "timeout"; "vs HTM"; "timeouts"; "aborts" ] in
   List.iter
     (fun w ->
-      let base = baseline_cycles ?seed ?scale w in
+      let base = baseline_cycles ctx w in
       List.iter
         (fun timeout ->
           let s =
-            run_custom ?seed ?scale ~lock_timeout:timeout ~mode:Mode.Staggered_hw w
+            run_custom ctx ~lock_timeout:timeout ~mode:Mode.Staggered_hw w
           in
           Table.add_row t
             [
@@ -109,15 +110,15 @@ let lock_timeout ?seed ?scale () =
   ^ "early; under requester-wins a released waiter can shoot down the\n"
   ^ "holder).\n" ^ Table.render t
 
-let probe_period ?seed ?scale () =
+let probe_period ctx =
   let t = Table.create [ "Benchmark"; "period"; "vs HTM"; "locks"; "aborts" ] in
   List.iter
     (fun w ->
-      let base = baseline_cycles ?seed ?scale w in
+      let base = baseline_cycles ctx w in
       List.iter
         (fun period ->
           let policy = { Policy.default_params with Policy.probe_period = period } in
-          let s = run_custom ?seed ?scale ~policy ~mode:Mode.Staggered_hw w in
+          let s = run_custom ctx ~policy ~mode:Mode.Staggered_hw w in
           Table.add_row t
             [
               w.Workload.name;
@@ -131,15 +132,15 @@ let probe_period ?seed ?scale () =
   "Ablation: speculation-probe period (how often an armed context re-tests\n"
   ^ "plain speculation).\n" ^ Table.render t
 
-let read_only_skip ?seed ?scale () =
+let read_only_skip ctx =
   let t = Table.create [ "Benchmark"; "skip read-only"; "vs HTM"; "locks"; "aborts" ] in
   List.iter
     (fun w ->
-      let base = baseline_cycles ?seed ?scale w in
+      let base = baseline_cycles ctx w in
       List.iter
         (fun skip_read_only ->
           let policy = { Policy.default_params with Policy.skip_read_only } in
-          let s = run_custom ?seed ?scale ~policy ~mode:Mode.Staggered_hw w in
+          let s = run_custom ctx ~policy ~mode:Mode.Staggered_hw w in
           Table.add_row t
             [
               w.Workload.name;
@@ -157,17 +158,17 @@ let read_only_skip ?seed ?scale () =
   ^ "their own wasted work).
 " ^ Table.render t
 
-let lazy_variant ?seed ?scale () =
+let lazy_variant ctx =
   let t =
     Table.create [ "Benchmark"; "protocol"; "runtime"; "vs eager HTM"; "aborts" ]
   in
   List.iter
     (fun w ->
-      let eager_base = baseline_cycles ?seed ?scale w in
+      let eager_base = baseline_cycles ctx w in
       List.iter
         (fun (label, lazy_htm, mode) ->
           let cfg = { cfg16 with Config.lazy_htm } in
-          let s = run_custom ?seed ?scale ~cfg ~mode w in
+          let s = run_custom ctx ~cfg ~mode w in
           Table.add_row t
             [
               w.Workload.name;
@@ -188,14 +189,15 @@ let lazy_variant ?seed ?scale () =
   ^ "Staggering helps on both, as predicted: the mechanism is independent\n"
   ^ "of the underlying conflict-resolution strategy.\n" ^ Table.render t
 
-let all ?seed ?scale () =
-  String.concat "\n"
-    [
-      policy_thresholds ?seed ?scale ();
-      waiter_cap ?seed ?scale ();
-      pc_tag_width ?seed ?scale ();
-      lock_timeout ?seed ?scale ();
-      probe_period ?seed ?scale ();
-      lazy_variant ?seed ?scale ();
-      read_only_skip ?seed ?scale ();
-    ]
+let with_ctx study ?seed ?scale () = study (Exp.create ?seed ?scale ())
+
+let all =
+  with_ctx (fun ctx ->
+      String.concat "\n"
+        (List.map (fun study -> study ctx)
+           [ policy_thresholds; waiter_cap; pc_tag_width; lock_timeout;
+             probe_period; lazy_variant; read_only_skip ]))
+
+let pc_tag_width = with_ctx pc_tag_width
+let lock_timeout = with_ctx lock_timeout
+let probe_period = with_ctx probe_period

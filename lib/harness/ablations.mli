@@ -13,3 +13,5 @@ val probe_period : ?seed:int -> ?scale:float -> unit -> string
 (** The speculation-probe duty cycle of the runtime extension. *)
 
 val all : ?seed:int -> ?scale:float -> unit -> string
+(** Every study, sharing one {!Exp} context: each workload's HTM
+    reference cell simulates once for all of them. *)

@@ -7,10 +7,13 @@ open Stx_workloads
     Figure 7 and Figure 8 all describe the same runs — as they do in the
     paper.
 
+    A cell is fully described by the context's seed, scale and policy
+    plus its own coordinate, and runs bare: the workload compiled with
+    ALPs iff the mode uses them, simulated with no observer attached.
     The memo table lives for the process and can be filled wholesale by
-    {!prefetch}, which hands all still-missing cells to a
+    {!prefetch}, which hands every distinct missing cell to a
     {!Stx_runner.Pool} of domains. Because every simulation is
-    deterministic in its job spec, the pool changes no result: a
+    deterministic in its inputs, the pool changes no result: a
     sequential run and a parallel run produce identical statistics. *)
 
 type t
@@ -29,7 +32,8 @@ val create :
 (** [threads] defaults to 16 (the paper's machine); [scale] to 1.0.
     [jobs] (default 1) is the domain-pool width used by {!prefetch};
     [policy] (default {!Stx_policy.default}) is the HTM policy bundle
-    every cell of the context runs under. *)
+    every cell of the context runs under. Raises [Invalid_argument] on
+    [threads < 1], or on a [scale] that is not positive and finite. *)
 
 val seed : t -> int
 val scale : t -> float
@@ -50,10 +54,14 @@ val sequential : t -> Workload.t -> Stats.t
 
 val prefetch : ?progress:bool -> t -> cell list -> unit
 (** Fill the memo for every listed cell that is still missing, using the
-    context's [jobs] domains. A cell whose job fails is simply left
-    unfilled — the next {!run_at} retries it sequentially and raises in
-    its natural context. [progress] (default off) prints per-job
-    completion lines on stderr. *)
+    context's [jobs] domains; a cell listed twice simulates once. A cell
+    whose simulation fails is simply left unfilled — the next {!run_at}
+    retries it sequentially and raises in its natural context.
+    [progress] (default off) prints a completion line per cell on
+    stderr, labelled ["genome/Staggered/t16"] (plus a fourth segment,
+    the {!Stx_policy.label}, under a non-default policy), and a
+    {!Stx_runner.Progress.heartbeat} every 10 s while cells run in
+    parallel and stdout is not a terminal (CI logs). *)
 
 val standard_cells : t -> cell list
 (** The full evaluation matrix: every benchmark × every mode at the

@@ -409,70 +409,35 @@ let hotspots ctx w =
   (* line-plane attribution of each hot tag: resolve the victim access
      the tag names and ask the layout plane whether the conflicting
      pairs that reach it share the field (true) or only the line
-     (false). Ambiguous tags cannot be resolved; "-" = no conflicting
-     pair reaches the access (e.g. an anchor entry nothing collides
-     with at line granularity). *)
+     (false). The tag does not say which block the victim ran, so every
+     block is asked, with every source the plane pairs with it.
+     Ambiguous tags cannot be resolved; "-" = no conflicting pair
+     reaches the access (e.g. an anchor entry nothing collides with at
+     line granularity). *)
   let module An = Stx_analysis in
   let analysis =
     An.Driver.analyze ~name:w.Workload.name spec.Machine.compiled
   in
   let plane = analysis.An.Driver.a_plane in
-  let graph = analysis.An.Driver.a_graph in
-  let compiled = spec.Machine.compiled in
+  let victims =
+    Array.to_list unified
+    |> List.map (fun tb ->
+           let ab = Stx_compiler.Unified.ab_id tb in
+           ( ab,
+             List.filter_map
+               (fun (src, dst, _) -> if dst = ab then Some src else None)
+               (An.Layout.edges plane) ))
+  in
   let sharing_of_pc pc =
     if tag_ambiguous pc then "ambiguous"
-    else begin
-      (* one iid can appear in several entries (one per calling context)
-         and in several blocks' tables; the tag cannot tell which the
-         victim executed, so fold the verdict over every match *)
-      let matches = ref [] in
-      Array.iter
-        (fun tb ->
-          Array.iter
-            (fun (e : Stx_compiler.Unified.entry) ->
-              let p =
-                Stx_tir.Layout.pc_of_iid
-                  compiled.Stx_compiler.Pipeline.layout
-                  e.Stx_compiler.Unified.ue_iid
-              in
-              if
-                Stx_tir.Layout.truncate
-                  ~bits:compiled.Stx_compiler.Pipeline.pc_bits p
-                = pc
-              then matches := (Stx_compiler.Unified.ab_id tb, e) :: !matches)
-            (Stx_compiler.Unified.entries tb))
-        unified;
-      let verdict =
-        List.fold_left
-          (fun acc (ab, (e : Stx_compiler.Unified.entry)) ->
-            match
-              Stx_dsa.Dsa.access_node compiled.Stx_compiler.Pipeline.dsa
-                e.Stx_compiler.Unified.ue_iid
-            with
-            | None -> acc
-            | Some (_, field) -> (
-              match
-                An.Conflict.to_global graph ~ab e.Stx_compiler.Unified.ue_node
-              with
-              | [] -> acc
-              | gids ->
-                List.fold_left
-                  (fun acc (src, dst, _) ->
-                    if dst <> ab then acc
-                    else
-                      match
-                        An.Layout.classify_conflict plane ~src ~dst ~gids
-                          ~field
-                      with
-                      | An.Layout.Attributed An.Layout.True_sharing -> `True
-                      | An.Layout.Attributed An.Layout.False_sharing ->
-                        if acc = `True then `True else `False
-                      | An.Layout.Unpredicted -> acc)
-                  acc (An.Layout.edges plane)))
-          `None !matches
-      in
-      match verdict with `True -> "true" | `False -> "false" | `None -> "-"
-    end
+    else
+      match
+        An.Validate.classify_tag spec.Machine.compiled
+          analysis.An.Driver.a_graph plane ~tag:pc victims
+      with
+      | Some (An.Layout.Attributed An.Layout.True_sharing) -> "true"
+      | Some (An.Layout.Attributed An.Layout.False_sharing) -> "false"
+      | Some An.Layout.Unpredicted | None -> "-"
   in
   let t2 =
     Table.create [ "conflicting PC tag"; "aborts"; "share"; "lookup"; "sharing" ]

@@ -67,6 +67,10 @@ let to_string v =
 
 exception Parse_error of string * int
 
+(* far past the few levels our own documents nest, and shallow enough
+   that a run of brackets fails fast instead of recursing per byte *)
+let max_depth = 512
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -130,11 +134,13 @@ let parse s =
     in
     go ()
   in
-  let rec value () =
+  let rec value depth =
     skip_ws ();
     match peek () with
-    | '{' -> obj ()
-    | '[' -> arr ()
+    | ('{' | '[') when depth >= max_depth ->
+      fail (Printf.sprintf "nested deeper than %d" max_depth)
+    | '{' -> obj (depth + 1)
+    | '[' -> arr (depth + 1)
     | '"' -> Str (parse_string ())
     | 't' -> literal "true" (Bool true)
     | 'f' -> literal "false" (Bool false)
@@ -168,7 +174,7 @@ let parse s =
         match float_of_string_opt lit with
         | Some f -> Float f
         | None -> fail "bad number"))
-  and arr () =
+  and arr depth =
     expect '[';
     skip_ws ();
     if peek () = ']' then (
@@ -176,7 +182,7 @@ let parse s =
       List [])
     else
       let rec items acc =
-        let v = value () in
+        let v = value depth in
         skip_ws ();
         match peek () with
         | ',' ->
@@ -188,7 +194,7 @@ let parse s =
         | _ -> fail "expected ',' or ']'"
       in
       items []
-  and obj () =
+  and obj depth =
     expect '{';
     skip_ws ();
     if peek () = '}' then (
@@ -200,7 +206,7 @@ let parse s =
         let k = parse_string () in
         skip_ws ();
         expect ':';
-        let v = value () in
+        let v = value depth in
         skip_ws ();
         match peek () with
         | ',' ->
@@ -214,7 +220,7 @@ let parse s =
       members []
   in
   match
-    let v = value () in
+    let v = value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v

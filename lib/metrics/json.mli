@@ -22,7 +22,8 @@ val to_string : t -> string
 
 val parse : string -> (t, string) result
 (** Strict parse of one JSON document; [Error] carries a byte offset.
-    Numeric literals without [.], [e] or [E] become [Int]. *)
+    Numeric literals without [.], [e] or [E] become [Int]. Arrays and
+    objects nested more than 512 deep are an [Error]. *)
 
 (** Accessors return [None] on a shape mismatch so callers can fold
     missing-field and wrong-type errors into one path. *)

@@ -1,8 +1,8 @@
 (** Line-oriented progress for a batch of jobs: one line per completed
     job with done/total, the labels still in flight, and an ETA from the
     mean completion time so far. No terminal control sequences — safe to
-    pipe into a log file. Not thread-safe by design: {!Pool.map} invokes
-    its callbacks from the coordinating domain only. *)
+    pipe into a log file. Not thread-safe by design: {!Pool.map} runs
+    its callbacks under one lock, never two at once. *)
 
 type t
 
@@ -18,8 +18,8 @@ val job_finished : t -> string -> status:string -> unit
 val heartbeat : t -> unit
 (** A keep-alive line between completions — done/total, ETA, the
     wall-time summary so far and the in-flight labels. Wired to
-    {!Pool.map}'s [tick] by {!Sweep.run_batch} when stdout is not a
-    terminal, so CI logs show life during long sweeps. *)
+    {!Pool.map}'s [tick] by [Stx_harness.Exp.prefetch] when stdout is
+    not a terminal, so CI logs show life during long batches. *)
 
 val finish : t -> unit
 (** The closing line: jobs completed, batch wall time, and (once at

@@ -412,6 +412,41 @@ let test_false_sharing_packed_vs_padded () =
   Alcotest.(check int) "padded: cross edge refined away" 0
     (List.length (Layout.pairs a.Driver.a_plane ~src:(Conflict.Ab ab_x) ~dst:ab_y))
 
+(* the tag verdict [hotspots] and trace validation share: bump_x's
+   write dooms bump_y's access to y through line 0 alone when the fields
+   are packed — the false-sharing verdict no workload reaches — and
+   leaves no pair to cover the access once y is padded onto a line of
+   its own *)
+let test_classify_tag_packed_vs_padded () =
+  let verdicts ~padded =
+    let p, ab_x, ab_y = build_two_field_program ~padded () in
+    let c = Pipeline.compile ~instrument:false p in
+    let a = Driver.analyze ~name:"pair" c in
+    let tags =
+      Array.to_list (Unified.entries (Pipeline.table_for c ~ab:ab_y))
+      |> List.map (fun (e : Unified.entry) ->
+             Stx_tir.Layout.truncate ~bits:c.Pipeline.pc_bits
+               (Stx_tir.Layout.pc_of_iid c.Pipeline.layout e.Unified.ue_iid))
+      |> List.sort_uniq compare
+    in
+    Alcotest.(check bool) "bump_y's table names its accesses" true (tags <> []);
+    List.map
+      (fun tag ->
+        Validate.classify_tag c a.Driver.a_graph a.Driver.a_plane ~tag
+          [ (ab_y, [ Conflict.Ab ab_x ]) ])
+      tags
+  in
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) "packed: false sharing" true
+        (v = Some (Layout.Attributed Layout.False_sharing)))
+    (verdicts ~padded:false);
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) "padded: resolved, but no sharing verdict" true
+        (v = Some Layout.Unpredicted))
+    (verdicts ~padded:true)
+
 (* ------------------------------------------------------------------ *)
 (* line plane: capacity bounds and STX107                              *)
 
@@ -672,6 +707,8 @@ let suite =
       test_validation_detects_unpredicted_edge;
     Alcotest.test_case "layout: packed fields flagged, padded silent" `Quick
       test_false_sharing_packed_vs_padded;
+    Alcotest.test_case "validate: tag verdict, packed vs padded" `Quick
+      test_classify_tag_packed_vs_padded;
     Alcotest.test_case "layout: capacity bound and STX107 severities" `Quick
       test_capacity_bound_and_stx107;
     Alcotest.test_case "layout: STX107 agrees with Capacity aborts" `Slow

@@ -439,6 +439,51 @@ let test_bench_gated_fields_nonzero () =
           [ ("outcome", "commit") ])
     > 0)
 
+(* --- json against malformed input --------------------------------------- *)
+
+(* a real snapshot, truncated, with one byte flipped, or with a span
+   repeated in place: the parser must end in [Ok] or [Error], never raise *)
+let snapshot =
+  lazy
+    (let _, reg, _ = run_with_trace (genome ()) Stx_core.Mode.Staggered_hw in
+     Registry.to_json_string reg)
+
+let mutate s (kind, a, b, c) =
+  let n = String.length s in
+  match kind with
+  | 0 -> String.sub s 0 (a mod (n + 1))
+  | 1 ->
+    let bytes = Bytes.of_string s in
+    Bytes.set bytes (a mod n) (Char.chr (b land 255));
+    Bytes.to_string bytes
+  | _ ->
+    let i = a mod n in
+    let span = String.sub s i (1 + (b mod min 64 (n - i))) in
+    String.sub s 0 i
+    ^ String.concat "" (List.init (1 + (c mod 8)) (fun _ -> span))
+    ^ String.sub s i (n - i)
+
+let prop_json_mutated_snapshot =
+  QCheck.Test.make ~name:"json: mutated snapshots end in Ok or Error"
+    ~count:300
+    QCheck.(quad (int_bound 2) (int_bound (1 lsl 30)) (int_bound 255) (int_bound 255))
+    (fun m ->
+      match Json.parse (mutate (Lazy.force snapshot) m) with
+      | Ok _ | Error _ -> true)
+
+let test_json_nesting_bounded () =
+  Alcotest.(check bool) "the snapshot itself parses" true
+    (Result.is_ok (Json.parse (Lazy.force snapshot)));
+  let nest k = String.make k '[' ^ String.make k ']' in
+  Alcotest.(check bool) "512 levels parse" true (Result.is_ok (Json.parse (nest 512)));
+  Alcotest.(check (result reject string)) "513 levels are an error"
+    (Error "nested deeper than 512 at byte 512")
+    (Result.map (fun _ -> ()) (Json.parse (nest 513)));
+  (* a megabyte of brackets fails at the bound, not a byte per frame later *)
+  Alcotest.(check (result reject string)) "1 MB of [ is an error"
+    (Error "nested deeper than 512 at byte 512")
+    (Result.map (fun _ -> ()) (Json.parse (String.make (1 lsl 20) '[')))
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -462,6 +507,8 @@ let suite =
     Alcotest.test_case "json rejects garbage" `Quick test_json_rejects_garbage;
     Alcotest.test_case "json keeps int/float distinct" `Quick
       test_json_int_float_distinction;
+    q prop_json_mutated_snapshot;
+    Alcotest.test_case "json nesting bounded" `Quick test_json_nesting_bounded;
     Alcotest.test_case "registry semantics" `Quick test_registry_semantics;
     Alcotest.test_case "label order canonicalized" `Quick
       test_registry_label_order_irrelevant;
