@@ -167,8 +167,12 @@ let lazy_variant ctx =
       let eager_base = baseline_cycles ctx w in
       List.iter
         (fun (label, lazy_htm, mode) ->
-          let cfg = { cfg16 with Config.lazy_htm } in
-          let s = run_custom ctx ~cfg ~mode w in
+          (* an eager row is the context's own cell, already simulated
+             for the HTM reference or simulated once here *)
+          let s =
+            if lazy_htm then run_custom ctx ~cfg:{ cfg16 with Config.lazy_htm } ~mode w
+            else Exp.run ctx w mode
+          in
           Table.add_row t
             [
               w.Workload.name;

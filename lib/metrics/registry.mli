@@ -31,6 +31,36 @@ val create : unit -> t
     metric identity is part of each exporter's schema, so a malformed
     one is a programming error, not data. *)
 
+(** {2 Handles}
+
+    A handle is one series resolved ahead of its writes, for writers
+    that hit the same series on every event. Making it validates and
+    sorts the key (and raises on a malformed one, as every writer does);
+    its first write finds or creates the cell, and every later write
+    goes straight to that cell: no label list is built, sorted or
+    hashed. Until that first write the series does not exist, so an
+    unwritten handle leaves every reading, the JSON snapshot and
+    {!diff} exactly as they were. A handle and a keyed write to the
+    same key share one cell; a handle whose key already holds another
+    metric type raises [Invalid_argument] at its first write. *)
+
+type counter
+type hist
+
+val counter : t -> string -> labels -> counter
+val hist : t -> string -> labels -> hist
+
+val add : counter -> int -> unit
+(** Add a non-negative amount; [add h 0] still creates the counter at
+    0, as [inc ~by:0] does. *)
+
+val record : hist -> int -> unit
+(** Record one histogram observation (non-negative). *)
+
+(** {2 Keyed writes}
+
+    Each resolves its key afresh, through the same path as the handles. *)
+
 val inc : t -> ?by:int -> string -> labels -> unit
 (** Add [by] (default 1, must be >= 0) to a counter, creating it at 0. *)
 

@@ -157,7 +157,17 @@ let run_shard cfg ~shard ~shard_seed =
     Workload.service_spec ~instrument:(Mode.uses_alps cfg.mode) ~key_range
       cfg.service
   in
+  (* the serving plane's per-request series, resolved once; busy cycles
+     get one handle per core *)
   let sreg = Registry.create () in
+  let queue_depth = Registry.hist sreg "stx_req_queue_depth" [] in
+  let sojourn = Registry.hist sreg "stx_req_sojourn_cycles" [] in
+  let wait = Registry.hist sreg "stx_req_wait_cycles" [] in
+  let service = Registry.hist sreg "stx_req_service_cycles" [] in
+  let busy =
+    Array.init cfg.threads (fun core ->
+        Registry.counter sreg "stx_req_busy_cycles" [ ("core", string_of_int core) ])
+  in
   let telem =
     Option.map
       (fun w -> Stx_telemetry.Collect.create ~window:w ~threads:cfg.threads ())
@@ -180,7 +190,7 @@ let run_shard cfg ~shard ~shard_seed =
         let req = !next in
         let depth = arrived_by ats now - req in
         if depth > !max_depth then max_depth := depth;
-        Registry.observe sreg "stx_req_queue_depth" [] depth;
+        Registry.record queue_depth depth;
         (match telem with
         | Some tc -> Stx_telemetry.Collect.note_queue_depth tc ~at:now depth
         | None -> ());
@@ -219,14 +229,10 @@ let run_shard cfg ~shard ~shard_seed =
         | Some tc ->
           Stx_telemetry.Collect.note_sojourn tc ~at:r.completed (r.completed - r.at)
         | None -> ());
-        Registry.observe sreg "stx_req_sojourn_cycles" [] (r.completed - r.at);
-        Registry.observe sreg "stx_req_wait_cycles" [] (r.dispatched - r.at);
-        Registry.observe sreg "stx_req_service_cycles" []
-          (r.completed - r.dispatched);
-        Registry.inc sreg
-          ~by:(r.completed - r.dispatched)
-          "stx_req_busy_cycles"
-          [ ("core", string_of_int r.core) ]
+        Registry.record sojourn (r.completed - r.at);
+        Registry.record wait (r.dispatched - r.at);
+        Registry.record service (r.completed - r.dispatched);
+        Registry.add busy.(r.core) (r.completed - r.dispatched)
       end)
     reqs;
   if n > 0 then Registry.inc sreg ~by:n "stx_req_offered" [];

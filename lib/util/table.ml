@@ -7,9 +7,16 @@ let add_row t cells = t.rows <- cells :: t.rows
 let fmt_f ?(dec = 2) x = Printf.sprintf "%.*f" dec x
 let fmt_pct ?(dec = 0) x = Printf.sprintf "%.*f%%" dec x
 
+let is_digit c = c >= '0' && c <= '9'
+let is_hex_digit c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
+
+(* figures, ratios ("1.18x"), percentages and 0x-prefixed hex literals
+   (PC tags) are right-aligned *)
 let looks_numeric s =
-  s <> ""
-  && String.for_all (fun c -> (c >= '0' && c <= '9') || String.contains "+-.%x" c) s
+  let n = String.length s in
+  (n > 2 && String.starts_with ~prefix:"0x" s
+   && String.for_all is_hex_digit (String.sub s 2 (n - 2)))
+  || (n > 0 && String.for_all (fun c -> is_digit c || String.contains "+-.%x" c) s)
 
 let render t =
   let ncols = List.length t.headers in

@@ -1,5 +1,7 @@
 (** Minimal ASCII table renderer for the experiment harness. Columns are
-    sized to their widest cell; numeric-looking cells are right-aligned. *)
+    sized to their widest cell; numeric-looking cells (figures, ratios
+    such as ["1.18x"], percentages and [0x]-prefixed hex literals) are
+    right-aligned. *)
 
 type t
 

@@ -123,6 +123,24 @@ let test_table_pads_short_rows () =
   let s = Table.render t in
   Alcotest.(check bool) "renders" true (String.length s > 0)
 
+(* a PC-tag column lines up whether or not a tag has a hex letter *)
+let test_table_right_aligns_hex () =
+  let t = Table.create [ "conflicting PC"; "note" ] in
+  Table.add_row t [ "0x0bc"; "0xg" ];
+  Table.add_row t [ "0x078"; "1.18x" ];
+  Alcotest.(check string) "layout"
+    (String.concat "\n"
+       [
+         "+----------------+-------+";
+         "| conflicting PC | note  |";
+         "+================+=======+";
+         "|          0x0bc | 0xg   |";
+         "|          0x078 | 1.18x |";
+         "+----------------+-------+";
+         "";
+       ])
+    (Table.render t)
+
 let test_fmt () =
   Alcotest.(check string) "fmt_f" "3.14" (Table.fmt_f 3.14159);
   Alcotest.(check string) "fmt_pct" "27%" (Table.fmt_pct 27.4)
@@ -162,6 +180,8 @@ let suite =
     Alcotest.test_case "ratio helpers" `Quick test_ratio;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table pads short rows" `Quick test_table_pads_short_rows;
+    Alcotest.test_case "table right-aligns hex literals" `Quick
+      test_table_right_aligns_hex;
     Alcotest.test_case "float formatting" `Quick test_fmt;
     q qcheck_rng_int_bounds;
     q qcheck_stat_mean_between_min_max;
