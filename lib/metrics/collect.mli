@@ -61,13 +61,22 @@ type t
 
 val create : ?policy:Stx_policy.t -> unit -> t
 (** [policy] (default {!Stx_policy.default}) is stamped as the [policy]
-    label on every series; pass the bundle the machine runs under. *)
+    label on every series; pass the bundle the machine runs under.
+    Every series above is resolved here into a {!Registry} handle the
+    collector owns (an atomic block's seven phase counters when the
+    block first appears), so the handler builds, sorts and hashes no
+    label key per event. A handle creates its series at its first
+    write, so the registry holds exactly the series the stream wrote. *)
 
 val handler : t -> time:int -> Machine.event -> unit
-(** Shaped like [Machine.run]'s [?on_event], same as [Trace.handler]. *)
+(** Shaped like [Machine.run]'s [?on_event], same as [Trace.handler].
+    Raises [Invalid_argument] when an event would attribute phase cycles
+    to a negative atomic block id. *)
 
 val registry : t -> Registry.t
-(** The registry being populated (live — callers must not mutate). *)
+(** The registry being populated, live: the handles write into it, so
+    it reflects every event handled so far (callers must not mutate
+    it). *)
 
 val of_trace : ?policy:Stx_policy.t -> Stx_trace.Trace.t -> Registry.t
 (** Replay a full capture through a fresh collector. Pass the same
