@@ -63,11 +63,11 @@ val print_episodes : Stx_telemetry.Series.t -> unit
 (** One [episode] line per detected episode. *)
 
 val divergences :
-  Stx_trace.Trace.t -> Stx_metrics.Registry.t -> Stx_sim.Stats.t -> string list
-(** Every divergence {!Stx_trace.Trace.check} and
-    {!Stx_metrics.Collect.check} find between one run's full trace,
-    metrics registry and statistics, prefixed ["trace: "] and
-    ["metrics: "]. *)
+  (unit, string list) result -> Stx_metrics.Registry.t -> Stx_sim.Stats.t -> string list
+(** One run's event-stream verdict (its {!Stx_trace.Check.finish}, or
+    {!Stx_trace.Trace.check} of its full capture) and every divergence
+    {!Stx_metrics.Collect.check} finds between its metrics registry and
+    statistics, prefixed ["trace: "] and ["metrics: "]. *)
 
 val checked_run :
   seed:int ->
@@ -77,8 +77,9 @@ val checked_run :
   mode:Stx_core.Mode.t ->
   Stx_workloads.Workload.t ->
   Stx_sim.Stats.t * string list
-(** One simulation with a full trace and the metrics collector on, and
-    its {!divergences}. *)
+(** One simulation with the event-stream checker and the metrics
+    collector attached online, and its {!divergences}. It keeps no
+    capture. *)
 
 val pool_map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [f] over the list on a pool of [jobs] domains, in input order, so

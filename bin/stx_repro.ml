@@ -387,8 +387,8 @@ let policies_cmd =
        ~doc:
          "Compare the conflict-resolution policies (requester-wins, \
           responder-wins, timestamp) on one benchmark, cross-checking the \
-          trace and metrics pipelines under each (non-zero exit on any \
-          reconciliation failure)")
+          event stream and the metrics registry under each (non-zero exit \
+          on any reconciliation failure)")
     Term.(const run $ ctx_term $ bench_arg $ quick_arg)
 
 (* stx_repro hybrid: lock-only vs htm-stm-lock fallback comparison    *)
@@ -463,8 +463,8 @@ let hybrid_cmd =
     (Cmd.info "hybrid"
        ~doc:
          "Compare the lock-only fallback against the htm-stm-lock software \
-          tier on every benchmark and mode, cross-checking the trace and \
-          metrics pipelines in every cell (non-zero exit on any \
+          tier on every benchmark and mode, cross-checking the event stream \
+          and the metrics registry in every cell (non-zero exit on any \
           reconciliation failure)")
     Term.(const run $ ctx_term $ quick_arg)
 
@@ -695,7 +695,8 @@ let report_cmd =
         ~horizon:stats.Stx_sim.Stats.total_cycles tr
     in
     match
-      Stx_cli.divergences tr (Stx_metrics.Collect.registry mc) stats
+      Stx_cli.divergences (Stx_trace.Trace.check tr stats)
+        (Stx_metrics.Collect.registry mc) stats
       @ List.map (( ^ ) "telemetry: ") (Stx_telemetry.Series.diff series replayed)
     with
     | [] -> ()

@@ -58,8 +58,8 @@ let print_per_ab (spec : Machine.spec) (s : Stats.t) =
 (* one reconciliation verdict; a divergence lists every difference and
    exits 1 *)
 let print_check name ~ok = function
-  | Ok () -> Printf.printf "  %-19sok (%s)\n%!" (name ^ " check") ok
-  | Error errs ->
+  | [] -> Printf.printf "  %-19sok (%s)\n%!" (name ^ " check") ok
+  | errs ->
     Printf.printf "  %-19sFAILED:\n" (name ^ " check");
     List.iter (fun e -> Printf.printf "    %s\n" e) errs;
     exit 1
@@ -127,11 +127,15 @@ let run list_benches bench mode threads seed scale trace raw_trace metrics
     let collector =
       Option.map (fun _ -> Stx_metrics.Collect.create ~policy:htm_policy ()) metrics
     in
+    (* the metrics check carries the event-stream checker, which
+       reconciles the counters the export writes from the stats *)
+    let checker = Option.map (fun _ -> Stx_trace.Check.create ~threads) metrics in
     let handlers =
       List.filter_map Fun.id
         [
           Option.map Stx_trace.Trace.handler tr;
           Option.map Stx_metrics.Collect.handler collector;
+          Option.map Stx_trace.Check.handler checker;
           Option.map Stx_telemetry.Collect.handler telem;
         ]
     in
@@ -164,12 +168,12 @@ let run list_benches bench mode threads seed scale trace raw_trace metrics
         ("policy", Stx_policy.label htm_policy);
       ]
     in
-    (match (metrics, collector) with
-    | Some file, Some c ->
-      let reg = Stx_metrics.Collect.registry c in
-      Stx_cli.write_metrics file reg;
+    (match (metrics, collector, checker) with
+    | Some file, Some c, Some ck ->
+      Stx_cli.write_metrics file (Stx_metrics.Collect.export c stats);
       print_check "metrics" ~ok:"registry reconciles with stats"
-        (Stx_metrics.Collect.check reg stats)
+        (Stx_cli.divergences (Stx_trace.Check.finish ck stats)
+           (Stx_metrics.Collect.registry c) stats)
     | _ -> ());
     (match (telemetry, telem, tr) with
     | Some file, Some tc, Some tr ->
@@ -185,8 +189,7 @@ let run list_benches bench mode threads seed scale trace raw_trace metrics
         telemetry_window file;
       Stx_cli.print_episodes online;
       print_check "telemetry" ~ok:"online = trace replay"
-        (if Stx_telemetry.Series.equal online replayed then Ok ()
-         else Error (Stx_telemetry.Series.diff online replayed))
+        (Stx_telemetry.Series.diff online replayed)
     | _ -> ());
     (match (raw_trace, tr) with
     | Some file, Some tr ->
@@ -200,7 +203,7 @@ let run list_benches bench mode threads seed scale trace raw_trace metrics
       Printf.printf "  trace              %d events -> %s (chrome://tracing, Perfetto)\n"
         (Stx_trace.Trace.length tr) file;
       print_check "trace" ~ok:"events reconcile with stats"
-        (Stx_trace.Trace.check tr stats)
+        (Result.fold ~ok:(fun () -> []) ~error:Fun.id (Stx_trace.Trace.check tr stats))
     | _ -> ());
     if lint_errors then exit 1
   | _ ->

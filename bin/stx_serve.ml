@@ -176,9 +176,9 @@ let () =
       & info [ "check" ]
           ~doc:
             "Print a confirmation line when the always-on reconciliation \
-             (request lifecycle invariants and the metrics-vs-stats \
-             cross-check in every shard) passes. Divergences exit non-zero \
-             regardless.")
+             (request lifecycle invariants, the event-stream checker and \
+             the metrics-vs-stats cross-check in every shard) passes. \
+             Divergences exit non-zero regardless.")
   in
   let term =
     Term.(

@@ -12,17 +12,7 @@ let m_lock_wait = "stx_lock_wait_cycles"
 let m_backoff = "stx_backoff_cycles"
 let m_irrevocable = "stx_irrevocable_cycles"
 let m_phase = "stx_phase_cycles"
-let m_commits = "stx_commits"
-let m_aborts = "stx_aborts"
-let m_irrevocable_entries = "stx_irrevocable_entries"
-let m_lock_attempts = "stx_lock_attempts"
-let m_lock_acquires = "stx_lock_acquires"
-let m_lock_timeouts = "stx_lock_timeouts"
-let m_alps_executed = "stx_alps_executed"
 let m_alps_fired = "stx_alps_fired"
-let m_stm_commits = "stx_stm_commits"
-let m_stm_aborts = "stx_stm_aborts"
-let m_stm_vcycles = "stx_stm_validation_cycles"
 
 let outcome_commit = [ ("outcome", "commit") ]
 let outcome_abort = [ ("outcome", "abort") ]
@@ -43,9 +33,8 @@ let phase_label = function
 let phase_labels ~ab p =
   [ ("ab", string_of_int ab); ("phase", phase_label p) ]
 
-(* Array slots of the kinds a series is split by: each [*_slot] numbers
-   its list ([phases], [hw_kinds], [stm_kinds]) in order, and an
-   exhaustive match keeps it total. *)
+(* A phase's slot in a block's row: its place in [phases], kept total by
+   an exhaustive match. *)
 let phase_slot = function
   | Prefix -> 0
   | Lock_wait -> 1
@@ -54,23 +43,6 @@ let phase_slot = function
   | Stm -> 4
   | Backoff -> 5
   | Wasted -> 6
-
-let hw_kinds = Machine.[ Conflict; Lock_subscription; Capacity; Explicit; Stm_conflict ]
-
-let hw_slot : Machine.abort_kind -> int = function
-  | Conflict -> 0
-  | Lock_subscription -> 1
-  | Capacity -> 2
-  | Explicit -> 3
-  | Stm_conflict -> 4
-
-let stm_kinds = Machine.[ Stm_validation; Stm_hw_owned; Stm_locksub; Stm_explicit ]
-
-let stm_slot : Machine.stm_abort_kind -> int = function
-  | Stm_validation -> 0
-  | Stm_hw_owned -> 1
-  | Stm_locksub -> 2
-  | Stm_explicit -> 3
 
 (* --- the fold --------------------------------------------------------- *)
 
@@ -85,18 +57,7 @@ type outcome = { latency : Registry.hist; rset : Registry.hist; wset : Registry.
 type sink = {
   reg : Registry.t;
   pol : Registry.labels;
-  commits : Registry.counter;
-  aborts : Registry.counter array;  (* stx_aborts, by [hw_slot] *)
-  stm_aborts_all : Registry.counter array;  (* stx_aborts, by [stm_slot] *)
-  stm_aborts : Registry.counter array;  (* stx_stm_aborts, by [stm_slot] *)
-  stm_commits : Registry.counter;
-  stm_vcycles : Registry.counter;
-  irrevocable_entries : Registry.counter;
-  alps_executed : Registry.counter;
   alps_fired : Registry.counter;
-  lock_attempts : Registry.counter;
-  lock_acquires : Registry.counter;
-  lock_timeouts : Registry.counter;
   committed : outcome;
   aborted : outcome;
   retries : Registry.hist;
@@ -117,24 +78,10 @@ let sink reg pol =
   let outcome labels =
     { latency = hist m_latency labels; rset = hist m_rset labels; wset = hist m_wset labels }
   in
-  let by_kind name label kinds =
-    Array.of_list (List.map (fun k -> counter name [ ("kind", label k) ]) kinds)
-  in
   {
     reg;
     pol;
-    commits = counter m_commits [];
-    aborts = by_kind m_aborts Machine.abort_label hw_kinds;
-    stm_aborts_all = by_kind m_aborts Machine.stm_abort_label stm_kinds;
-    stm_aborts = by_kind m_stm_aborts Machine.stm_abort_label stm_kinds;
-    stm_commits = counter m_stm_commits [];
-    stm_vcycles = counter m_stm_vcycles [];
-    irrevocable_entries = counter m_irrevocable_entries [];
-    alps_executed = counter m_alps_executed [];
     alps_fired = counter m_alps_fired [];
-    lock_attempts = counter m_lock_attempts [];
-    lock_acquires = counter m_lock_acquires [];
-    lock_timeouts = counter m_lock_timeouts [];
     committed = outcome outcome_commit;
     aborted = outcome outcome_abort;
     retries = hist m_retries [];
@@ -217,37 +164,52 @@ let handler t ~time ev =
   Stx_trace.Lifecycle.step t.lc ~time ev;
   let k = t.sink in
   match (ev : Machine.event) with
-  | Tx_commit { cycles; rset; wset; _ } ->
-    Registry.add k.commits 1;
+  | Tx_commit { cycles; rset; wset; _ } | Stm_commit { cycles; rset; wset; _ } ->
     close k.committed ~cycles ~rset ~wset
-  | Tx_abort { ab; kind; cycles; rset; wset; _ } ->
-    Registry.add k.aborts.(hw_slot kind) 1;
+  | Tx_abort { ab; cycles; rset; wset; _ } | Stm_abort { ab; cycles; rset; wset; _ } ->
     close k.aborted ~cycles ~rset ~wset;
     add_phase k ~ab Wasted cycles
-  | Stm_commit { cycles; vcycles; rset; wset; _ } ->
-    Registry.add k.commits 1;
-    Registry.add k.stm_commits 1;
-    if vcycles > 0 then Registry.add k.stm_vcycles vcycles;
-    close k.committed ~cycles ~rset ~wset
-  | Stm_abort { ab; kind; cycles; vcycles; rset; wset; _ } ->
-    Registry.add k.stm_aborts_all.(stm_slot kind) 1;
-    Registry.add k.stm_aborts.(stm_slot kind) 1;
-    if vcycles > 0 then Registry.add k.stm_vcycles vcycles;
-    close k.aborted ~cycles ~rset ~wset;
-    add_phase k ~ab Wasted cycles
-  | Tx_irrevocable _ -> Registry.add k.irrevocable_entries 1
-  | Alp_executed { fired; _ } ->
-    Registry.add k.alps_executed 1;
-    if fired then Registry.add k.alps_fired 1
-  | Lock_attempt _ -> Registry.add k.lock_attempts 1
-  | Lock_acquired _ -> Registry.add k.lock_acquires 1
-  | Lock_timeout _ -> Registry.add k.lock_timeouts 1
-  | Tx_begin _ | Stm_begin _ | Lock_released _ | Lock_waiting _ | Backoff_start _
-  | Backoff_end _ | Req_dispatch _ | Req_done _ ->
-    (* brackets only (the fold above pairs them); the request lifecycle
-       is the serving harness's plane (Stx_serve), ignored here so serve
-       and closed-loop runs of one workload stay directly comparable *)
+  | Alp_executed { fired; _ } -> if fired then Registry.add k.alps_fired 1
+  | Tx_begin _ | Stm_begin _ | Tx_irrevocable _ | Lock_attempt _ | Lock_acquired _
+  | Lock_released _ | Lock_waiting _ | Lock_timeout _ | Backoff_start _ | Backoff_end _
+  | Req_dispatch _ | Req_done _ ->
+    (* brackets (the fold above pairs them) and events [Stats] counts
+       (written by [export]); the request lifecycle is the serving
+       harness's plane (Stx_serve), ignored here so serve and closed-loop
+       runs of one workload stay directly comparable *)
     ()
+
+(* --- the counters [Stats] holds, written at export -------------------- *)
+
+(* Software aborts count under both [stx_aborts] and [stx_stm_aborts];
+   [Stats] keeps no field for explicit ones, so they are the rest. *)
+let stats_series (s : Stats.t) =
+  let hw k v = ("stx_aborts", [ ("kind", Machine.abort_label k) ], v) in
+  let sw k v =
+    let kind = [ ("kind", Machine.stm_abort_label k) ] in
+    [ ("stx_aborts", kind, v); ("stx_stm_aborts", kind, v) ]
+  in
+  [ ("stx_commits", [], s.commits); hw Conflict s.conflict_aborts;
+    hw Lock_subscription s.lock_sub_aborts; hw Capacity s.capacity_aborts;
+    hw Explicit s.explicit_aborts; hw Stm_conflict s.stm_conflict_aborts;
+    ("stx_stm_commits", [], s.stm_commits);
+    ("stx_stm_validation_cycles", [], s.stm_validation_cycles);
+    ("stx_irrevocable_entries", [], s.irrevocable_entries);
+    ("stx_alps_executed", [], s.alps_executed);
+    ("stx_lock_attempts", [], s.alps_lock_attempts);
+    ("stx_lock_acquires", [], s.lock_acquires); ("stx_lock_timeouts", [], s.lock_timeouts) ]
+  @ sw Stm_validation s.stm_validation_aborts
+  @ sw Stm_hw_owned s.stm_hw_owned_aborts
+  @ sw Stm_locksub s.stm_locksub_aborts
+  @ sw Stm_explicit
+      (s.stm_aborts - s.stm_validation_aborts - s.stm_hw_owned_aborts - s.stm_locksub_aborts)
+
+let export t s =
+  let reg = Registry.merge t.sink.reg (Registry.create ()) in
+  List.iter
+    (fun (name, labels, v) -> if v > 0 then Registry.inc reg ~by:v name (labels @ t.sink.pol))
+    (stats_series s);
+  reg
 
 let of_trace ?policy tr =
   let t = create ?policy () in
@@ -308,29 +270,6 @@ let check reg (stats : Stats.t) =
   let eq what got want =
     if got <> want then note "%s: registry %d vs stats %d" what got want
   in
-  let counter name labels = counter_sum reg name labels in
-  eq "commits" (counter m_commits []) stats.Stats.commits;
-  let aborts k = counter m_aborts [ ("kind", Machine.abort_label k) ] in
-  let stm_aborts k = counter m_stm_aborts [ ("kind", Machine.stm_abort_label k) ] in
-  eq "conflict aborts" (aborts Conflict) stats.Stats.conflict_aborts;
-  eq "lock-subscription aborts" (aborts Lock_subscription) stats.Stats.lock_sub_aborts;
-  eq "capacity aborts" (aborts Capacity) stats.Stats.capacity_aborts;
-  eq "explicit aborts" (aborts Explicit) stats.Stats.explicit_aborts;
-  eq "stm-conflict aborts" (aborts Stm_conflict) stats.Stats.stm_conflict_aborts;
-  eq "stm commits" (counter m_stm_commits []) stats.Stats.stm_commits;
-  eq "stm aborts" (counter m_stm_aborts []) stats.Stats.stm_aborts;
-  eq "stm validation aborts" (stm_aborts Stm_validation) stats.Stats.stm_validation_aborts;
-  eq "stm hw-owned aborts" (stm_aborts Stm_hw_owned) stats.Stats.stm_hw_owned_aborts;
-  eq "stm lock-subscription aborts" (stm_aborts Stm_locksub)
-    stats.Stats.stm_locksub_aborts;
-  eq "stm validation cycles" (counter m_stm_vcycles [])
-    stats.Stats.stm_validation_cycles;
-  eq "irrevocable entries" (counter m_irrevocable_entries [])
-    stats.Stats.irrevocable_entries;
-  eq "lock attempts" (counter m_lock_attempts []) stats.Stats.alps_lock_attempts;
-  eq "lock acquires" (counter m_lock_acquires []) stats.Stats.lock_acquires;
-  eq "lock timeouts" (counter m_lock_timeouts []) stats.Stats.lock_timeouts;
-  eq "alps executed" (counter m_alps_executed []) stats.Stats.alps_executed;
   let cc, cs = hist_stats reg m_latency outcome_commit in
   eq "commit-latency count" cc stats.Stats.commits;
   eq "commit-latency sum = useful_cycles" cs stats.Stats.useful_cycles;

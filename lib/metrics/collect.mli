@@ -8,11 +8,9 @@ open Stx_sim
     The same fold runs in two places — online, composed onto a live run's
     [on_event] hook, and offline, replaying a full {!Stx_trace.Trace}
     capture ({!of_trace}). Because both paths execute this one fold over
-    the same stream, the two registries must be {b equal},
-    and {!check} reconciles either of them against the run's [Stats] with
-    the same discipline as [Trace.check]: exact equalities wherever the
-    simulator's accounting permits, explicit inequalities where it does
-    not (see {!check}).
+    the same stream, the two registries must be {b equal}, and {!check}
+    reconciles either against the run's [Stats]. What [Stats] already
+    counts, the collector does not: {!export} writes it.
 
     {2 Metrics populated}
 
@@ -39,17 +37,16 @@ open Stx_sim
     - [backoff] — inter-attempt polite backoff
     - [wasted] — cycles of aborted attempts (either tier)
 
-    Mirror counters for reconciliation: [stx_commits],
-    [stx_aborts{kind=...}], [stx_irrevocable_entries],
-    [stx_lock_acquires], [stx_lock_timeouts], [stx_alps_executed],
-    [stx_alps_fired]; and for the software tier [stx_stm_commits],
+    Counters: [stx_alps_fired] (ALPs that went for a lock); and, written
+    by {!export} from [Stats], [stx_commits], [stx_aborts{kind=...}],
+    [stx_irrevocable_entries], [stx_lock_attempts], [stx_lock_acquires],
+    [stx_lock_timeouts], [stx_alps_executed], [stx_stm_commits],
     [stx_stm_aborts{kind=...}] (kinds [stm_validation], [stm_hw_owned],
-    [stm_lock_subscription], [stm_explicit] — the same labels the
-    hardware-side [stx_aborts] uses for its [stm_conflict] kind), and
-    [stx_stm_validation_cycles]. Software commits and aborts also feed
-    [stx_commits], [stx_tx_latency_cycles], the set-size histograms and
-    [stx_tx_retries], matching the [Stats] convention that the global
-    commit/abort counters include the software tier.
+    [stm_lock_subscription], [stm_explicit], also counted under
+    [stx_aborts]) and [stx_stm_validation_cycles]. Software commits and
+    aborts also feed [stx_commits], [stx_tx_latency_cycles], the set-size
+    histograms and [stx_tx_retries], matching the [Stats] convention that
+    the global commit/abort counters include the software tier.
 
     Every series additionally carries [policy=<label>], the
     {!Stx_policy.label} of the bundle the run executed under. The readers
@@ -62,10 +59,10 @@ type t
 val create : ?policy:Stx_policy.t -> unit -> t
 (** [policy] (default {!Stx_policy.default}) is stamped as the [policy]
     label on every series; pass the bundle the machine runs under.
-    Every series above is resolved here into a {!Registry} handle the
-    collector owns (an atomic block's seven phase counters when the
-    block first appears), so the handler builds, sorts and hashes no
-    label key per event. A handle creates its series at its first
+    Every series the handler writes is resolved here into a {!Registry}
+    handle the collector owns (an atomic block's seven phase counters
+    when the block first appears), so the handler builds, sorts and
+    hashes no label key per event. A handle creates its series at its first
     write, so the registry holds exactly the series the stream wrote. *)
 
 val handler : t -> time:int -> Machine.event -> unit
@@ -76,7 +73,14 @@ val handler : t -> time:int -> Machine.event -> unit
 val registry : t -> Registry.t
 (** The registry being populated, live: the handles write into it, so
     it reflects every event handled so far (callers must not mutate
-    it). *)
+    it). It holds no series {!export} writes from [Stats]. *)
+
+val export : t -> Stats.t -> Registry.t
+(** A fresh copy of {!registry} plus the counters above that [Stats]
+    holds, read from the observed run's [stats] under the collector's
+    [policy] label, each only when non-zero (as the stream writes a
+    series only once it occurs). {!Stx_trace.Check} reconciles those
+    counts with the stream. *)
 
 val of_trace : ?policy:Stx_policy.t -> Stx_trace.Trace.t -> Registry.t
 (** Replay a full capture through a fresh collector. Pass the same
@@ -84,22 +88,19 @@ val of_trace : ?policy:Stx_policy.t -> Stx_trace.Trace.t -> Registry.t
     compare equal to the online collector's. *)
 
 val check : Registry.t -> Stats.t -> (unit, string list) result
-(** Reconcile a collected registry against the run's inline counters.
-    Exact: commits, aborts by kind, irrevocable entries, lock
-    acquires/timeouts, ALP executions and firings, commit-latency sum =
-    [useful_cycles], abort-latency sum = [wasted_cycles], backoff sum =
-    [backoff_cycles], retries observations = commits, the software-tier
-    counters ([stx_stm_commits], [stx_stm_aborts] total and by kind,
-    [stx_stm_validation_cycles]) against their [Stats] fields, and the
-    phase identities [prefix + lock_wait + suffix + irrevocable + stm =
-    useful_cycles], [wasted = wasted_cycles], [backoff =
-    backoff_cycles]. Bounded: acquired+timed-out wait episodes sum to at
-    most [lock_wait_cycles] (an episode cut short by an abort folds its
-    tail spin into the abort path, so the tracked episodes undercount).
-    A stream whose brackets do not pair — a commit without its begin —
-    leaves cycles out of the phase profile, so the identities fail;
-    [Trace.check] names the protocol violation itself. [Error] carries
-    one message per divergence. *)
+(** Reconcile a registry's histograms and phase profile against the
+    run's inline counters. Exact: commit-latency count = commits and sum
+    = [useful_cycles], abort-latency count = aborts and sum =
+    [wasted_cycles], set-size observations per outcome, retries
+    observations = commits, irrevocable durations = irrevocable commits,
+    backoff sum = [backoff_cycles], and the phase identities [prefix +
+    lock_wait + suffix + irrevocable + stm = useful_cycles], [wasted =
+    wasted_cycles], [backoff = backoff_cycles]. Bounded: acquired and
+    timed-out wait episodes sum to at most [lock_wait_cycles] (an
+    episode cut short by an abort folds its tail spin into the abort
+    path). A commit without its begin leaves cycles out of the phase
+    profile, so the identities fail; {!Stx_trace.Check} names the
+    violation. [Error] carries one message per divergence. *)
 
 val histogram : Registry.t -> string -> (string * string) list -> Hist.t
 (** Every histogram series named [name] whose labels include [labels],

@@ -203,9 +203,11 @@ let run_shard cfg ~shard ~shard_seed =
       end
   in
   let collector = Collect.create ~policy:cfg.htm_policy () in
+  let checker = Stx_trace.Check.create ~threads:cfg.threads in
   let dispatch_events = ref 0 and done_events = ref 0 in
   let on_event ~time ev =
     Collect.handler collector ~time ev;
+    Stx_trace.Check.handler checker ~time ev;
     (match telem with
     | Some tc -> Stx_telemetry.Collect.handler tc ~time ev
     | None -> ());
@@ -242,7 +244,7 @@ let run_shard cfg ~shard ~shard_seed =
   if completed > 0 then Registry.inc sreg ~by:completed "stx_req_completed" [];
   Registry.set_gauge sreg "stx_req_queue_depth_max" [] !max_depth;
   (* reconciliation: the serving plane's own invariants, then the event
-     stream against the simulator's counters *)
+     stream and the metrics registry against the simulator's counters *)
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
   if !dispatch_events <> n then
@@ -256,10 +258,13 @@ let run_shard cfg ~shard ~shard_seed =
         err "shard %d: request %d timestamps out of order (%d/%d/%d)" shard i
           r.at r.dispatched r.completed)
     reqs;
-  (match Collect.check (Collect.registry collector) stats with
-  | Ok () -> ()
-  | Error es -> List.iter (fun e -> err "shard %d: %s" shard e) es);
-  let registry = Registry.merge (Collect.registry collector) sreg in
+  let verdict = function
+    | Ok () -> ()
+    | Error es -> List.iter (fun e -> err "shard %d: %s" shard e) es
+  in
+  verdict (Stx_trace.Check.finish checker stats);
+  verdict (Collect.check (Collect.registry collector) stats);
+  let registry = Registry.merge (Collect.export collector stats) sreg in
   let series =
     Option.map
       (fun tc -> Stx_telemetry.Collect.finalize ~horizon:cfg.horizon tc)

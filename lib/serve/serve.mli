@@ -77,8 +77,8 @@ type report = {
   saturated : bool;  (** achieved fell below 90% of offered *)
   stats : Stats.t;  (** merged simulator statistics *)
   registry : Stx_metrics.Registry.t;
-      (** merged metrics: the full {!Stx_metrics.Collect} set plus the
-          serving plane — [stx_req_sojourn_cycles] /
+      (** merged metrics: each shard's {!Stx_metrics.Collect.export}
+          plus the serving plane — [stx_req_sojourn_cycles] /
           [stx_req_wait_cycles] / [stx_req_service_cycles] histograms,
           [stx_req_queue_depth] at dispatch (gauge
           [stx_req_queue_depth_max]), [stx_req_offered] /
@@ -90,8 +90,10 @@ type report = {
           so like everything else here it is independent of [jobs] *)
   errors : string list;
       (** reconciliation divergences: serving-plane invariants (every
-          request dispatched once and completed after dispatch) plus
-          {!Stx_metrics.Collect.check} per shard; [[]] on a clean run *)
+          request dispatched once and completed after dispatch), then
+          the online {!Stx_trace.Check} verdict (request brackets
+          included) and {!Stx_metrics.Collect.check}, per shard; [[]] on
+          a clean run *)
 }
 
 val run : ?jobs:int -> config -> report

@@ -19,7 +19,7 @@ open Stx_sim
     every protocol violation — a clock running backwards, a close with
     nothing open, a second open, an advisory lock held across a commit
     or abort or taken inside a software attempt, an ALP or lock event
-    outside an attempt — to [on_error] as one message. {!Trace.check}
+    outside an attempt — to [on_error] as one message. {!Check}
     prints those messages; the Chrome export and the metrics collector
     only read the spans.
 

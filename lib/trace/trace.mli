@@ -7,10 +7,10 @@ open Stx_sim
     local clock. Three consumers build on it — the Chrome [trace_event]
     exporter (one lane per core, loadable in [chrome://tracing] or
     Perfetto), the abort-attribution report behind [stx_repro hotspots],
-    and {!check}, an invariant checker that replays the stream and
-    reconciles it against the run's {!Stx_sim.Stats} so the two accounting
-    paths (counters bumped inline vs. events emitted inline) cannot drift
-    apart silently.
+    and {!check}, which replays the stream through the {!Check} checker
+    and so reconciles it against the run's {!Stx_sim.Stats}. A run that
+    needs only that verdict attaches {!Check} online and keeps no
+    capture.
 
     Events are globally ordered by emission, which interleaves threads in
     scheduler order; within one thread timestamps are non-decreasing, but
@@ -20,9 +20,9 @@ type t
 
 val create : ?capacity:int -> threads:int -> unit -> t
 (** A fresh recorder for a [threads]-core run. Without [capacity] the
-    trace captures every event (full-capture mode — required by {!check});
-    with [capacity] it keeps the most recent [capacity] events in a ring,
-    counting the overwritten ones in {!dropped}. *)
+    trace captures every event (full-capture mode, which {!check} and the
+    raw codec need); with [capacity] it keeps the most recent [capacity]
+    events in a ring, counting the overwritten ones in {!dropped}. *)
 
 val handler : t -> time:int -> Machine.event -> unit
 (** Record one event. [Trace.handler t] has exactly the shape of
@@ -46,19 +46,11 @@ val events : t -> (int * Machine.event) list
 (** {2 Invariant checking} *)
 
 val check : t -> Stats.t -> (unit, string list) result
-(** Replay the stream and verify (a) the HTM protocol shape, as
-    {!Lifecycle} folds it — per-thread clocks non-decreasing, every
-    begin closed by exactly one commit or abort, no advisory lock held
-    when a commit or abort is emitted, at most one advisory lock per
-    attempt, every acquire matched by a release, backoff intervals
-    properly bracketed and outside attempts — and (b) that independently recomputing the counters from events
-    reproduces [stats]: commits, aborts by reason, irrevocable entries,
-    lock acquires/timeouts, ALP executions and lock attempts, useful,
-    wasted and backoff cycles, the per-atomic-block tallies, and that
-    [tx_mode_cycles] is bounded below by useful+wasted+backoff and above
-    by [thread_cycles]. A trace with [dropped > 0] fails immediately:
-    a truncated stream cannot be reconciled. [Error] carries one message
-    per violated invariant. *)
+(** Replay the stream through a fresh {!Check} and return its
+    {!Check.finish} verdict against [stats]: the same messages, in the
+    same order, as a checker attached online to the run. A trace with
+    [dropped > 0] fails immediately: a truncated stream cannot be
+    reconciled. *)
 
 (** {2 Abort attribution} *)
 

@@ -142,7 +142,8 @@ let serve_digest (cfg, r) =
        (Printf.sprintf "requests %d\nmakespan %d\n%s%s" r.Serve.requests r.Serve.makespan
           (fingerprint r.Serve.stats) (Serve.render cfg r)))
 
-(* The merged registry a served run returns: the collector's series,
+(* The merged registry a served run returns: each shard's exported
+   collector series (its counters written from the shard's [Stats]),
    every block's phase split and the serving plane's [stx_req_*] series,
    per-core busy cycles included, none of which [Serve.render] prints. *)
 let serve_registry_digest (_, r) =
@@ -237,7 +238,7 @@ let suite_digest w =
         Machine.run ~seed:3 ~cfg ~mode ~on_event:(Stx_metrics.Collect.handler c) spec
       in
       Buffer.add_string b (fingerprint s);
-      Buffer.add_string b (Stx_metrics.Registry.to_json_string (Stx_metrics.Collect.registry c)))
+      Buffer.add_string b (Stx_metrics.Registry.to_json_string (Stx_metrics.Collect.export c s)))
     suite_modes;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
@@ -289,6 +290,12 @@ let test_serve golden digest (label, run) () =
   | None -> Alcotest.failf "no golden digest for %s" label
   | Some expected -> Alcotest.(check string) label expected (digest (Lazy.force run))
 
+(* every shard's event stream passes the online checker, request
+   brackets included, as well as the metrics check *)
+let test_serve_clean (label, run) () =
+  let _, r = Lazy.force run in
+  Alcotest.(check (list string)) label [] r.Serve.errors
+
 let suite =
   List.concat_map
     (fun w ->
@@ -314,4 +321,8 @@ let suite =
       (fun ((label, _) as c) ->
         Alcotest.test_case ("golden serve registry " ^ label) `Quick
           (test_serve golden_serve_registry serve_registry_digest c))
+      serve_cells
+  @ List.map
+      (fun ((label, _) as c) ->
+        Alcotest.test_case ("clean serve " ^ label) `Quick (test_serve_clean c))
       serve_cells

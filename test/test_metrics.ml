@@ -295,7 +295,7 @@ let all_modes =
 
 let measured = Hashtbl.create 64
 
-let run_with_trace (w : Stx_workloads.Workload.t) mode =
+let observed (w : Stx_workloads.Workload.t) mode =
   let key = (w.Stx_workloads.Workload.name, mode) in
   match Hashtbl.find_opt measured key with
   | Some r -> r
@@ -315,9 +315,19 @@ let run_with_trace (w : Stx_workloads.Workload.t) mode =
           Stx_trace.Trace.handler tr ~time ev)
         spec
     in
-    let r = (stats, Collect.registry c, tr) in
+    let r = (stats, c, tr) in
     Hashtbl.add measured key r;
     r
+
+let run_with_trace w mode =
+  let stats, c, tr = observed w mode in
+  (stats, Collect.registry c, tr)
+
+(* the registry as exported: the collector's series plus the counters
+   written from the run's stats *)
+let exported w mode =
+  let stats, c, _ = observed w mode in
+  (stats, Collect.export c stats)
 
 let test_online_equals_replay () =
   List.iter
@@ -358,11 +368,9 @@ let test_collect_check_reconciles () =
         all_modes)
     Stx_workloads.Registry.all
 
-let test_run_merge_matches_stats_merge () =
-  let sa, ra, _ = run_with_trace (List.hd Stx_workloads.Registry.all) Stx_core.Mode.Baseline in
-  let sb, rb, _ =
-    run_with_trace (List.hd Stx_workloads.Registry.all) Stx_core.Mode.Staggered_hw
-  in
+let test_exported_merge_matches_stats_merge () =
+  let sa, ra = exported (List.hd Stx_workloads.Registry.all) Stx_core.Mode.Baseline in
+  let sb, rb = exported (List.hd Stx_workloads.Registry.all) Stx_core.Mode.Staggered_hw in
   let stats = Stx_sim.Stats.merge sa sb and reg = Registry.merge ra rb in
   Alcotest.(check int) "commits sum"
     (sa.Stx_sim.Stats.commits + sb.Stx_sim.Stats.commits)
@@ -581,8 +589,8 @@ let suite =
       test_collect_check_reconciles;
     Alcotest.test_case "unpaired commit fails both checks" `Quick
       test_unpaired_commit_fails_both_checks;
-    Alcotest.test_case "Run.merge is pairwise" `Quick
-      test_run_merge_matches_stats_merge;
+    Alcotest.test_case "exported registries merge pairwise" `Quick
+      test_exported_merge_matches_stats_merge;
     Alcotest.test_case "baseline commits are all prefix" `Quick
       test_baseline_has_no_suffix;
     Alcotest.test_case "staggered serializes a nonzero suffix" `Quick

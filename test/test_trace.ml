@@ -2,6 +2,7 @@ open Stx_core
 open Stx_sim
 open Stx_workloads
 module Trace = Stx_trace.Trace
+module Check = Stx_trace.Check
 module Json = Stx_metrics.Json
 
 (* The trace recorder, its invariant checker, and the Chrome exporter.
@@ -9,14 +10,17 @@ module Json = Stx_metrics.Json
 
 let threads = 4
 
-let run_traced ?capacity ?(scale = 0.05) ~mode w =
+(* [also] sees every event the trace records *)
+let run_traced ?capacity ?(scale = 0.05) ?(also = fun ~time:_ _ -> ()) ~mode w =
   let tr = Trace.create ?capacity ~threads () in
   let spec = Workload.spec ~instrument:(Mode.uses_alps mode) ~scale w in
   let stats =
     Machine.run ~seed:3
       ~cfg:(Stx_machine.Config.with_cores threads Stx_machine.Config.default)
       ~mode
-      ~on_event:(Trace.handler tr)
+      ~on_event:(fun ~time ev ->
+        Trace.handler tr ~time ev;
+        also ~time ev)
       spec
   in
   (tr, stats)
@@ -30,14 +34,20 @@ let contains s sub =
   m = 0 || at 0
 
 (* every workload x every mode: the replayed event stream must reconcile
-   with the inline counters *)
+   with the inline counters, and the checker attached online to the same
+   run must reach the replay's verdict *)
 let test_check_green_everywhere () =
   List.iter
     (fun w ->
       List.iter
         (fun mode ->
-          let tr, stats = run_traced ~mode w in
-          match Trace.check tr stats with
+          let ck = Check.create ~threads in
+          let tr, stats = run_traced ~also:(Check.handler ck) ~mode w in
+          let replayed = Trace.check tr stats in
+          Alcotest.(check (result unit (list string)))
+            (Printf.sprintf "%s / %s: online = replay" w.Workload.name (Mode.to_string mode))
+            replayed (Check.finish ck stats);
+          match replayed with
           | Ok () -> ()
           | Error errs ->
             Alcotest.failf "%s / %s:\n  %s" w.Workload.name (Mode.to_string mode)
@@ -77,6 +87,16 @@ let test_check_detects_corruption () =
   expect_divergence "per-ab commits"
     (fun () -> ab0.Stats.ab_commits <- ab0.Stats.ab_commits + 1)
     (fun () -> ab0.Stats.ab_commits <- ab0.Stats.ab_commits - 1)
+
+(* a request done on a thread with none in flight: the violation a
+   served run's checker exists to catch *)
+let test_checker_flags_undispatched_request () =
+  let ck = Check.create ~threads:1 in
+  Check.handler ck ~time:5 (Machine.Req_done { tid = 0; req = 3; ab = 1 });
+  Alcotest.(check (result unit (list string)))
+    "one error"
+    (Error [ "thread 0: request 3 done at 5 without a dispatch" ])
+    (Check.finish ck (Stats.create ~threads:1))
 
 (* a ring-mode trace is bounded — and refuses to vouch for anything *)
 let test_ring_bounds_and_refuses () =
@@ -311,7 +331,10 @@ let test_lifecycle_allocates_nothing_per_event () =
    metrics writes through handles resolved at [create], so the only
    words it spends are the bracket fold's four "clock went backwards"
    messages as the second pass restarts each thread (about 330 words
-   over the capture's 1,456 events; a bare fold reads the same). *)
+   over the capture's 1,456 events; a bare fold reads the same). The
+   checker recounts into a [Stats] record whose per-block rows the
+   first pass made, and keeps those four messages, one 3-word list
+   cell each. *)
 let test_observers_words_per_event () =
   let w = Option.get (Registry.find "genome") in
   let tr, _ = run_traced ~mode:Mode.Staggered_hw w in
@@ -335,7 +358,9 @@ let test_observers_words_per_event () =
   (* 0.23 is its reading: a handler that rebuilt a label key per write
      would spend tens of words per event *)
   ceiling "metrics" 0.23
-    (Stx_metrics.Collect.handler (Stx_metrics.Collect.create ()))
+    (Stx_metrics.Collect.handler (Stx_metrics.Collect.create ()));
+  (* 0.2335: the metrics reading plus the list cells *)
+  ceiling "checker" 0.24 (Check.handler (Check.create ~threads))
 
 let suite =
   [
@@ -343,6 +368,8 @@ let suite =
       test_check_green_everywhere;
     Alcotest.test_case "checker detects corrupted counters" `Quick
       test_check_detects_corruption;
+    Alcotest.test_case "checker: done without dispatch" `Quick
+      test_checker_flags_undispatched_request;
     Alcotest.test_case "ring mode bounds memory, refuses to check" `Quick
       test_ring_bounds_and_refuses;
     Alcotest.test_case "attribution accounts every conflict" `Quick
