@@ -133,28 +133,6 @@ let print_episodes series =
         (Stx_telemetry.Episodes.to_string series e))
     (Stx_telemetry.Episodes.detect series)
 
-let divergences trace reg s =
-  let errs prefix = function
-    | Ok () -> []
-    | Error es -> List.map (fun e -> prefix ^ e) es
-  in
-  errs "trace: " trace @ errs "metrics: " (Stx_metrics.Collect.check reg s)
-
-let checked_run ~seed ~scale ~threads ~htm_policy ~mode w =
-  let spec =
-    Stx_workloads.Workload.spec ~instrument:(Stx_core.Mode.uses_alps mode)
-      ~scale w
-  in
-  let cfg = Stx_machine.Config.with_cores threads Stx_machine.Config.default in
-  let ck = Stx_trace.Check.create ~threads in
-  let c = Stx_metrics.Collect.create ~policy:htm_policy () in
-  let on_event ~time ev =
-    Stx_metrics.Collect.handler c ~time ev;
-    Stx_trace.Check.handler ck ~time ev
-  in
-  let s = Stx_sim.Machine.run ~seed ~htm_policy ~cfg ~mode ~on_event spec in
-  (s, divergences (Stx_trace.Check.finish ck s) (Stx_metrics.Collect.registry c) s)
-
 let pool_map ~jobs f cells =
   Array.of_list cells
   |> Array.map (fun cell () -> f cell)

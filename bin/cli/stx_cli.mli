@@ -1,7 +1,8 @@
 (** What [stx_run], [stx_serve] and [stx_repro] share on the command
     line: the common flags, each parsed and validated in one place, the
-    one way a usage error ends the process, and the output writers and
-    checked runs more than one of them prints. *)
+    one way a usage error ends the process, the output writers more than
+    one of them prints, and the domain-pool map. Their closed-loop runs
+    go through [Stx_harness.Exp.observe]. *)
 
 open Cmdliner
 
@@ -61,25 +62,6 @@ val write_telemetry :
 
 val print_episodes : Stx_telemetry.Series.t -> unit
 (** One [episode] line per detected episode. *)
-
-val divergences :
-  (unit, string list) result -> Stx_metrics.Registry.t -> Stx_sim.Stats.t -> string list
-(** One run's event-stream verdict (its {!Stx_trace.Check.finish}, or
-    {!Stx_trace.Trace.check} of its full capture) and every divergence
-    {!Stx_metrics.Collect.check} finds between its metrics registry and
-    statistics, prefixed ["trace: "] and ["metrics: "]. *)
-
-val checked_run :
-  seed:int ->
-  scale:float ->
-  threads:int ->
-  htm_policy:Stx_policy.t ->
-  mode:Stx_core.Mode.t ->
-  Stx_workloads.Workload.t ->
-  Stx_sim.Stats.t * string list
-(** One simulation with the event-stream checker and the metrics
-    collector attached online, and its {!divergences}. It keeps no
-    capture. *)
 
 val pool_map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [f] over the list on a pool of [jobs] domains, in input order, so

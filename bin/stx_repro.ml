@@ -20,6 +20,16 @@ let ctx_term =
 let section title body =
   Printf.printf "==== %s ====\n%s\n%!" title body
 
+(* an observed run's errors, after everything it printed; true if any *)
+let print_failures = function
+  | [] -> false
+  | errs ->
+    print_endline "  checks FAILED:";
+    List.iter (fun e -> print_endline ("    " ^ e)) errs;
+    true
+
+let check_failures errs = if print_failures errs then exit 1
+
 let cmd_of name title cells render =
   let run c =
     Exp.prefetch ~progress:true c (cells c);
@@ -66,32 +76,45 @@ let per_bench_cmd name doc cells render =
   let run c bench =
     let w = Stx_cli.bench bench in
     Exp.prefetch ~progress:true c (cells c w);
-    section (name ^ ": " ^ bench) (render c w)
+    let text, errs = render c w in
+    section (name ^ ": " ^ bench) text;
+    check_failures errs
   in
   Cmd.v (Cmd.info name ~doc) Term.(const run $ ctx_term $ bench_arg)
 
 let scaling_cmd =
   per_bench_cmd "scaling" "Thread-count sweep for one benchmark"
-    Reports.scaling_cells Reports.scaling
+    Reports.scaling_cells (fun c w -> (Reports.scaling c w, []))
 
 let profile_cmd =
   let run c bench format =
     let w = Stx_cli.bench bench in
-    match format with
-    | Stx_analysis.Driver.Text ->
-      section ("profile: " ^ bench) (Reports.profile c w)
-    | Stx_analysis.Driver.Tsv -> print_string (Reports.profile_tsv c w)
+    check_failures
+      (match format with
+      | Stx_analysis.Driver.Text ->
+        let text, errs = Reports.profile c w in
+        section ("profile: " ^ bench) text;
+        errs
+      | Stx_analysis.Driver.Tsv ->
+        let text, errs = Reports.profile_tsv c w in
+        print_string text;
+        errs)
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
          "Per-atomic-block phase profile: speculative prefix vs serialized \
-          suffix (--format tsv for machine-readable rows)")
+          suffix (--format tsv for machine-readable rows), cross-checking \
+          each mode's event stream and metrics (non-zero exit on any \
+          reconciliation failure)")
     Term.(const run $ ctx_term $ bench_arg $ format_arg)
 
+(* hotspots observes its own traced run, so it prefetches nothing *)
 let hotspots_cmd =
-  per_bench_cmd "hotspots" "Top conflicting lines/PCs of one benchmark"
-    Reports.hotspot_cells Reports.hotspots
+  per_bench_cmd "hotspots"
+    "Top conflicting lines/PCs of one benchmark, from a traced baseline run \
+     (non-zero exit on any reconciliation failure)"
+    (fun _ _ -> []) Reports.hotspots
 
 let scaling_all_cmd =
   let run c =
@@ -160,7 +183,8 @@ let lint_cmd =
           ~doc:
             "Run a traced Staggered simulation per benchmark and \
              cross-validate the static conflict graph against the dynamic \
-             conflict edges (non-zero exit on a soundness violation).")
+             conflict edges (non-zero exit on a soundness violation, or \
+             when the run's event stream does not reconcile).")
   in
   let validate_trace_arg =
     Arg.(
@@ -266,19 +290,16 @@ let lint_cmd =
           | None -> List.hd analyses
         in
         if validate then begin
-          let threads = Exp.threads c in
-          let cfg =
-            Stx_machine.Config.with_cores threads Stx_machine.Config.default
+          let o =
+            Exp.observe ~trace:true ~seed:(Exp.seed c) ~policy:(Exp.policy c)
+              ~threads:(Exp.threads c) ~mode:Stx_core.Mode.Staggered_hw vspec
           in
-          let tr = Stx_trace.Trace.create ~threads () in
-          let (_ : Stx_sim.Stats.t) =
-            Stx_sim.Machine.run ~seed:(Exp.seed c)
-              ~htm_policy:(Exp.policy c) ~cfg
-              ~mode:Stx_core.Mode.Staggered_hw
-              ~on_event:(Stx_trace.Trace.handler tr) vspec
-          in
+          let tr = Option.get o.Exp.trace in
           check_validation vanalysis (Driver.validate vanalysis tr);
-          check_stripes w.Stx_workloads.Workload.name tr
+          check_stripes w.Stx_workloads.Workload.name tr;
+          let name = w.Stx_workloads.Workload.name ^ ": " in
+          if print_failures (List.map (( ^ ) name) (Exp.failures o)) then
+            failed := true
         end;
         match vtrace with
         | None -> ()
@@ -332,6 +353,16 @@ let quick_arg =
 
 let sized c quick = if quick then (0.05, 4) else (Exp.scale c, Exp.threads c)
 
+(* a policies or hybrid cell: the metrics collector and the online
+   checker attached, no capture kept *)
+let checked_cell ~seed ~scale ~threads ~policy ~mode w =
+  let spec =
+    Stx_workloads.Workload.spec ~instrument:(Stx_core.Mode.uses_alps mode)
+      ~scale w
+  in
+  let o = Exp.observe ~metrics:true ~seed ~policy ~threads ~mode spec in
+  (o.Exp.stats, Exp.failures o)
+
 let policies_cmd =
   let run c bench quick =
     let w = Stx_cli.bench bench in
@@ -357,8 +388,8 @@ let policies_cmd =
         modes
     in
     let cell (mode, resolution) =
-      let htm_policy = { base with Stx_policy.resolution } in
-      Stx_cli.checked_run ~seed ~scale ~threads ~htm_policy ~mode w
+      let policy = { base with Stx_policy.resolution } in
+      checked_cell ~seed ~scale ~threads ~policy ~mode w
     in
     List.iter2
       (fun (mode, resolution) (s, errs) ->
@@ -422,9 +453,7 @@ let hybrid_cmd =
       (Printf.sprintf "%-11s %-13s %9s %7s %12s %9s %7s %7s %12s %7s  %s\n"
          "bench" "mode" "commits" "irrev" "cycles" "commits" "irrev" "stm"
          "cycles" "d-irrev" "checks");
-    let cell w mode htm_policy =
-      Stx_cli.checked_run ~seed ~scale ~threads ~htm_policy ~mode w
-    in
+    let cell w mode policy = checked_cell ~seed ~scale ~threads ~policy ~mode w in
     let rows =
       List.concat_map
         (fun w -> List.map (fun mode -> (w, mode)) modes)
@@ -641,30 +670,13 @@ let report_cmd =
       Stx_workloads.Workload.spec ~instrument:(Stx_core.Mode.uses_alps mode)
         ~scale w
     in
-    let cfg = Stx_machine.Config.with_cores threads Stx_machine.Config.default in
-    let tr = Stx_trace.Trace.create ~threads () in
-    let tc = Stx_telemetry.Collect.create ~window ~threads () in
-    let mc = Stx_metrics.Collect.create ~policy:htm_policy () in
-    let stats =
-      Stx_sim.Machine.run ~seed ~htm_policy ~cfg ~mode
-        ~on_event:(fun ~time ev ->
-          Stx_metrics.Collect.handler mc ~time ev;
-          Stx_trace.Trace.handler tr ~time ev;
-          Stx_telemetry.Collect.handler tc ~time ev)
-        spec
+    (* the report renders all three planes, so it observes all three *)
+    let o =
+      Exp.observe ~trace:true ~metrics:true ~telemetry:window ~seed
+        ~policy:htm_policy ~threads ~mode spec
     in
-    let series =
-      Stx_telemetry.Collect.finalize ~horizon:stats.Stx_sim.Stats.total_cycles
-        tc
-    in
+    let stats = o.Exp.stats and series = Option.get o.Exp.telemetry in
     let episodes = Stx_telemetry.Episodes.detect series in
-    let prog = w.Stx_workloads.Workload.build () in
-    let ab_name id =
-      let atomics = prog.Stx_tir.Ir.atomics in
-      if id >= 0 && id < Array.length atomics then
-        Printf.sprintf "%d:%s" id atomics.(id).Stx_tir.Ir.ab_name
-      else string_of_int id
-    in
     let html =
       Htmlreport.render
         {
@@ -677,9 +689,9 @@ let report_cmd =
           series;
           episodes;
           stats;
-          registry = Stx_metrics.Collect.registry mc;
-          attribution = Stx_trace.Trace.abort_attribution tr;
-          ab_name;
+          registry = Stx_metrics.Collect.registry (Option.get o.Exp.metrics);
+          attribution = Stx_trace.Trace.abort_attribution (Option.get o.Exp.trace);
+          ab_name = Reports.ab_name w;
         }
     in
     Stx_cli.write_file out html;
@@ -688,22 +700,7 @@ let report_cmd =
       (String.length html)
       (Stx_telemetry.Series.length series)
       (List.length episodes);
-    (* the report renders all three planes, so it reconciles all three:
-       trace and metrics against the stats, telemetry online = replay *)
-    let replayed =
-      Stx_telemetry.Collect.of_trace ~window
-        ~horizon:stats.Stx_sim.Stats.total_cycles tr
-    in
-    match
-      Stx_cli.divergences (Stx_trace.Trace.check tr stats)
-        (Stx_metrics.Collect.registry mc) stats
-      @ List.map (( ^ ) "telemetry: ") (Stx_telemetry.Series.diff series replayed)
-    with
-    | [] -> ()
-    | errs ->
-      print_endline "  checks FAILED:";
-      List.iter (fun e -> print_endline ("    " ^ e)) errs;
-      exit 1
+    check_failures (Exp.failures o)
   in
   Cmd.v
     (Cmd.info "report"

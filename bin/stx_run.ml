@@ -2,7 +2,6 @@
    statistics — the quick way to poke at the system. *)
 
 open Cmdliner
-open Stx_machine
 open Stx_core
 open Stx_sim
 open Stx_workloads
@@ -111,35 +110,6 @@ let run list_benches bench mode threads seed scale trace raw_trace metrics
   | [ w ] ->
     if telemetry_window < 1 then
       Stx_cli.fail "--telemetry-window must be positive";
-    let cfg = Config.with_cores threads Config.default in
-    (* telemetry always records a full trace too: the replay-equality
-       check (online fold = trace replay) rides on every collection *)
-    let tr =
-      if trace <> None || raw_trace <> None || telemetry <> None then
-        Some (Stx_trace.Trace.create ~threads ())
-      else None
-    in
-    let telem =
-      Option.map
-        (fun _ -> Stx_telemetry.Collect.create ~window:telemetry_window ~threads ())
-        telemetry
-    in
-    let collector =
-      Option.map (fun _ -> Stx_metrics.Collect.create ~policy:htm_policy ()) metrics
-    in
-    (* the metrics check carries the event-stream checker, which
-       reconciles the counters the export writes from the stats *)
-    let checker = Option.map (fun _ -> Stx_trace.Check.create ~threads) metrics in
-    let handlers =
-      List.filter_map Fun.id
-        [
-          Option.map Stx_trace.Trace.handler tr;
-          Option.map Stx_metrics.Collect.handler collector;
-          Option.map Stx_trace.Check.handler checker;
-          Option.map Stx_telemetry.Collect.handler telem;
-        ]
-    in
-    let on_event ~time ev = List.iter (fun h -> h ~time ev) handlers in
     let spec = Workload.spec ~instrument:(Mode.uses_alps mode) ~scale w in
     let lint_errors =
       lint
@@ -153,7 +123,15 @@ let run list_benches bench mode threads seed scale trace raw_trace metrics
       print_string (Stx_analysis.Driver.render_layout a);
       Stx_analysis.Driver.has_errors a
     in
-    let stats = Machine.run ~seed ~htm_policy ~cfg ~mode ~on_event spec in
+    (* no flag, no observer: the machine then builds no event at all *)
+    let o =
+      Stx_harness.Exp.observe
+        ~trace:(trace <> None || raw_trace <> None)
+        ~metrics:(metrics <> None)
+        ?telemetry:(Option.map (fun _ -> telemetry_window) telemetry)
+        ~seed ~policy:htm_policy ~threads ~mode spec
+    in
+    let stats = o.Stx_harness.Exp.stats in
     print_stats w.Workload.name mode threads stats;
     if not (Stx_policy.equal htm_policy Stx_policy.default) then
       Printf.printf "  policy             %s\n" (Stx_policy.label htm_policy);
@@ -168,43 +146,39 @@ let run list_benches bench mode threads seed scale trace raw_trace metrics
         ("policy", Stx_policy.label htm_policy);
       ]
     in
-    (match (metrics, collector, checker) with
-    | Some file, Some c, Some ck ->
+    (* the metrics check carries the event stream's verdict, which
+       reconciles the counters the export writes from the stats *)
+    (match (metrics, o.metrics) with
+    | Some file, Some c ->
       Stx_cli.write_metrics file (Stx_metrics.Collect.export c stats);
       print_check "metrics" ~ok:"registry reconciles with stats"
-        (Stx_cli.divergences (Stx_trace.Check.finish ck stats)
-           (Stx_metrics.Collect.registry c) stats)
+        (Stx_harness.Exp.failures { o with telemetry_errors = [] })
     | _ -> ());
-    (match (telemetry, telem, tr) with
-    | Some file, Some tc, Some tr ->
-      let horizon = stats.Stats.total_cycles in
-      let online = Stx_telemetry.Collect.finalize ~horizon tc in
-      let replayed =
-        Stx_telemetry.Collect.of_trace ~window:telemetry_window ~horizon tr
-      in
+    (match (telemetry, o.telemetry) with
+    | Some file, Some online ->
       (* width/threads already live in the codec headers *)
       Stx_cli.write_telemetry ~meta:(List.remove_assoc "threads" meta) file online;
       Printf.printf "  telemetry          %d windows of %d cycles -> %s\n"
         (Stx_telemetry.Series.length online)
         telemetry_window file;
       Stx_cli.print_episodes online;
-      print_check "telemetry" ~ok:"online = trace replay"
-        (Stx_telemetry.Series.diff online replayed)
+      print_check "telemetry" ~ok:"online = trace replay" o.telemetry_errors
     | _ -> ());
-    (match (raw_trace, tr) with
+    (match (raw_trace, o.trace) with
     | Some file, Some tr ->
       Stx_cli.write file (Stx_trace.Trace.write_events ~meta tr);
       Printf.printf "  raw trace          %d events -> %s (stx_repro lint --validate-trace)\n"
         (Stx_trace.Trace.length tr) file
     | _ -> ());
-    (match (trace, tr) with
+    (match (trace, o.trace) with
     | Some file, Some tr ->
       Stx_cli.write_file file (Stx_trace.Trace.to_chrome_json tr);
       Printf.printf "  trace              %d events -> %s (chrome://tracing, Perfetto)\n"
         (Stx_trace.Trace.length tr) file;
-      print_check "trace" ~ok:"events reconcile with stats"
-        (Result.fold ~ok:(fun () -> []) ~error:Fun.id (Stx_trace.Trace.check tr stats))
+      print_check "trace" ~ok:"events reconcile with stats" o.stream_errors
     | _ -> ());
+    (* --raw-trace or --telemetry alone: no line above carried the stream *)
+    if o.stream_errors <> [] then print_check "trace" ~ok:"" o.stream_errors;
     if lint_errors then exit 1
   | _ ->
     if trace <> None || raw_trace <> None || metrics <> None || telemetry <> None

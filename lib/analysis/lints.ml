@@ -443,16 +443,14 @@ let capacity_overflow ~capacity (p : Pipeline.t) plane =
 (* ---------------------------------------------------------------- *)
 (* STX109: STM write-lock stripe aliasing (trace-backed)             *)
 
-let stripe_aliasing ?(nslots = 256) ?(min_aborts = 1) tr =
+let stripe_aliasing ?(nslots = 256) tr =
   let groups : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun (line, n) ->
-      if n >= min_aborts then begin
-        let s = Stx_stm.Stm.stripe_of_line ~nslots ~line in
-        match Hashtbl.find_opt groups s with
-        | Some l -> l := (line, n) :: !l
-        | None -> Hashtbl.add groups s (ref [ (line, n) ])
-      end)
+      let s = Stx_stm.Stm.stripe_of_line ~nslots ~line in
+      match Hashtbl.find_opt groups s with
+      | Some l -> l := (line, n) :: !l
+      | None -> Hashtbl.add groups s (ref [ (line, n) ]))
     (Stx_trace.Trace.conflict_lines tr);
   Hashtbl.fold
     (fun stripe lines acc ->

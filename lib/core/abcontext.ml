@@ -20,8 +20,10 @@ type t = {
   mutable probe_streak : int; (* consecutive successful speculation probes *)
 }
 
-let create ?(history_size = 8) ~ab table =
-  if history_size <= 0 then invalid_arg "Abcontext.create: empty history";
+(* abort records kept, as in the paper *)
+let history_size = 8
+
+let create ~ab table =
   {
     ab;
     table;

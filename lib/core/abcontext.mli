@@ -41,8 +41,8 @@ type t = {
   mutable probe_streak : int;  (** consecutive successful speculation probes *)
 }
 
-val create : ?history_size:int -> ab:int -> Unified.table -> t
-(** Default history size 8, as in the paper. *)
+val create : ab:int -> Unified.table -> t
+(** An abort history of 8 records, as in the paper. *)
 
 val arm : t -> ?anchor:int -> ?line:int -> site:int -> block_addr:int -> unit -> unit
 (** Policy decision: activate ALP [site] for future instances; [anchor] /

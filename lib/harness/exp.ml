@@ -6,6 +6,66 @@ open Stx_runner
 
 type cell = Workload.t * Mode.t * int
 
+type observed = {
+  stats : Stats.t;
+  trace : Stx_trace.Trace.t option;
+  metrics : Stx_metrics.Collect.t option;
+  telemetry : Stx_telemetry.Series.t option;
+  stream_errors : string list;
+  metrics_errors : string list;
+  telemetry_errors : string list;
+}
+
+let observe ?(trace = false) ?(metrics = false) ?telemetry ~seed ~policy
+    ~threads ~mode spec =
+  let module Ck = Stx_trace.Check in
+  let module Mc = Stx_metrics.Collect in
+  let module Tc = Stx_telemetry.Collect in
+  let ck =
+    if trace || metrics || Option.is_some telemetry then Some (Ck.create ~threads)
+    else None
+  in
+  (* the telemetry replay reads a capture even when the caller does not *)
+  let tr =
+    if trace || Option.is_some telemetry then
+      Some (Stx_trace.Trace.create ~threads ())
+    else None
+  in
+  let mc = if metrics then Some (Mc.create ~policy ()) else None in
+  let tc = Option.map (fun window -> Tc.create ~window ~threads ()) telemetry in
+  let on_event =
+    match
+      List.filter_map Fun.id
+        [ Option.map Ck.handler ck; Option.map Stx_trace.Trace.handler tr;
+          Option.map Mc.handler mc; Option.map Tc.handler tc ]
+    with
+    | [] -> None
+    | h :: hs -> Some (List.fold_left (fun f g ~time ev -> f ~time ev; g ~time ev) h hs)
+  in
+  let cfg = Config.with_cores threads Config.default in
+  let stats = Machine.run ~seed ~htm_policy:policy ~cfg ~mode ?on_event spec in
+  let horizon = stats.Stats.total_cycles in
+  let series = Option.map (Tc.finalize ~horizon) tc in
+  let errors = function Some (Error es) -> es | Some (Ok ()) | None -> [] in
+  let replayed online =
+    Stx_telemetry.Series.diff online (Tc.of_trace ?window:telemetry ~horizon (Option.get tr))
+  in
+  {
+    stats;
+    trace = (if trace then tr else None);
+    metrics = mc;
+    telemetry = series;
+    stream_errors = errors (Option.map (fun ck -> Ck.finish ck stats) ck);
+    metrics_errors = errors (Option.map (fun c -> Mc.check (Mc.registry c) stats) mc);
+    telemetry_errors = Option.fold ~none:[] ~some:replayed series;
+  }
+
+let failures o =
+  let prefixed p = List.map (( ^ ) p) in
+  prefixed "trace: " o.stream_errors
+  @ prefixed "metrics: " o.metrics_errors
+  @ prefixed "telemetry: " o.telemetry_errors
+
 type t = {
   seed : int;
   scale : float;
@@ -36,8 +96,7 @@ let memo_key (w : Workload.t) mode threads =
 (* a cell runs bare: every report built on cells reads only [Stats] *)
 let simulate t ((w : Workload.t), mode, threads) =
   let spec = Workload.spec ~instrument:(Mode.uses_alps mode) ~scale:t.scale w in
-  let cfg = Config.with_cores threads Config.default in
-  Machine.run ~seed:t.seed ~htm_policy:t.policy ~cfg ~mode spec
+  (observe ~seed:t.seed ~policy:t.policy ~threads ~mode spec).stats
 
 let run_at t w mode ~threads =
   let key = memo_key w mode threads in

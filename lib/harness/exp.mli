@@ -9,12 +9,57 @@ open Stx_workloads
 
     A cell is fully described by the context's seed, scale and policy
     plus its own coordinate, and runs bare: the workload compiled with
-    ALPs iff the mode uses them, simulated with no observer attached.
-    The memo table lives for the process and can be filled wholesale by
-    {!prefetch}, which hands every distinct missing cell to a
-    {!Stx_runner.Pool} of domains. Because every simulation is
+    ALPs iff the mode uses them, simulated through {!observe} with no
+    observer attached. The memo table lives for the process and can be
+    filled wholesale by {!prefetch}, which hands every distinct missing
+    cell to a {!Stx_runner.Pool} of domains. Because every simulation is
     deterministic in its inputs, the pool changes no result: a
     sequential run and a parallel run produce identical statistics. *)
+
+(** {2 One closed-loop run}
+
+    Every closed-loop simulation of the reports and the executables runs
+    here, except those that change a runtime setting (the ablations'
+    non-default rows, Figure 1). *)
+
+type observed = {
+  stats : Stats.t;
+  trace : Stx_trace.Trace.t option;  (** the full capture, if asked for *)
+  metrics : Stx_metrics.Collect.t option;  (** the collector, if asked for *)
+  telemetry : Stx_telemetry.Series.t option;
+      (** the online series, padded to the makespan, if asked for *)
+  stream_errors : string list;
+      (** the online {!Stx_trace.Check} verdict against [stats] *)
+  metrics_errors : string list;
+      (** {!Stx_metrics.Collect.check} of the live registry *)
+  telemetry_errors : string list;
+      (** {!Stx_telemetry.Series.diff} of the online series against a
+          replay of the run's capture *)
+}
+
+val observe :
+  ?trace:bool ->
+  ?metrics:bool ->
+  ?telemetry:int ->
+  seed:int ->
+  policy:Stx_policy.t ->
+  threads:int ->
+  mode:Mode.t ->
+  Machine.spec ->
+  observed
+(** One simulation of the spec on the {!Stx_machine.Config.default}
+    machine cut to [threads] cores, under the policy bundle. [trace]
+    keeps a full capture, [metrics] attaches the metrics collector and
+    [telemetry] a collector of windows that many cycles wide. With none
+    of them, [Machine.run] gets no [on_event], so the machine builds no
+    event. With any of them, the online event-stream checker is attached
+    too, and telemetry keeps a private capture to replay. *)
+
+val failures : observed -> string list
+(** Every error, prefixed with its plane: ["trace: "] (the event
+    stream), then ["metrics: "], then ["telemetry: "]. *)
+
+(** {2 Experiment contexts} *)
 
 type t
 

@@ -51,10 +51,6 @@ let scaling_cells _ctx w =
     (fun n -> [ (w, Mode.Baseline, n); (w, Mode.Staggered_hw, n) ])
     scaling_threads
 
-(* hotspots runs its own traced simulation (the attribution needs the
-   event stream, not just the cached counters), so nothing to prefetch *)
-let hotspot_cells _ctx _w = []
-
 let table1 ctx =
   let t =
     Table.create
@@ -100,21 +96,12 @@ let table3 ctx =
       (* dynamic stats: single-threaded instrumented vs uninstrumented *)
       let plain = Exp.sequential ctx w in
       let instr = Exp.run_at ctx w Mode.Staggered_hw ~threads:1 in
-      let naive_prog = w.Workload.build () in
       let naive =
-        let spec =
-          {
-            Machine.compiled =
-              Stx_compiler.Pipeline.compile ~mode:Stx_compiler.Anchors.Naive
-                naive_prog;
-            Machine.thread_main = "main";
-            Machine.thread_args =
-              (fun env ~threads -> w.Workload.args ~scale:(Exp.scale ctx) env ~threads);
-          }
-        in
-        Machine.run ~seed:(Exp.seed ctx) ~htm_policy:(Exp.policy ctx)
-          ~cfg:(Config.with_cores 1 Config.default)
-          ~mode:Mode.Staggered_hw spec
+        (Exp.observe ~seed:(Exp.seed ctx) ~policy:(Exp.policy ctx) ~threads:1
+           ~mode:Mode.Staggered_hw
+           (Workload.spec ~anchor_mode:Stx_compiler.Anchors.Naive
+              ~scale:(Exp.scale ctx) w))
+          .Exp.stats
       in
       let inc a b = 100. *. (Stat.ratio a b -. 1.) in
       let hi = Exp.run ctx w Mode.Staggered_hw in
@@ -374,22 +361,17 @@ let anchor_tables w =
   Buffer.contents buf
 
 let hotspots ctx w =
-  (* trace-backed: rerun the baseline with a full-capture trace attached.
-     The frequency tables could come from the cached counters, but the
-     aggressor -> victim attribution only exists in the event stream — and
-     replaying it through Trace.check keeps the two accounting paths
-     honest on the way *)
+  (* trace-backed: rerun the baseline with a full capture. The frequency
+     tables could come from the cached counters, but the aggressor ->
+     victim attribution only exists in the event stream *)
   let module Trace = Stx_trace.Trace in
   let threads = Exp.threads ctx in
-  let tr = Trace.create ~threads () in
   let spec = Workload.spec ~instrument:false ~scale:(Exp.scale ctx) w in
-  let stats =
-    Machine.run ~seed:(Exp.seed ctx) ~htm_policy:(Exp.policy ctx)
-      ~cfg:(Config.with_cores threads Config.default)
-      ~mode:Mode.Baseline
-      ~on_event:(Trace.handler tr)
-      spec
+  let o =
+    Exp.observe ~trace:true ~seed:(Exp.seed ctx) ~policy:(Exp.policy ctx)
+      ~threads ~mode:Mode.Baseline spec
   in
+  let tr = Option.get o.Exp.trace in
   let a = Trace.abort_attribution tr in
   let take n l = List.filteri (fun i _ -> i < n) l in
   let t = Table.create [ "conflicting line"; "aborts"; "share" ] in
@@ -478,13 +460,6 @@ let hotspots ctx w =
                | 0 -> "."
                | c -> string_of_int c))
   done;
-  let health =
-    match Trace.check tr stats with
-    | Ok () -> ""
-    | Error errs ->
-      "\nWARNING: trace/stats divergence detected:\n  "
-      ^ String.concat "\n  " errs ^ "\n"
-  in
   let collisions =
     let per_table =
       Array.to_list unified
@@ -508,8 +483,8 @@ let hotspots ctx w =
       "Truncated-PC tag collisions (hardware lookups resolve to the first \
        entry):\n" ^ String.concat "\n" ls ^ "\n"
   in
-  Printf.sprintf
-    "Conflict hot spots of %s (baseline, %d threads): the raw material the
+  ( Printf.sprintf
+      "Conflict hot spots of %s (baseline, %d threads): the raw material the
      locking policy works from. Trace-backed: %d events, %d conflict aborts
      (%d of them without an attributable aggressor).
 %s
@@ -517,43 +492,49 @@ let hotspots ctx w =
 %s
 %s
 Aggressor -> victim conflict aborts (rows: aggressor core; '.' = 0):
-%s%s"
-    w.Workload.name threads (Trace.length tr) a.Trace.conflict_aborts
-    a.Trace.unattributed (Table.render t) (Table.render t2) (Table.render t3)
-    collisions (Table.render tm) health
+%s"
+      w.Workload.name threads (Trace.length tr) a.Trace.conflict_aborts
+      a.Trace.unattributed (Table.render t) (Table.render t2) (Table.render t3)
+      collisions (Table.render tm),
+    Exp.failures o )
 
-(* Exp cells run bare: the profile collects its own four cells, on the pool *)
+let ab_name w =
+  let atomics = (w.Workload.build ()).Stx_tir.Ir.atomics in
+  fun id ->
+    if id >= 0 && id < Array.length atomics then
+      Printf.sprintf "%d:%s" id atomics.(id).Stx_tir.Ir.ab_name
+    else string_of_int id
+
+(* Exp cells run bare: the profile collects its own four cells, on the
+   pool, and returns their registries with every cell's errors *)
 let profile_registries ctx w =
   let cell mode () =
     let spec =
       Workload.spec ~instrument:(Mode.uses_alps mode) ~scale:(Exp.scale ctx) w
     in
-    let c = Stx_metrics.Collect.create ~policy:(Exp.policy ctx) () in
-    ignore
-      (Machine.run ~seed:(Exp.seed ctx) ~htm_policy:(Exp.policy ctx)
-         ~cfg:(Config.with_cores (Exp.threads ctx) Config.default)
-         ~mode ~on_event:(Stx_metrics.Collect.handler c) spec);
-    (mode, Stx_metrics.Collect.registry c)
+    let o =
+      Exp.observe ~metrics:true ~seed:(Exp.seed ctx) ~policy:(Exp.policy ctx)
+        ~threads:(Exp.threads ctx) ~mode spec
+    in
+    ( (mode, Stx_metrics.Collect.registry (Option.get o.Exp.metrics)),
+      List.map (( ^ ) (Mode.to_string mode ^ ": ")) (Exp.failures o) )
   in
-  Array.map cell
-    [| Mode.Baseline; Mode.Addr_only; Mode.Staggered_sw; Mode.Staggered_hw |]
-  |> Stx_runner.Pool.map ~jobs:(Exp.jobs ctx)
-  |> Array.to_list
-  |> List.map (function
-       | Stx_runner.Pool.Done r -> r
-       | Stx_runner.Pool.Failed msg -> failwith ("profile cell failed: " ^ msg))
+  let cells =
+    Array.map cell
+      [| Mode.Baseline; Mode.Addr_only; Mode.Staggered_sw; Mode.Staggered_hw |]
+    |> Stx_runner.Pool.map ~jobs:(Exp.jobs ctx)
+    |> Array.to_list
+    |> List.map (function
+         | Stx_runner.Pool.Done r -> r
+         | Stx_runner.Pool.Failed msg -> failwith ("profile cell failed: " ^ msg))
+  in
+  (List.map fst cells, List.concat_map snd cells)
 
 let profile ctx w =
   let module C = Stx_metrics.Collect in
   let module H = Stx_metrics.Hist in
-  let prog = w.Workload.build () in
-  let ab_name id =
-    let atomics = prog.Stx_tir.Ir.atomics in
-    if id >= 0 && id < Array.length atomics then
-      Printf.sprintf "%d:%s" id atomics.(id).Stx_tir.Ir.ab_name
-    else string_of_int id
-  in
-  let regs = profile_registries ctx w in
+  let ab_name = ab_name w in
+  let regs, errs = profile_registries ctx w in
   let t =
     Table.create
       [
@@ -612,14 +593,15 @@ let profile ctx w =
           q H.p99 wait_h;
         ])
     regs;
-  Printf.sprintf
-    "Phase profile of %s (%d threads): committed transaction cycles split at\n\
-     the first advisory-lock acquire — speculative prefix runs in parallel,\n\
-     the suffix is serialized behind the lock. The baseline takes no advisory\n\
-     locks, so its committed cycles are all prefix; staggered modes serialize\n\
-     only the conflicting portion (cf. Figure 1 and Result 2).\n%s\n\
-     Per-attempt distributions (cycles; quantiles bucketed to powers of two):\n%s"
-    w.Workload.name (Exp.threads ctx) (Table.render t) (Table.render lt)
+  ( Printf.sprintf
+      "Phase profile of %s (%d threads): committed transaction cycles split at\n\
+       the first advisory-lock acquire — speculative prefix runs in parallel,\n\
+       the suffix is serialized behind the lock. The baseline takes no advisory\n\
+       locks, so its committed cycles are all prefix; staggered modes serialize\n\
+       only the conflicting portion (cf. Figure 1 and Result 2).\n%s\n\
+       Per-attempt distributions (cycles; quantiles bucketed to powers of two):\n%s"
+      w.Workload.name (Exp.threads ctx) (Table.render t) (Table.render lt),
+    errs )
 
 let profile_tsv ctx w =
   let module C = Stx_metrics.Collect in
@@ -630,6 +612,7 @@ let profile_tsv ctx w =
     else string_of_int id
   in
   let esc = Stx_analysis.Diag.tsv_escape in
+  let regs, errs = profile_registries ctx w in
   let b = Buffer.create 1024 in
   Buffer.add_string b
     "workload\tmode\tab\tab_name\tprefix\tlock_wait\tsuffix\tirrevocable\tstm\twasted\tbackoff\n";
@@ -655,8 +638,8 @@ let profile_tsv ctx w =
                ]);
           Buffer.add_char b '\n')
         (C.abs_profiled reg))
-    (profile_registries ctx w);
-  Buffer.contents b
+    regs;
+  (Buffer.contents b, errs)
 
 let scaling ctx w =
   let t = Table.create [ "Threads"; "HTM speedup"; "Staggered speedup" ] in

@@ -46,16 +46,17 @@ val fig8 : Exp.t -> string
 val anchor_tables : Workload.t -> string
 (** Figure 3-style dump of a benchmark's unified anchor tables. *)
 
-val hotspots : Exp.t -> Workload.t -> string
+val hotspots : Exp.t -> Workload.t -> string * string list
 (** The most frequent conflicting lines and PC tags of a baseline run —
     the raw signal behind Table 1's LA/LP columns and the policy's
-    decisions. *)
+    decisions — read from the run's full capture, and the run's
+    {!Exp.failures}. *)
 
 val scaling : Exp.t -> Workload.t -> string
 (** Thread-count sweep (1..16) for baseline and Staggered — the curves
     behind the S column. *)
 
-val profile : Exp.t -> Workload.t -> string
+val profile : Exp.t -> Workload.t -> string * string list
 (** Per-atomic-block phase profile of one benchmark under every runtime
     mode: committed transaction cycles split at the first advisory-lock
     acquire into speculative prefix, lock wait and serialized suffix
@@ -63,13 +64,18 @@ val profile : Exp.t -> Workload.t -> string
     retry distributions beneath. The paper's core claim made visible:
     the baseline serializes nothing (no suffix), staggered modes
     serialize only the conflicting portion. Its four cells run apart
-    from the memo, each with a metrics collector, on [Exp.jobs] domains. *)
+    from the memo, each with a metrics collector, on [Exp.jobs] domains;
+    the list holds every cell's {!Exp.failures}, prefixed with its mode. *)
 
-val profile_tsv : Exp.t -> Workload.t -> string
+val profile_tsv : Exp.t -> Workload.t -> string * string list
 (** The same phase-cycle cells as {!profile}, machine-readable: a
     header row then one tab-separated row per (mode, atomic block),
     free-form cells escaped with {!Stx_analysis.Diag.tsv_escape} so the
     file shares the lint TSV's conventions. *)
+
+val ab_name : Workload.t -> int -> string
+(** An atomic block's ["ID:NAME"], or the bare id when the workload has
+    no such block. *)
 
 (** {2 Prefetch cells}
 
@@ -85,4 +91,3 @@ val fig7_cells : Exp.t -> Exp.cell list
 val fig8_cells : Exp.t -> Exp.cell list
 val granularity_cells : Exp.t -> Exp.cell list
 val scaling_cells : Exp.t -> Workload.t -> Exp.cell list
-val hotspot_cells : Exp.t -> Workload.t -> Exp.cell list

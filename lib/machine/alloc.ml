@@ -3,7 +3,6 @@ type arena = { mutable cursor : Memory.addr; mutable limit : Memory.addr }
 type t = {
   memory : Memory.t;
   arena_words : int;
-  line_align : bool;
   words_per_line : int;
   mutable wilderness : Memory.addr; (* next never-used address *)
   (* slot [thread + 1] (0 = shared): a flat array instead of a Hashtbl so
@@ -11,21 +10,17 @@ type t = {
   mutable arenas : arena option array;
 }
 
-let create ?(arena_words = 4096) ?(line_align = true) ~words_per_line memory =
+let create ?(arena_words = 4096) ~words_per_line memory =
   {
     memory;
     arena_words;
-    line_align;
     words_per_line;
     (* start on a line boundary past the null word *)
     wilderness = words_per_line;
     arenas = Array.make 32 None;
   }
 
-let round_up t n =
-  if t.line_align then
-    (n + t.words_per_line - 1) / t.words_per_line * t.words_per_line
-  else n
+let round_up t n = (n + t.words_per_line - 1) / t.words_per_line * t.words_per_line
 
 let fresh_arena t =
   let base = t.wilderness in
@@ -49,7 +44,7 @@ let arena_for t thread =
     a
 
 let alloc_in t arena n =
-  let n = round_up t (if t.line_align then n else Stdlib.max n 1) in
+  let n = round_up t n in
   if arena.cursor + n > arena.limit then begin
     (* a request larger than the arena gets a dedicated chunk *)
     if n >= t.arena_words then begin

@@ -17,7 +17,6 @@ type t = {
   handler_cost : int;
   alp_inactive_cost : int;
   spin_recheck_cost : int;
-  max_retries : int;
   backoff_base : int;
   lazy_htm : bool;
 }
@@ -43,7 +42,6 @@ let default =
     handler_cost = 100;
     alp_inactive_cost = 1;
     spin_recheck_cost = 20;
-    max_retries = 10;
     backoff_base = 50;
     lazy_htm = false;
   }

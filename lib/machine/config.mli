@@ -20,7 +20,6 @@ type t = {
   handler_cost : int;  (** cycles charged to run the abort handler/policy *)
   alp_inactive_cost : int;  (** an inactive ALP: a test and a non-taken branch *)
   spin_recheck_cost : int;  (** cycles between advisory-lock spin re-checks *)
-  max_retries : int;  (** HTM attempts before irrevocable mode (paper: 10) *)
   backoff_base : int;  (** mean polite-backoff delay per retry, cycles *)
   lazy_htm : bool;
       (** commit-time (lazy) conflict detection with committer-wins,
@@ -30,7 +29,7 @@ type t = {
 
 val default : t
 (** The Table 2 machine: 16 cores, 64 KB L1 / 1 MB L2 / 8 MB L3,
-    2/10/30/125-cycle latencies, 12-bit PC tags, 10 retries. *)
+    2/10/30/125-cycle latencies, 12-bit PC tags. *)
 
 val with_cores : int -> t -> t
 

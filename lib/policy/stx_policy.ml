@@ -55,6 +55,9 @@ module Fallback = struct
     | Backoff of { retries : int; base : int; max_exp : int; seed : int }
     | Stm_tier of { retries : int option; stm_retries : int }
 
+  (* hardware attempts before the fallback, as in the paper *)
+  let retries_default = 10
+
   (* software attempts before the STM tier gives up and takes the lock *)
   let stm_retries_default = 8
 
@@ -70,9 +73,9 @@ module Fallback = struct
     | Stm_tier { retries = Some r; stm_retries } ->
       Printf.sprintf "htm-stm-lock:%d:%d" r stm_retries
 
-  (* defaults for a bare "backoff": a 10-attempt budget matching the seed
-     machine config, a modest base delay, and a cap of 2^8 periods *)
-  let backoff_defaults = (10, 16, 8, 0)
+  (* defaults for a bare "backoff": the paper's attempt budget, a modest
+     base delay, and a cap of 2^8 periods *)
+  let backoff_defaults = (retries_default, 16, 8, 0)
 
   let of_string s =
     match String.split_on_char ':' s with
@@ -129,13 +132,10 @@ module Fallback = struct
             htm-stm-lock[:R[:S]], or stm[:N])"
            s)
 
-  let retry_budget t ~default =
-    match t with
-    | Polite { retries = None } -> default
-    | Polite { retries = Some n } -> n
+  let retry_budget = function
+    | Polite { retries = None } | Stm_tier { retries = None; _ } -> retries_default
+    | Polite { retries = Some n } | Stm_tier { retries = Some n; _ } -> n
     | Backoff { retries; _ } -> retries
-    | Stm_tier { retries = None; _ } -> default
-    | Stm_tier { retries = Some n; _ } -> n
 end
 
 type t = {
@@ -162,25 +162,6 @@ let label t =
       Capacity.to_string t.capacity;
       Fallback.to_string t.fallback;
     ]
-
-let of_label s =
-  let ( let* ) = Result.bind in
-  match String.split_on_char '+' s with
-  | [ r ] ->
-    let* resolution = Resolution.of_string r in
-    Ok { default with resolution }
-  | [ r; c ] ->
-    let* resolution = Resolution.of_string r in
-    let* capacity = Capacity.of_string c in
-    Ok { default with resolution; capacity }
-  | [ r; c; f ] ->
-    let* resolution = Resolution.of_string r in
-    let* capacity = Capacity.of_string c in
-    let* fallback = Fallback.of_string f in
-    Ok { resolution; capacity; fallback }
-  | _ ->
-    Error
-      (Printf.sprintf "bad policy label %S (expected resolution[+capacity[+fallback]])" s)
 
 let pp fmt t = Format.pp_print_string fmt (label t)
 let equal (a : t) (b : t) = a = b

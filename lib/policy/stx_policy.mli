@@ -9,12 +9,11 @@
     throughput under contention — without forking the machine model.
 
     A policy bundle is plain data (variants and records, no closures), so
-    it can be printed, parsed, compared structurally (the experiment
-    engine dedupes jobs on it), and attached as a metrics label. The
-    {!default} bundle is the paper's configuration and is
-    behaviour-preserving by construction: running any workload under
-    [default] produces bit-for-bit the same {!Stx_sim.Stats} as the
-    pre-policy simulator. *)
+    it can be printed, parsed axis by axis, compared structurally, and
+    attached as a metrics label. The {!default} bundle is the paper's
+    configuration and is behaviour-preserving by construction: running
+    any workload under [default] produces bit-for-bit the same
+    {!Stx_sim.Stats} as the pre-policy simulator. *)
 
 module Resolution : sig
   (** Which transaction survives a data conflict. *)
@@ -59,8 +58,8 @@ module Fallback : sig
     | Polite of { retries : int option }
         (** The seed behaviour: linearly growing polite delay drawn from
             the thread's own simulation RNG; after [retries] failed
-            attempts (default: the machine config's [max_retries]) the
-            transaction acquires the global lock and runs irrevocably. *)
+            attempts (default 10, the paper's budget) the transaction
+            acquires the global lock and runs irrevocably. *)
     | Backoff of { retries : int; base : int; max_exp : int; seed : int }
         (** Exponential randomized backoff: attempt [k] sleeps a uniform
             draw from [0, base * 2^min(k, max_exp)), using a dedicated
@@ -69,10 +68,10 @@ module Fallback : sig
             random choices. *)
     | Stm_tier of { retries : int option; stm_retries : int }
         (** The hybrid three-tier fallback (htm → stm → lock): after
-            [retries] failed hardware attempts (default: the machine
-            config's [max_retries]) — or immediately on a [Capacity]
-            abort — the transaction re-executes in the TL2-style software
-            tier ({!Stx_stm}) instead of going irrevocable. Only after
+            [retries] failed hardware attempts (default 10, as for
+            [Polite]) — or immediately on a [Capacity] abort — the
+            transaction re-executes in the TL2-style software tier
+            ({!Stx_stm}) instead of going irrevocable. Only after
             [stm_retries] failed software attempts does it acquire the
             global lock, which now backstops STM validation livelock
             rather than every hardware failure. Parses from
@@ -81,7 +80,7 @@ module Fallback : sig
   val to_string : t -> string
   val of_string : string -> (t, string) result
 
-  val retry_budget : t -> default:int -> int
+  val retry_budget : t -> int
   (** Number of hardware attempts before going irrevocable. *)
 end
 
@@ -104,10 +103,6 @@ val label : t -> string
     characters from the metrics-registry label charset
     [[a-zA-Z0-9_.:+-]], with [+] as the axis separator, so it is directly
     usable as a label value. *)
-
-val of_label : string -> (t, string) result
-(** Inverse of {!label}; also accepts a bare resolution (axes omitted from
-    the right default). *)
 
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -1385,9 +1385,7 @@ let run ?(seed = 1) ?(policy = Policy.default_params)
       mode;
       policy;
       htm_policy;
-      retry_budget =
-        Stx_policy.Fallback.retry_budget htm_policy.Stx_policy.fallback
-          ~default:cfg.Config.max_retries;
+      retry_budget = Stx_policy.Fallback.retry_budget htm_policy.Stx_policy.fallback;
       lock_timeout;
       max_waiters;
       compiled = spec.compiled;

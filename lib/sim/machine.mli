@@ -27,7 +27,7 @@ open Stx_core
     lock only backstops a software attempt budget spent on validation
     livelock. The retry budget and backoff schedule come from
     the {!Stx_policy.Fallback} policy of the [htm_policy] bundle (default:
-    [cfg.max_retries] attempts with polite backoff, the seed behaviour);
+    the paper's 10 attempts with polite backoff, the seed behaviour);
     the bundle's resolution and capacity policies govern the HTM itself.
     A [Capacity] abort goes irrevocable immediately — the footprint will
     not shrink on retry. ALPs consult the thread's ABContext and acquire

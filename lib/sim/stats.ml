@@ -107,7 +107,7 @@ let pct_irrevocable t = Stx_util.Stat.percent t.irrevocable_entries t.commits
    skews merged values — merge maxes both factors, so two sequential
    same-thread runs would divide a summed numerator by an un-summed
    denominator and report > 100%. The fallback covers hand-built records
-   that never ran (fixtures, old store entries). *)
+   that never ran (test fixtures). *)
 let pct_tx_time t =
   let denom =
     if t.thread_cycles > 0 then t.thread_cycles else t.total_cycles * t.threads

@@ -30,6 +30,61 @@ let test_exp_rel_performance_baseline_is_one () =
   Alcotest.(check (float 1e-9)) "baseline ratio 1" 1.0
     (Exp.rel_performance c w Mode.Baseline)
 
+(* An observed run is the bare run's twin, and each of its verdicts is
+   what the stand-alone check of its capture, registry or series says. *)
+let test_observe_matches_standalone_checks () =
+  let stm =
+    Stx_policy.make
+      ~fallback:(Stx_policy.Fallback.Stm_tier { retries = None; stm_retries = 8 })
+      ()
+  in
+  let cells =
+    List.concat_map
+      (fun name ->
+        [ (name, Mode.Baseline, Stx_policy.default);
+          (name, Mode.Staggered_hw, Stx_policy.default) ])
+      [ "list-hi"; "genome"; "memcached" ]
+    @ [ ("genome", Mode.Staggered_hw, stm) ]
+  in
+  let errors = function Ok () -> [] | Error es -> es in
+  List.iter
+    (fun (name, mode, policy) ->
+      let w = Option.get (Registry.find name) in
+      let spec () = Workload.spec ~instrument:(Mode.uses_alps mode) ~scale:0.05 w in
+      let label what =
+        Printf.sprintf "%s/%s/%s: %s" name (Mode.to_string mode)
+          (Stx_policy.label policy) what
+      in
+      let bare =
+        Stx_sim.Machine.run ~seed:3 ~htm_policy:policy
+          ~cfg:(Stx_machine.Config.with_cores 4 Stx_machine.Config.default)
+          ~mode (spec ())
+      in
+      let o =
+        Exp.observe ~trace:true ~metrics:true ~telemetry:1000 ~seed:3 ~policy
+          ~threads:4 ~mode (spec ())
+      in
+      let stats = o.Exp.stats in
+      let tr = Option.get o.Exp.trace in
+      Alcotest.(check string) (label "observed stats = bare stats")
+        (Test_exact.fingerprint bare) (Test_exact.fingerprint stats);
+      let verdict what got standalone =
+        Alcotest.(check (list string)) (label (what ^ " clean")) [] got;
+        Alcotest.(check (list string)) (label (what ^ " = stand-alone")) standalone got
+      in
+      verdict "event stream" o.Exp.stream_errors
+        (errors (Stx_trace.Trace.check tr stats));
+      verdict "metrics" o.Exp.metrics_errors
+        (errors
+           (Stx_metrics.Collect.check
+              (Stx_metrics.Collect.registry (Option.get o.Exp.metrics))
+              stats));
+      verdict "telemetry" o.Exp.telemetry_errors
+        (Stx_telemetry.Series.diff (Option.get o.Exp.telemetry)
+           (Stx_telemetry.Collect.of_trace ~window:1000
+              ~horizon:stats.Stx_sim.Stats.total_cycles tr)))
+    cells
+
 let test_table1_renders () =
   let s = Reports.table1 (ctx ()) in
   List.iter
@@ -64,7 +119,8 @@ let test_fig8_renders () =
    empty: HTM never waits on an advisory lock. *)
 let test_profile_latency_table () =
   let c = Exp.create ~seed:3 ~scale:0.05 ~threads:4 () in
-  let s = Reports.profile c (Option.get (Registry.find "genome")) in
+  let s, errs = Reports.profile c (Option.get (Registry.find "genome")) in
+  Alcotest.(check (list string)) "every cell reconciles" [] errs;
   let marker = "Per-attempt distributions" in
   let rec skip = function
     | l :: rest -> if contains l marker then rest else skip rest
@@ -216,30 +272,35 @@ let test_scaling_report () =
   let s = Reports.scaling c w in
   Alcotest.(check bool) "has thread column" true (contains s "Threads")
 
+let bounded_8_4 = Stx_policy.Capacity.Bounded { read_lines = 8; write_lines = 4 }
+
+(* timestamp+bounded:8:4+backoff *)
+let timestamp_bounded_backoff =
+  Stx_policy.make ~resolution:Stx_policy.Resolution.Timestamp
+    ~capacity:bounded_8_4
+    ~fallback:
+      (Stx_policy.Fallback.Backoff { retries = 10; base = 16; max_exp = 8; seed = 0 })
+    ()
+
 (* the seed-averaged Figure 7 runs every seed under the context's policy
    bundle, as the single-seed Figure 7 does *)
 let test_fig7_repeated_uses_policy () =
-  let render label =
-    let policy = Result.get_ok (Stx_policy.of_label label) in
+  let render policy =
     Reports.fig7_repeated ~seeds:[ 2 ]
       (Exp.create ~scale:0.05 ~threads:4 ~policy ())
   in
   Alcotest.(check bool) "policy bundle reaches every seed" false
-    (render "requester-wins+unbounded+polite"
-    = render "timestamp+bounded:8:4+backoff")
+    (render Stx_policy.default = render timestamp_bounded_backoff)
 
 (* hotspots and Table 3's naive-instrumentation run are simulated under
    the context's policy bundle too: the naive run is compared against
    plain runs made under that bundle *)
 let test_hotspots_and_table3_use_policy () =
-  let ctx label =
-    let policy = Result.get_ok (Stx_policy.of_label label) in
-    Exp.create ~scale:0.05 ~threads:4 ~policy ()
-  in
+  let ctx policy = Exp.create ~scale:0.05 ~threads:4 ~policy () in
   let genome = Option.get (Registry.find "genome") in
   Alcotest.(check bool) "hotspots see the bundle" false
-    (Reports.hotspots (ctx "requester-wins+unbounded+polite") genome
-    = Reports.hotspots (ctx "timestamp+bounded:8:4+backoff") genome);
+    (fst (Reports.hotspots (ctx Stx_policy.default) genome)
+    = fst (Reports.hotspots (ctx timestamp_bounded_backoff) genome));
   let pct cell = Scanf.sscanf (String.trim cell) "%f%%" Fun.id in
   let rows = ref 0 in
   List.iter
@@ -253,7 +314,7 @@ let test_hotspots_and_table3_use_policy () =
             (String.trim naive_inc) (String.trim time_inc)
       | _ -> ())
     (String.split_on_char '\n'
-       (Reports.table3 (ctx "requester-wins+bounded:8:4+polite")));
+       (Reports.table3 (ctx (Stx_policy.make ~capacity:bounded_8_4 ()))));
   Alcotest.(check int) "a row per benchmark" (List.length Registry.all) !rows
 
 (* --- htmlreport -------------------------------------------------------- *)
@@ -349,6 +410,8 @@ let test_allocation_budget () =
 let suite =
   [
     Alcotest.test_case "exp memoizes runs" `Quick test_exp_memoizes;
+    Alcotest.test_case "observed runs match bare runs and stand-alone checks"
+      `Quick test_observe_matches_standalone_checks;
     Alcotest.test_case "allocation budget per simulated event" `Slow
       test_allocation_budget;
     Alcotest.test_case "sequential speedup is 1" `Quick

@@ -533,7 +533,7 @@ let test_job_digest_sees_policy () =
   Alcotest.(check bool) "non-default digests differ" true (d1 <> d2)
 
 (* ---------------------------------------------------------------- *)
-(* label/parse round trips                                            *)
+(* labels                                                             *)
 
 let test_label_roundtrip () =
   let bundles =
@@ -554,32 +554,17 @@ let test_label_roundtrip () =
           in
           if not ok then
             Alcotest.fail (Printf.sprintf "label %S has bad char %c" l ch))
-        l;
-      match Stx_policy.of_label l with
-      | Ok p' ->
-        Alcotest.(check bool) ("round trip " ^ l) true (Stx_policy.equal p p')
-      | Error e -> Alcotest.fail (Printf.sprintf "of_label %S: %s" l e))
-    bundles;
-  (* a bare resolution parses with default remaining axes *)
-  (match Stx_policy.of_label "timestamp" with
-  | Ok p ->
-    Alcotest.(check bool) "bare resolution" true
-      (Stx_policy.equal p
-         (Stx_policy.make ~resolution:Stx_policy.Resolution.Timestamp ()))
-  | Error e -> Alcotest.fail e);
-  match Stx_policy.of_label "nonsense+unbounded+polite" with
-  | Ok _ -> Alcotest.fail "nonsense label should not parse"
-  | Error _ -> ()
+        l)
+    bundles
 
 let test_retry_budget () =
   let open Stx_policy.Fallback in
   Alcotest.(check int) "polite default" 10
-    (retry_budget (Polite { retries = None }) ~default:10);
+    (retry_budget (Polite { retries = None }));
   Alcotest.(check int) "polite explicit" 3
-    (retry_budget (Polite { retries = Some 3 }) ~default:10);
+    (retry_budget (Polite { retries = Some 3 }));
   Alcotest.(check int) "backoff" 5
-    (retry_budget (Backoff { retries = 5; base = 16; max_exp = 8; seed = 0 })
-       ~default:10)
+    (retry_budget (Backoff { retries = 5; base = 16; max_exp = 8; seed = 0 }))
 
 let suite =
   [

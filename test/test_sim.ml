@@ -140,7 +140,10 @@ let test_events_emitted () =
 
 let test_irrevocable_fallback () =
   (* with 1 retry allowed, contended txs fall back to the global lock fast *)
-  let cfg = { (Config.with_cores 8 Config.default) with Config.max_retries = 1 } in
+  let cfg = Config.with_cores 8 Config.default in
+  let htm_policy =
+    Stx_policy.make ~fallback:(Stx_policy.Fallback.Polite { retries = Some 1 }) ()
+  in
   let spec = counter_spec ~iters:20 () in
   let memo = ref None in
   let spec =
@@ -153,7 +156,7 @@ let test_irrevocable_fallback () =
           r);
     }
   in
-  let stats = Machine.run ~seed:5 ~cfg ~mode:Mode.Baseline spec in
+  let stats = Machine.run ~seed:5 ~htm_policy ~cfg ~mode:Mode.Baseline spec in
   Alcotest.(check bool) "irrevocable entries" true (stats.Stats.irrevocable_entries > 0);
   Alcotest.(check int) "still correct" 160 (Memory.load (Option.get !memo) !counter_addr);
   Alcotest.(check int) "all committed" 160 stats.Stats.commits
@@ -221,7 +224,8 @@ let test_explicit_abort_retries () =
      back each time, so the parity never changes and the tx retries until
      the irrevocable fallback (whose nt-stores are immediate) finishes it *)
   Alcotest.(check int) "explicit abort every speculative attempt"
-    cfg.Config.max_retries stats.Stats.explicit_aborts;
+    (Stx_policy.Fallback.retry_budget Stx_policy.default.Stx_policy.fallback)
+    stats.Stats.explicit_aborts;
   Alcotest.(check int) "one commit" 1 stats.Stats.commits;
   Alcotest.(check int) "went irrevocable" 1 stats.Stats.irrevocable_entries;
   (* irrevocable: the even branch stores +1 (visible), Abort_tx is a no-op
