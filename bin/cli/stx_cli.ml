@@ -39,6 +39,19 @@ let threads =
         & info [ "threads"; "t" ]
             ~doc:"Simulated threads, one per core (per shard when serving)."))
 
+let telemetry_window =
+  let check w =
+    if w < 1 then fail "--telemetry-window must be positive";
+    w
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value
+        & opt int Stx_telemetry.Collect.default_window
+        & info [ "telemetry-window" ] ~docv:"CYCLES"
+            ~doc:"Telemetry window width in simulated cycles."))
+
 let jobs =
   Arg.(
     value

@@ -26,6 +26,10 @@ val scale : float Term.t
 val threads : int Term.t
 (** [--threads]/[-t], default 16; positive. *)
 
+val telemetry_window : int Term.t
+(** [--telemetry-window], default {!Stx_telemetry.Collect.default_window};
+    positive. *)
+
 val jobs : int Term.t
 (** [--jobs]/[-j], default the recommended domain count. *)
 

@@ -649,7 +649,7 @@ let report_cmd =
   let window_arg =
     Arg.(
       value
-      & opt int 1000
+      & opt int Stx_telemetry.Collect.default_window
       & info [ "window" ] ~docv:"CYCLES"
           ~doc:"Telemetry window width in simulated cycles.")
   in

@@ -108,8 +108,6 @@ let run list_benches bench mode threads seed scale trace raw_trace metrics
   in
   match benches with
   | [ w ] ->
-    if telemetry_window < 1 then
-      Stx_cli.fail "--telemetry-window must be positive";
     let spec = Workload.spec ~instrument:(Mode.uses_alps mode) ~scale w in
     let lint_errors =
       lint
@@ -250,13 +248,6 @@ let () =
              against an offline trace replay (non-zero exit on divergence). \
              Single benchmark only.")
   in
-  let telemetry_window_arg =
-    Arg.(
-      value
-      & opt int 1000
-      & info [ "telemetry-window" ] ~docv:"CYCLES"
-          ~doc:"Telemetry window width in simulated cycles.")
-  in
   let lint_arg =
     Arg.(
       value
@@ -271,7 +262,7 @@ let () =
     Term.(
       const run $ list_arg $ bench_arg $ Stx_cli.mode $ Stx_cli.threads
       $ Stx_cli.seed $ Stx_cli.scale $ trace_arg $ raw_trace_arg $ metrics_arg
-      $ telemetry_arg $ telemetry_window_arg $ lint_arg $ Stx_cli.jobs
+      $ telemetry_arg $ Stx_cli.telemetry_window $ lint_arg $ Stx_cli.jobs
       $ Stx_cli.policy)
   in
   let info =

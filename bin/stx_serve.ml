@@ -38,7 +38,6 @@ let run list_services bench arrival_s keys_s pct_get key_range horizon threads
   let key_range = Option.map (Stx_cli.positive "key-range") key_range
   and horizon = Stx_cli.positive "horizon" horizon
   and shards = Stx_cli.positive "shards" shards in
-  if telemetry_window < 1 then Stx_cli.fail "--telemetry-window must be positive";
   let telemetry_window = Option.map (fun _ -> telemetry_window) telemetry in
   let cfg =
     Serve.config ~mode ~htm_policy ~threads ~seed ~keys ~pct_get ?key_range
@@ -162,13 +161,6 @@ let () =
              detected episodes (saturation onset, conflict storms, tier \
              shifts).")
   in
-  let telemetry_window_arg =
-    Arg.(
-      value
-      & opt int 1000
-      & info [ "telemetry-window" ] ~docv:"CYCLES"
-          ~doc:"Telemetry window width in simulated cycles.")
-  in
   let check_arg =
     Arg.(
       value
@@ -185,7 +177,7 @@ let () =
       const run $ list_arg $ bench_arg $ arrival_arg $ keys_arg $ pct_get_arg
       $ key_range_arg $ horizon_arg $ Stx_cli.threads $ Stx_cli.seed
       $ shards_arg $ shard_by_arg $ Stx_cli.jobs $ Stx_cli.mode $ metrics_arg
-      $ telemetry_arg $ telemetry_window_arg $ check_arg $ Stx_cli.policy)
+      $ telemetry_arg $ Stx_cli.telemetry_window $ check_arg $ Stx_cli.policy)
   in
   let info =
     Cmd.info "stx_serve" ~version:"1.0"

@@ -1,9 +1,10 @@
 (* A domain scenario built on the public API: a bank with a set of
    accounts, transfer transactions between random accounts, and an audit
    transaction that sums every balance (a long read-only scan that plain
-   HTM keeps aborting). The invariant — total money is conserved — is
-   checked at the end, and the run shows how Staggered Transactions treat
-   the two very different transaction shapes. *)
+   HTM keeps aborting). The invariants — total money is conserved, and
+   every audit saw the full total — are checked at the end (exit 1 when
+   either fails), and the run shows how Staggered Transactions treat the
+   two very different transaction shapes. *)
 
 open Stx_tir
 open Stx_machine
@@ -100,6 +101,14 @@ let () =
   in
   print_endline "Bank scenario: transfers + long read-only audits";
   print_endline "------------------------------------------------";
+  let violated = ref false in
+  let verdict ok =
+    if ok then "OK"
+    else begin
+      violated := true;
+      "VIOLATED!"
+    end
+  in
   List.iter
     (fun mode ->
       let stats, total, audits = run mode in
@@ -108,8 +117,9 @@ let () =
         stats.Stats.total_cycles;
       Printf.printf "  money conserved: %d = %d  %s\n" total
         (accounts * initial_balance)
-        (if total = accounts * initial_balance then "OK" else "VIOLATED!");
+        (verdict (total = accounts * initial_balance));
       let consistent = Array.for_all (fun a -> a = 0 || a = total) audits in
       Printf.printf "  audits consistent (each saw the full total): %s\n"
-        (if consistent then "OK" else "VIOLATED!"))
-    [ Mode.Baseline; Mode.Staggered_hw ]
+        (verdict consistent))
+    [ Mode.Baseline; Mode.Staggered_hw ];
+  if !violated then exit 1

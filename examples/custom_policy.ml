@@ -1,8 +1,8 @@
-(* Tuning the locking policy: run one benchmark under several policies and
-   runtime knobs, showing how the public API exposes the Figure 6
-   parameters (activation thresholds, promotion, probing) and the
-   advisory-lock behaviour (waiter cap, timeout) for experimentation —
-   the paper's "wider range of run-time policies" future work. *)
+(* Tuning the locking policy: run one benchmark under several policies,
+   showing how the public API exposes the Figure 6 parameters (activation
+   thresholds, promotion, probing) and the advisory-lock behaviour (waiter
+   cap, timeout) in one record for experimentation — the paper's "wider
+   range of run-time policies" future work. *)
 
 open Stx_machine
 open Stx_core
@@ -19,10 +19,9 @@ let () =
     base.Stats.aborts;
   Printf.printf "%-34s %10s %8s %8s %8s\n" "configuration" "vs HTM" "aborts" "locks"
     "irrev";
-  let show name ?policy ?max_waiters ?lock_timeout () =
+  let show name ?policy () =
     let s =
-      Machine.run ~seed:1 ?policy ?max_waiters ?lock_timeout ~cfg
-        ~mode:Mode.Staggered_hw (Workload.spec w)
+      Machine.run ~seed:1 ?policy ~cfg ~mode:Mode.Staggered_hw (Workload.spec w)
     in
     Printf.printf "%-34s %9.2fx %8d %8d %8d\n" name
       (float_of_int base.Stats.total_cycles /. float_of_int s.Stats.total_cycles)
@@ -41,6 +40,12 @@ let () =
   show "frequent probing (period 2)"
     ~policy:{ Policy.default_params with Policy.probe_period = 2 }
     ();
-  show "deep convoys (waiters unbounded)" ~max_waiters:1_000_000 ();
-  show "single-waiter stagger" ~max_waiters:1 ();
-  show "impatient locks (timeout 1k)" ~lock_timeout:1_000 ()
+  show "deep convoys (waiters unbounded)"
+    ~policy:{ Policy.default_params with Policy.max_waiters = 1_000_000 }
+    ();
+  show "single-waiter stagger"
+    ~policy:{ Policy.default_params with Policy.max_waiters = 1 }
+    ();
+  show "impatient locks (timeout 1k)"
+    ~policy:{ Policy.default_params with Policy.lock_timeout = 1_000 }
+    ()

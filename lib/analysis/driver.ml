@@ -17,14 +17,13 @@ type t = {
 
 type format = Text | Tsv
 
-let analyze ?(name = "program") ?resolution ?capacity ?words_per_line
-    (p : Pipeline.t) =
+let analyze ?(name = "program") ?resolution ?capacity (p : Pipeline.t) =
   Verify.program p.Pipeline.prog;
   let summary = Summary.compute p.Pipeline.prog p.Pipeline.dsa in
   let graph =
     Conflict.compute ?resolution p.Pipeline.prog p.Pipeline.dsa summary
   in
-  let plane = Lplane.build ?words_per_line p.Pipeline.prog p.Pipeline.dsa graph in
+  let plane = Lplane.build p.Pipeline.prog p.Pipeline.dsa graph in
   let diags = Lints.all ?capacity ~plane p summary graph in
   {
     a_name = name;

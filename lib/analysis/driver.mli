@@ -21,16 +21,14 @@ val analyze :
   ?name:string ->
   ?resolution:Stx_policy.Resolution.t ->
   ?capacity:Stx_policy.Capacity.t ->
-  ?words_per_line:int ->
   Pipeline.t ->
   t
 (** Summaries, conflict graph, line plane, and all lints. [resolution]
     (default [Requester_wins]) selects the conflict-resolution policy
     the graph — and the resolution-aware STX103 lint — are computed
     under. [capacity] enables the STX107 capacity-overflow prediction
-    against that budget (omitted: no STX107 diagnostics).
-    [words_per_line] overrides the machine line geometry the plane is
-    lowered to (default {!Stx_machine.Config.default}). Also re-verifies
+    against that budget (omitted: no STX107 diagnostics). The line plane
+    is lowered to {!Stx_machine.Config.default}'s line size. Also re-verifies
     the instrumented program ({!Stx_tir.Verify.program}), so a compiler
     pass that broke the IR fails here rather than in the simulator. *)
 

@@ -276,17 +276,10 @@ let classify_conflict t ~src ~dst ~gids ~field =
 
 (* --- construction ----------------------------------------------------- *)
 
-let build ?words_per_line prog dsa conf =
-  let wpl =
-    match words_per_line with
-    | Some w ->
-      if w <= 0 then invalid_arg "Layout.build: words_per_line must be positive";
-      w
-    | None -> Stx_machine.Config.default.Stx_machine.Config.words_per_line
-  in
+let build prog dsa conf =
   let t =
     {
-      l_wpl = wpl;
+      l_wpl = Stx_machine.Config.default.Stx_machine.Config.words_per_line;
       l_prog = prog;
       l_dsa = dsa;
       l_conf = conf;

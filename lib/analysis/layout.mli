@@ -68,9 +68,9 @@ type bound = {
 
 type t
 
-val build : ?words_per_line:int -> Ir.program -> Dsa.t -> Conflict.t -> t
+val build : Ir.program -> Dsa.t -> Conflict.t -> t
 (** Eagerly refines every edge of the conflict graph and bounds every
-    block. [words_per_line] defaults to the Table 2 machine's
+    block, at the Table 2 machine's line size
     ({!Stx_machine.Config.default}). *)
 
 val words_per_line : t -> int

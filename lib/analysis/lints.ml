@@ -443,11 +443,11 @@ let capacity_overflow ~capacity (p : Pipeline.t) plane =
 (* ---------------------------------------------------------------- *)
 (* STX109: STM write-lock stripe aliasing (trace-backed)             *)
 
-let stripe_aliasing ?(nslots = 256) tr =
+let stripe_aliasing tr =
   let groups : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun (line, n) ->
-      let s = Stx_stm.Stm.stripe_of_line ~nslots ~line in
+      let s = Stx_stm.Stm.stripe_of_line ~nslots:Stx_stm.Stm.stripes ~line in
       match Hashtbl.find_opt groups s with
       | Some l -> l := (line, n) :: !l
       | None -> Hashtbl.add groups s (ref [ (line, n) ]))
@@ -467,7 +467,7 @@ let stripe_aliasing ?(nslots = 256) tr =
                same stripe, so validation aborts cross between unrelated \
                lines"
               (String.concat ", " (List.map describe lines))
-              stripe nslots))
+              stripe Stx_stm.Stm.stripes))
 
 (* ---------------------------------------------------------------- *)
 (* STX110: anchor-span waste                                         *)

@@ -46,11 +46,11 @@ val capacity_overflow :
     budget leaves no headroom (info). Empty under [Unbounded].
     [STX107]. *)
 
-val stripe_aliasing : ?nslots:int -> Stx_trace.Trace.t -> Diag.t list
+val stripe_aliasing : Stx_trace.Trace.t -> Diag.t list
 (** Trace-backed: conflicting cache lines (every line with a conflict
     abort) that hash onto the same STM write-lock stripe
-    ({!Stx_stm.Stm.stripe_of_line}; [nslots] defaults to the tier's
-    256). Software-tier traffic on any of them locks and
+    ({!Stx_stm.Stm.stripe_of_line} over the tier's {!Stx_stm.Stm.stripes}).
+    Software-tier traffic on any of them locks and
     versions the same stripe, so validation aborts cross between
     unrelated lines. [STX109], warning. *)
 

@@ -96,7 +96,7 @@ let classify_tag pipeline graph plane ~tag victims =
           srcs)
     None victims
 
-let run ?ctx graph trace =
+let run ~ctx:(pipeline, plane) graph trace =
   let nt = Trace.threads trace in
   (* Per thread, newest-first list of (event index, source) transitions:
      [Some ab] while a block's transaction is (re)running, [None] for
@@ -139,26 +139,23 @@ let run ?ctx graph trace =
      none of them covers the access (true wins over false, keeping the
      false-sharing fraction a lower bound). *)
   let classify key ~srcs ~ab ~conf_pc =
-    match ctx with
-    | None -> ()
-    | Some (pipeline, plane) -> (
-      let tr, fa, un = sharing_of key in
-      match
-        Option.bind conf_pc (fun tag ->
-            classify_tag pipeline graph plane ~tag [ (ab, srcs) ])
-      with
-      | None ->
-        incr sharing_unknown;
-        incr un
-      | Some (Layout.Attributed Layout.True_sharing) ->
-        incr true_sharing;
-        incr tr
-      | Some (Layout.Attributed Layout.False_sharing) ->
-        incr false_sharing;
-        incr fa
-      | Some Layout.Unpredicted ->
-        incr line_unsound;
-        incr un)
+    let tr, fa, un = sharing_of key in
+    match
+      Option.bind conf_pc (fun tag ->
+          classify_tag pipeline graph plane ~tag [ (ab, srcs) ])
+    with
+    | None ->
+      incr sharing_unknown;
+      incr un
+    | Some (Layout.Attributed Layout.True_sharing) ->
+      incr true_sharing;
+      incr tr
+    | Some (Layout.Attributed Layout.False_sharing) ->
+      incr false_sharing;
+      incr fa
+    | Some Layout.Unpredicted ->
+      incr line_unsound;
+      incr un
   in
   let idx = ref 0 in
   Trace.iter trace (fun ~time:_ ev ->

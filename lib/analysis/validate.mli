@@ -12,7 +12,7 @@ open Stx_trace
     {e predicted} when any candidate source has a static edge to the
     victim's block; it is a {e soundness violation} when none does.
 
-    With a line plane ([ctx]), every predicted abort is additionally
+    Through the line plane, every predicted abort is additionally
     attributed at line granularity: the event's conflicting-PC tag
     resolves (through the victim block's unified table) to the first
     access the victim made to the conflicting line — unioning the
@@ -77,9 +77,10 @@ val classify_tag :
     line-colliding pair covers it; otherwise true sharing wins over
     false across every block and source. *)
 
-val run : ?ctx:Stx_compiler.Pipeline.t * Layout.t -> Conflict.t -> Trace.t -> t
-(** Without [ctx] the sharing counters stay zero (node-level validation
-    only, the seed behaviour). *)
+val run : ctx:Stx_compiler.Pipeline.t * Layout.t -> Conflict.t -> Trace.t -> t
+(** Validates [trace] against the graph, attributing each predicted abort
+    at line granularity through [ctx], the compiled program and its line
+    plane. *)
 
 val sound : t -> bool
 (** No dynamic conflict edge escaped the static graph. *)

@@ -35,7 +35,9 @@ let compute_read_only prog =
   in
   Array.map (fun (a : Ir.atomic) -> not (writes a.Ir.ab_func)) prog.Ir.atomics
 
-let compile ?(pc_bits = 12) ?(mode = Anchors.Dsa_guided) ?(instrument = true) prog =
+let default_pc_bits = 12
+
+let compile ?(pc_bits = default_pc_bits) ?(mode = Anchors.Dsa_guided) ?(instrument = true) prog =
   Verify.program prog;
   let dsa = Stx_dsa.Dsa.analyze prog in
   let anchors = Anchors.build ~insert:instrument prog dsa ~mode in

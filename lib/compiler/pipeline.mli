@@ -14,14 +14,21 @@ type t = {
   unified : Unified.table array;  (** indexed by atomic-block id *)
   layout : Layout.t;
   pc_bits : int;
+      (** width of the hardware's conflicting-PC tag: the anchor tables
+          are indexed by it, and the machine truncates every conflict tag
+          it delivers to it *)
   read_only : bool array;
       (** per atomic block: no store (or allocation) is reachable from its
           root, so its transactions never abort anyone else *)
 }
 
+val default_pc_bits : int
+(** The paper's hardware tag width (§4), 12 bits: Table 2's tag and every
+    program compiled without [?pc_bits]. *)
+
 val compile : ?pc_bits:int -> ?mode:Anchors.mode -> ?instrument:bool -> Ir.program -> t
-(** Instruments [prog] in place. [pc_bits] defaults to 12 (the paper's
-    hardware tag width); [mode] defaults to [Dsa_guided]; [instrument:false]
+(** Instruments [prog] in place. [pc_bits] defaults to
+    {!default_pc_bits}; [mode] defaults to [Dsa_guided]; [instrument:false]
     analyzes without inserting ALPs (the plain-HTM baseline binary). *)
 
 val table_for : t -> ab:int -> Unified.table

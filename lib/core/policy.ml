@@ -6,10 +6,20 @@ type params = {
   prom_thr : int;
   probe_period : int;
   skip_read_only : bool;
+  lock_timeout : int;
+  max_waiters : int;
 }
 
 let default_params =
-  { pc_thr = 2; addr_thr = 2; prom_thr = 5; probe_period = 8; skip_read_only = true }
+  {
+    pc_thr = 2;
+    addr_thr = 2;
+    prom_thr = 5;
+    probe_period = 8;
+    skip_read_only = true;
+    lock_timeout = 100_000;
+    max_waiters = 2;
+  }
 
 type decision = Precise | Coarse | Promoted | Training
 

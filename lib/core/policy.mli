@@ -3,7 +3,9 @@ open Stx_compiler
 (** The locking policy (Figure 6): on every contention abort, decide which
     advisory-locking point to activate for future instances of the atomic
     block, based on how often the conflicting PC and the conflicting data
-    address recur in the recent history.
+    address recur in the recent history. Its {!params} hold every setting
+    of the staggering runtime, the advisory-lock timeout and waiter cap
+    included.
 
     Four outcomes: {e precise} (recurrent PC and address — lock exactly
     that datum), {e coarse grain} (recurrent PC, wandering addresses — lock
@@ -28,9 +30,18 @@ type params = {
       (** never activate ALPs for atomic blocks the compiler proved
           read-only: such transactions cannot abort anyone, so serializing
           them only trades their own (re-executable) work for latency. *)
+  lock_timeout : int;
+      (** cycles an ALP spins on a busy advisory lock before giving up and
+          running speculatively (§2's progress guarantee) *)
+  max_waiters : int;
+      (** spinners allowed per advisory lock: an ALP finding a full queue
+          proceeds speculatively, keeping the mechanism a stagger rather
+          than a convoy *)
 }
 
 val default_params : params
+(** The settings every experiment runs with unless it varies one; DESIGN.md
+    lists their values. *)
 
 type decision = Precise | Coarse | Promoted | Training
 

@@ -6,20 +6,19 @@ open Stx_workloads
 
 let cfg16 = Config.default
 
-(* A row whose every setting is the default (Machine.run's lock timeout
-   and waiter cap among them) is the context's own 16-core cell: each
-   study that shows it reads the one simulation. *)
-let run_custom ctx ?(policy = Policy.default_params) ?(lock_timeout = 100_000)
-    ?(max_waiters = 2) ?(cfg = cfg16) ~mode w =
-  if policy = Policy.default_params && lock_timeout = 100_000 && max_waiters = 2 && cfg = cfg16
+(* A row whose every setting is the default is the context's own 16-core
+   cell: each study that shows it reads the one simulation. *)
+let run_custom ctx ?(policy = Policy.default_params)
+    ?(pc_bits = Stx_compiler.Pipeline.default_pc_bits) ?(cfg = cfg16) ~mode w =
+  if
+    policy = Policy.default_params
+    && pc_bits = Stx_compiler.Pipeline.default_pc_bits
+    && cfg = cfg16
   then Exp.run ctx w mode
   else
-    (* the compiled anchor tables must be indexed with the same truncation
-       the simulated hardware applies to its PC tags *)
-    let pc_bits = cfg.Config.pc_tag_bits in
     let scale = Exp.scale ctx in
     let spec = Workload.spec ~instrument:(Mode.uses_alps mode) ~scale ~pc_bits w in
-    Machine.run ~seed:(Exp.seed ctx) ~policy ~lock_timeout ~max_waiters ~cfg ~mode spec
+    Machine.run ~seed:(Exp.seed ctx) ~policy ~cfg ~mode spec
 
 (* every study's HTM reference is the same cell (16 cores, the default
    bundle, 12-bit tags), so one context simulates it once per workload *)
@@ -57,7 +56,8 @@ let waiter_cap ctx =
       let base = baseline_cycles ctx w in
       List.iter
         (fun cap ->
-          let s = run_custom ctx ~max_waiters:cap ~mode:Mode.Staggered_hw w in
+          let policy = { Policy.default_params with Policy.max_waiters = cap } in
+          let s = run_custom ctx ~policy ~mode:Mode.Staggered_hw w in
           Table.add_row t
             [
               w.Workload.name;
@@ -78,8 +78,7 @@ let pc_tag_width ctx =
       let base = baseline_cycles ctx w in
       List.iter
         (fun bits ->
-          let cfg = { cfg16 with Config.pc_tag_bits = bits } in
-          let s = run_custom ctx ~cfg ~mode:Mode.Staggered_hw w in
+          let s = run_custom ctx ~pc_bits:bits ~mode:Mode.Staggered_hw w in
           Table.add_row t
             [
               w.Workload.name;
@@ -100,9 +99,8 @@ let lock_timeout ctx =
       let base = baseline_cycles ctx w in
       List.iter
         (fun timeout ->
-          let s =
-            run_custom ctx ~lock_timeout:timeout ~mode:Mode.Staggered_hw w
-          in
+          let policy = { Policy.default_params with Policy.lock_timeout = timeout } in
+          let s = run_custom ctx ~policy ~mode:Mode.Staggered_hw w in
           Table.add_row t
             [
               w.Workload.name;
@@ -205,5 +203,3 @@ let all =
              probe_period; lazy_variant; read_only_skip ]))
 
 let pc_tag_width = with_ctx pc_tag_width
-let lock_timeout = with_ctx lock_timeout
-let probe_period = with_ctx probe_period

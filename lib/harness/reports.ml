@@ -78,7 +78,8 @@ let table1 ctx =
 
 let table2 () =
   "Table 2: configuration of the simulated machine.\n"
-  ^ Format.asprintf "%a@." Config.pp Config.default
+  ^ Format.asprintf "%a@\nStag.Trans. %d-bit PC tag per L1 cache line@." Config.pp
+      Config.default Stx_compiler.Pipeline.default_pc_bits
 
 let table3 ctx =
   let t =
@@ -324,9 +325,11 @@ let fig1 () =
     in
     let tl = Stx_trace.Trace.create ~threads:3 () in
     (* the schematic wants the pure mechanism: no probing, full convoys *)
-    let policy = { Policy.default_params with Policy.probe_period = max_int } in
+    let policy =
+      { Policy.default_params with Policy.probe_period = max_int; max_waiters = 16 }
+    in
     let stats =
-      Machine.run ~seed:5 ~policy ~max_waiters:16
+      Machine.run ~seed:5 ~policy
         ~cfg:(Stx_machine.Config.with_cores 3 Stx_machine.Config.default)
         ~mode ~on_event:(Stx_trace.Trace.handler tl) spec
     in
@@ -653,5 +656,5 @@ let scaling ctx w =
           Table.fmt_f (Exp.speedup ctx w base);
           Table.fmt_f (Exp.speedup ctx w stag);
         ])
-    [ 1; 2; 4; 8; 16 ];
+    scaling_threads;
   Printf.sprintf "Scalability of %s:\n" w.Workload.name ^ Table.render t

@@ -1,12 +1,7 @@
 open Stx_machine
 
 type abort_reason =
-  | Conflict of {
-      conf_addr : int;
-      conf_pc : int option;
-      conf_pc_full : int option;
-      aggressor : int;
-    }
+  | Conflict of { conf_addr : int; conf_pc : int option; aggressor : int }
   | Lock_subscription
   | Capacity
   | Explicit
@@ -143,29 +138,18 @@ let discard_speculative t core =
   Linetbl.reset c.tags;
   Linetbl.reset c.wbuf
 
-let truncate_pc t pc =
-  if t.cfg.Config.pc_tag_bits >= 62 then pc
-  else pc land ((1 lsl t.cfg.Config.pc_tag_bits) - 1)
-
 (* requester-wins: doom the victim, delivering the conflicting address, the
-   victim's own PC tag for the line, and the aggressor (requester) core *)
+   victim's own first-access PC for the line, and the aggressor (requester)
+   core *)
 let doom t ~requester ~victim ~conf_addr =
   let c = t.cores.(victim) in
   match c.st with
   | Active ->
     let line = line_of t conf_addr in
     let ti = Linetbl.idx c.tags line in
-    let full = if ti >= 0 then Some (Linetbl.value_at c.tags ti) else None in
-    let conf_pc =
-      if t.cfg.Config.pc_tag_bits <= 0 then None
-      else Option.map (truncate_pc t) full
-    in
+    let conf_pc = if ti >= 0 then Some (Linetbl.value_at c.tags ti) else None in
     discard_speculative t victim;
-    (* [conf_pc_full] is a simulator oracle used only to score the runtime's
-       anchor identification (the "Accuracy" column of Table 3); the modelled
-       hardware delivers only the truncated [conf_pc]. *)
-    c.st <-
-      Doomed (Conflict { conf_addr; conf_pc; conf_pc_full = full; aggressor = requester });
+    c.st <- Doomed (Conflict { conf_addr; conf_pc; aggressor = requester });
     note_doom t victim
   | Idle | Doomed _ -> ()
 
@@ -184,14 +168,9 @@ let doom_all t ~requester ~line ~with_readers ~conf_addr =
    first-access tag for the line, at lazy commit); -1 for none. *)
 let self_doom t ~core ~conf_addr ~full_pc ~aggressor =
   let c = t.cores.(core) in
-  let full = if full_pc >= 0 then Some full_pc else None in
-  let conf_pc =
-    if t.cfg.Config.pc_tag_bits <= 0 then None
-    else Option.map (truncate_pc t) full
-  in
+  let conf_pc = if full_pc >= 0 then Some full_pc else None in
   discard_speculative t core;
-  c.st <-
-    Doomed (Conflict { conf_addr; conf_pc; conf_pc_full = full; aggressor })
+  c.st <- Doomed (Conflict { conf_addr; conf_pc; aggressor })
 
 (* the lowest-numbered holder of [line] other than [core] (-1 if none) *)
 let lowest_other t ~line ~with_readers ~core =

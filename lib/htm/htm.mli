@@ -7,8 +7,11 @@ open Stx_machine
     per-core write buffer; speculative stores become visible only at
     commit), eager requester-wins conflict resolution, and a per-line PC
     tag recording the program counter of the line's first transactional
-    access — delivered, truncated to the configured width, as the
-    "conflicting PC" when that line is the source of an abort.
+    access — delivered in full as the "conflicting PC" when that line is
+    the source of an abort. The machine above truncates it to the tag
+    width the program was compiled for (the compiled pipeline's
+    [pc_bits]), so the hardware and the anchor tables cannot disagree on
+    the width.
 
     Conflict resolution, set capacity, and (in the runtime above) the
     fallback schedule are pluggable via {!Stx_policy}: the bundle given to
@@ -29,14 +32,9 @@ open Stx_machine
     hardware transactions subscribe to it immediately before commit. *)
 
 type abort_reason =
-  | Conflict of {
-      conf_addr : int;
-      conf_pc : int option;
-      conf_pc_full : int option;
-      aggressor : int;
-    }
-      (** data conflict; [conf_pc] is the doomed core's (truncated) PC for
-          the conflicting access, when the hardware provides it;
+  | Conflict of { conf_addr : int; conf_pc : int option; aggressor : int }
+      (** data conflict; [conf_pc] is the doomed core's full PC of its
+          first access to the conflicting line, when it has one;
           [aggressor] is the surviving core — under requester-wins the
           requester whose access doomed the victim, under responder-wins
           or timestamp possibly the established owner the requester lost

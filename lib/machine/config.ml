@@ -11,7 +11,6 @@ type t = {
   l3_ways : int;
   l3_latency : int;
   mem_latency : int;
-  pc_tag_bits : int;
   commit_cost : int;
   abort_cost : int;
   handler_cost : int;
@@ -36,7 +35,6 @@ let default =
     l3_ways = 8;
     l3_latency = 30;
     mem_latency = 125;
-    pc_tag_bits = 12;
     commit_cost = 10;
     abort_cost = 50;
     handler_cost = 100;
@@ -56,10 +54,8 @@ let pp ppf t =
      L2 cache    private, %d KB, %d-way, %d-cycle@,\
      L3 cache    shared, %d KB, %d-way, %d-cycle@,\
      Memory      %d-cycle@,\
-     HTM         2-bit (r/w) per L1 line, %s@,\
-     Stag.Trans. %d-bit PC tag per L1 cache line@]"
+     HTM         2-bit (r/w) per L1 line, %s@]"
     t.cores (lines_kb t.l1_lines) t.l1_ways (t.words_per_line * 8) t.l1_latency
     (lines_kb t.l2_lines) t.l2_ways t.l2_latency (lines_kb t.l3_lines) t.l3_ways
     t.l3_latency t.mem_latency
     (if t.lazy_htm then "lazy committer-wins" else "eager requester-wins")
-    t.pc_tag_bits

@@ -14,7 +14,6 @@ type t = {
   l3_ways : int;
   l3_latency : int;  (** cycles (paper: 30) *)
   mem_latency : int;  (** cycles (50 ns at 2.5 GHz = 125) *)
-  pc_tag_bits : int;  (** width of the per-line conflicting-PC tag (12) *)
   commit_cost : int;  (** cycles charged at transaction commit *)
   abort_cost : int;  (** cycles charged to roll back an aborted txn *)
   handler_cost : int;  (** cycles charged to run the abort handler/policy *)
@@ -29,9 +28,11 @@ type t = {
 
 val default : t
 (** The Table 2 machine: 16 cores, 64 KB L1 / 1 MB L2 / 8 MB L3,
-    2/10/30/125-cycle latencies, 12-bit PC tags. *)
+    2/10/30/125-cycle latencies. Its PC-tag width is a property of the
+    compiled program ([Stx_compiler.Pipeline.default_pc_bits]). *)
 
 val with_cores : int -> t -> t
 
 val pp : Format.formatter -> t -> unit
-(** Render the configuration as the Table 2 reproduction. *)
+(** Render the hardware of the Table 2 reproduction; Table 2's last line,
+    the PC-tag width, comes from the compiler. *)

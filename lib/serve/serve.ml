@@ -70,6 +70,7 @@ let config ?(mode = Mode.Staggered_hw) ?(htm_policy = Stx_policy.default)
 type report = {
   requests : int;
   makespan : int;
+  shards : int;
   offered : float;
   achieved : float;
   saturated : bool;
@@ -321,6 +322,7 @@ let run ?jobs cfg =
   {
     requests;
     makespan;
+    shards = cfg.shards;
     offered;
     achieved;
     saturated;
@@ -343,7 +345,8 @@ let occupancy report =
           | _ -> acc)
         report.registry 0
     in
-    let denom = report.stats.Stats.threads * report.makespan in
+    (* merged stats keep the per-shard core count *)
+    let denom = report.stats.Stats.threads * report.shards * report.makespan in
     float_of_int busy /. float_of_int (max 1 denom)
 
 let render cfg report =

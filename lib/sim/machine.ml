@@ -218,8 +218,6 @@ type m = {
   policy : Policy.params;
   htm_policy : Stx_policy.t;
   retry_budget : int; (* hardware attempts before going irrevocable *)
-  lock_timeout : int;
-  max_waiters : int;
   compiled : Pipeline.t;
   memory : Memory.t;
   hier : Hierarchy.t;
@@ -492,10 +490,11 @@ let request_lock m th ~addr =
            does not funnel every thread through one lock — and under
            requester-wins an unbounded convoy would trade all parallelism
            for the lock holder's safety) *)
-        if Advisory_lock.waiters m.locks ~idx >= m.max_waiters then ()
+        if Advisory_lock.waiters m.locks ~idx >= m.policy.Policy.max_waiters then ()
         else begin
           Advisory_lock.add_waiter m.locks ~idx;
-          th.wait <- Some (Lock_spin { idx; line; deadline = th.time + m.lock_timeout });
+          th.wait <-
+            Some (Lock_spin { idx; line; deadline = th.time + m.policy.Policy.lock_timeout });
           if m.evt then emit m th (Lock_waiting { tid = th.tid; lock = idx })
         end
       end
@@ -740,8 +739,16 @@ let handle_abort m th =
     let wasted = book_abort m th in
     let ctx = th.contexts.(tx.tx_ab) in
     let conf_line = ref (-1) in
+    (* the hardware's conflicting-PC tag, at the width the program was
+       compiled for *)
+    let conf_pc =
+      match reason with
+      | Htm.Conflict { conf_pc = Some pc; _ } ->
+        Some (Layout.truncate ~bits:m.compiled.Pipeline.pc_bits pc)
+      | _ -> None
+    in
     (match reason with
-    | Htm.Conflict { conf_addr; conf_pc; conf_pc_full; _ } ->
+    | Htm.Conflict { conf_addr; conf_pc = conf_pc_full; _ } ->
       m.stats.Stats.conflict_aborts <- m.stats.Stats.conflict_aborts + 1;
       let line = line_of m conf_addr in
       conf_line := line;
@@ -783,13 +790,13 @@ let handle_abort m th =
       conf_line := line;
       Stats.note_conflict m.stats ~conf_line:line ~conf_pc:None);
     if m.evt then begin
-      let kind, abort_conf_pc, aggressor =
+      let kind, aggressor =
         match reason with
-        | Htm.Conflict { conf_pc; aggressor; _ } -> (Conflict, conf_pc, Some aggressor)
-        | Htm.Lock_subscription -> (Lock_subscription, None, None)
-        | Htm.Capacity -> (Capacity, None, None)
-        | Htm.Explicit -> (Explicit, None, None)
-        | Htm.Stm_conflict { aggressor; _ } -> (Stm_conflict, None, Some aggressor)
+        | Htm.Conflict { aggressor; _ } -> (Conflict, Some aggressor)
+        | Htm.Lock_subscription -> (Lock_subscription, None)
+        | Htm.Capacity -> (Capacity, None)
+        | Htm.Explicit -> (Explicit, None)
+        | Htm.Stm_conflict { aggressor; _ } -> (Stm_conflict, Some aggressor)
       in
       emit m th
         (Tx_abort
@@ -798,7 +805,7 @@ let handle_abort m th =
              ab = tx.tx_ab;
              kind;
              conf_line = (if !conf_line < 0 then None else Some !conf_line);
-             conf_pc = abort_conf_pc;
+             conf_pc;
              aggressor;
              cycles = wasted;
              rset;
@@ -1291,12 +1298,9 @@ let run_ahead m th =
 (* ------------------------------------------------------------------ *)
 (* the run loop                                                        *)
 
-(* entries in the advisory lock table that ALPs hash addresses into *)
-let advisory_locks = 256
-
 let run ?(seed = 1) ?(policy = Policy.default_params)
-    ?(htm_policy = Stx_policy.default) ?(lock_timeout = 100_000) ?(max_waiters = 2)
-    ?(max_steps = 400_000_000) ?on_event ?injector ~cfg ~mode spec =
+    ?(htm_policy = Stx_policy.default) ?(max_steps = 400_000_000) ?on_event
+    ?injector ~cfg ~mode spec =
   let evt, on_event =
     match on_event with
     | Some f -> (true, f)
@@ -1305,7 +1309,7 @@ let run ?(seed = 1) ?(policy = Policy.default_params)
   let memory = Memory.create () in
   let allocator = Alloc.create ~words_per_line:cfg.Config.words_per_line memory in
   let htm = Htm.create ~policy:htm_policy cfg memory allocator in
-  let locks = Advisory_lock.create ~count:advisory_locks htm allocator in
+  let locks = Advisory_lock.create htm allocator in
   (* the software tier (and its version-word table in simulated memory)
      exists only under the hybrid fallback, so every other bundle keeps
      the seed's exact allocation layout *)
@@ -1386,8 +1390,6 @@ let run ?(seed = 1) ?(policy = Policy.default_params)
       policy;
       htm_policy;
       retry_budget = Stx_policy.Fallback.retry_budget htm_policy.Stx_policy.fallback;
-      lock_timeout;
-      max_waiters;
       compiled = spec.compiled;
       memory;
       hier;

@@ -161,8 +161,6 @@ val run :
   ?seed:int ->
   ?policy:Policy.params ->
   ?htm_policy:Stx_policy.t ->
-  ?lock_timeout:int ->
-  ?max_waiters:int ->
   ?max_steps:int ->
   ?on_event:(time:int -> event -> unit) ->
   ?injector:(tid:int -> now:int -> injection) ->
@@ -178,14 +176,13 @@ val run :
     brackets of [Req_dispatch]/[Req_done] events report each request's
     service interval. Without [injector] behaviour is bit-for-bit the
     closed-loop machine.
-    [policy] is the ALP activation policy (Figure 6); [htm_policy]
-    (default {!Stx_policy.default}, the paper's hardware point) bundles
-    conflict resolution, set capacity, and the fallback schedule.
-    ALPs hash addresses into a fixed table of 256 advisory locks.
-    [lock_timeout] defaults to 100_000 cycles; [max_waiters] (default 2)
-    caps the spinners per advisory lock — an ALP finding a full queue
-    proceeds speculatively, keeping the mechanism a stagger rather than
-    a convoy; [max_steps] bounds the
+    [policy] is the staggering runtime's settings: the ALP activation
+    policy (Figure 6) and the advisory-lock timeout and waiter cap;
+    [htm_policy] (default {!Stx_policy.default}, the paper's hardware
+    point) bundles conflict resolution, set capacity, and the fallback
+    schedule. ALPs hash addresses into {!Advisory_lock.create}'s
+    default table. Conflict aborts carry the victim's PC truncated to
+    the tag width [spec] was compiled for. [max_steps] bounds the
     total step count (instructions, terminators, lock rechecks and idle
     polls) as a runaway backstop, raising [Sim_error] past it. Steps a
     thread has run ahead count when they run, so a run within 64 steps

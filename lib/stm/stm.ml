@@ -37,16 +37,17 @@ type t = {
   htm : Htm.t;
   memory : Memory.t;
   words_per_line : int;
-  nslots : int;
   base : int; (* first version word *)
   mutable clock : int;
   cores : core_state array;
   mutable scratch : int array; (* sorted line/addr walks at commit *)
 }
 
-let create ?(nslots = 256) htm memory alloc =
+let stripes = 256
+
+let create htm memory alloc =
   let cfg = Htm.config htm in
-  let base = Alloc.alloc_shared alloc nslots in
+  let base = Alloc.alloc_shared alloc stripes in
   let mk _ =
     {
       st = Idle;
@@ -62,14 +63,12 @@ let create ?(nslots = 256) htm memory alloc =
     htm;
     memory;
     words_per_line = cfg.Config.words_per_line;
-    nslots;
     base;
     clock = 0;
     cores = Array.init cfg.Config.cores mk;
     scratch = Array.make 64 0;
   }
 
-let nslots t = t.nslots
 let clock t = t.clock
 let status t ~core = t.cores.(core).st
 
@@ -80,9 +79,9 @@ let status t ~core = t.cores.(core).st
    simulator can never disagree on the mapping. *)
 let stripe_of_line ~nslots ~line = line * 0x9E3779B1 land max_int mod nslots
 
-let slot_of t ~line = stripe_of_line ~nslots:t.nslots ~line
+let slot_of ~line = stripe_of_line ~nslots:stripes ~line
 
-let version_addr t ~line = t.base + slot_of t ~line
+let version_addr t ~line = t.base + slot_of ~line
 
 let line_of t addr = Memory.line_of ~words_per_line:t.words_per_line addr
 
@@ -220,7 +219,7 @@ let tx_commit t ~core =
         let n = Linetbl.length c.write_lines in
         if Array.length t.scratch < n then t.scratch <- Array.make (2 * n) 0;
         for i = 0 to n - 1 do
-          t.scratch.(i) <- slot_of t ~line:(Linetbl.key_of_order c.write_lines i)
+          t.scratch.(i) <- slot_of ~line:(Linetbl.key_of_order c.write_lines i)
         done;
         let a = t.scratch in
         for i = 1 to n - 1 do
@@ -243,7 +242,7 @@ let tx_commit t ~core =
           !k
         in
         let own_slot line =
-          let s = slot_of t ~line in
+          let s = slot_of ~line in
           let rec go i = i < nslots && (a.(i) = s || go (i + 1)) in
           go 0
         in

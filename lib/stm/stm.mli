@@ -44,13 +44,14 @@ type status = Idle | Active | Doomed of abort_kind
 
 type t
 
-val create : ?nslots:int -> Htm.t -> Memory.t -> Alloc.t -> t
-(** Allocates [nslots] (default 256) version words out of [Alloc]'s
-    shared region. Cache lines hash onto stripes with the same Fibonacci
-    scheme as the advisory-lock table; aliasing can only cause spurious
-    validation aborts, never a missed conflict. *)
+val stripes : int
+(** The tier's stripe count, 256: one version word per stripe. *)
 
-val nslots : t -> int
+val create : Htm.t -> Memory.t -> Alloc.t -> t
+(** Allocates {!stripes} version words out of [Alloc]'s shared region.
+    Cache lines hash onto stripes with the same Fibonacci scheme as the
+    advisory-lock table; aliasing can only cause spurious validation
+    aborts, never a missed conflict. *)
 
 val stripe_of_line : nslots:int -> line:int -> int
 (** The pure stripe mapping: the index (in [0, nslots)) of the versioned

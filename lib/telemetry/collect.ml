@@ -9,7 +9,9 @@ type t = {
   mutable used : int;
 }
 
-let create ?(window = 1000) ~threads () =
+let default_window = 1000
+
+let create ?(window = default_window) ~threads () =
   if window < 1 then invalid_arg "Telemetry.Collect.create: window < 1";
   if threads < 1 then invalid_arg "Telemetry.Collect.create: threads < 1";
   { width = window; threads; wins = [||]; used = 0 }

@@ -23,10 +23,14 @@
 
 type t
 
+val default_window : int
+(** The window width, in cycles, of every series whose width nobody
+    chose: 1000. *)
+
 val create : ?window:int -> threads:int -> unit -> t
 (** A fresh collector for a [threads]-core run with tumbling windows of
-    [window] cycles (default 1000). Raises [Invalid_argument] when
-    [window < 1] or [threads < 1]. *)
+    [window] cycles (default {!default_window}). Raises
+    [Invalid_argument] when [window < 1] or [threads < 1]. *)
 
 val window : t -> int
 val threads : t -> int

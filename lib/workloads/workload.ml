@@ -15,12 +15,11 @@ let scaled scale n = max 1 (int_of_float (Float.round (scale *. float_of_int n))
 
 let split ~total ~threads = max 1 (total / max 1 threads)
 
-let spec ?(instrument = true) ?(anchor_mode = Stx_compiler.Anchors.Dsa_guided)
-    ?(scale = 1.0) ?(pc_bits = 12) t =
+let spec ?(instrument = true) ?anchor_mode ?(scale = 1.0) ?pc_bits t =
   let prog = t.build () in
   Verify.program prog;
   let compiled =
-    Stx_compiler.Pipeline.compile ~pc_bits ~mode:anchor_mode ~instrument prog
+    Stx_compiler.Pipeline.compile ?pc_bits ?mode:anchor_mode ~instrument prog
   in
   {
     Machine.compiled;
@@ -46,9 +45,7 @@ type service = {
 
 let service_entry = "stx_serve_idle"
 
-let service_spec ?(instrument = true)
-    ?(anchor_mode = Stx_compiler.Anchors.Dsa_guided) ?(pc_bits = 12) ?key_range
-    sv =
+let service_spec ?(instrument = true) ?key_range sv =
   let key_range = Option.value key_range ~default:sv.sv_key_range in
   if key_range < 1 then
     invalid_arg "Workload.service_spec: key_range must be positive";
@@ -59,9 +56,7 @@ let service_spec ?(instrument = true)
   Builder.ret b None;
   ignore (Builder.finish b);
   Verify.program prog;
-  let compiled =
-    Stx_compiler.Pipeline.compile ~pc_bits ~mode:anchor_mode ~instrument prog
-  in
+  let compiled = Stx_compiler.Pipeline.compile ~instrument prog in
   let abs name =
     match
       Array.find_opt (fun a -> a.Ir.ab_name = name) prog.Ir.atomics

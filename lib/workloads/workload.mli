@@ -28,9 +28,10 @@ val spec :
   Machine.spec
 (** Compile a fresh copy of the program (with or without ALPs) and package
     it for {!Machine.run}. [anchor_mode] selects the anchor classification
-    ([Dsa_guided] by default, [Naive] instruments every access); [scale]
-    multiplies the workload size; [pc_bits] must match the machine's
-    PC-tag width (default 12). *)
+    ([Naive] instruments every access) and [pc_bits] the conflicting-PC
+    tag width, which the machine then truncates to; both default to
+    {!Stx_compiler.Pipeline.compile}'s. [scale] multiplies the workload
+    size. *)
 
 val scaled : float -> int -> int
 (** [scaled scale n] = [max 1 (round (scale * n))]. *)
@@ -64,8 +65,6 @@ type service = {
 
 val service_spec :
   ?instrument:bool ->
-  ?anchor_mode:Stx_compiler.Anchors.mode ->
-  ?pc_bits:int ->
   ?key_range:int ->
   service ->
   Machine.spec * (write:bool -> key:int -> request) option ref

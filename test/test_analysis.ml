@@ -337,7 +337,8 @@ let test_validation_detects_unpredicted_edge () =
          wset = 1;
          probe = false;
        });
-  let v = Validate.run g tr in
+  let plane = Layout.build c.Pipeline.prog c.Pipeline.dsa g in
+  let v = Validate.run ~ctx:(c, plane) g tr in
   Alcotest.(check bool) "unsound" false (Validate.sound v);
   Alcotest.(check int) "one unpredicted edge" 1
     (List.length v.Validate.v_unsound);

@@ -207,8 +207,8 @@ let golden_groups =
 
 let golden_serve =
   [
-    ("16-core seed-sharded", "80ebd49abe0f817e4eab80e441e3a59b");
-    ("128-core key-sharded", "3fcd4b391884ccc900b85a3c063d97ff");
+    ("16-core seed-sharded", "7bd3f6e60004dd641f3a4b08f9a478ae");
+    ("128-core key-sharded", "e0eb1588b4632a2c8ad7e642b1f388f3");
   ]
 
 (* captured from keyed registry writes; the collector's and the serving

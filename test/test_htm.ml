@@ -98,7 +98,7 @@ let test_conflicting_pc_tag () =
   Htm.tx_store htm ~core:1 ~addr:64 ~value:1 ~pc:7;
   match Htm.status htm ~core:0 with
   | Htm.Doomed (Htm.Conflict { conf_pc = Some pc; _ }) ->
-    Alcotest.(check int) "12-bit truncated first-access pc" 0xABC pc
+    Alcotest.(check int) "full first-access pc" 0x1ABC pc
   | _ -> Alcotest.fail "expected conflict with pc tag"
 
 let test_abort_discards_buffer () =

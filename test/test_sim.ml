@@ -138,6 +138,37 @@ let test_events_emitted () =
   Alcotest.(check int) "commits observed" 40 !commits;
   Alcotest.(check bool) "begins >= commits" true (!begins >= !commits)
 
+(* The machine delivers each conflict tag truncated to the width the
+   program was compiled for; at 62 bits that is the full PC, and every
+   PC lies at or above the layout's 0x1000 base. *)
+let test_conflict_tags_use_compiled_width () =
+  let w = Option.get (Stx_workloads.Registry.find "list-hi") in
+  let cfg = Config.with_cores 4 Config.default in
+  let tags bits =
+    let acc = ref [] in
+    ignore
+      (Machine.run ~seed:7 ~cfg ~mode:Mode.Staggered_hw
+         ~on_event:(fun ~time:_ ev ->
+           match ev with
+           | Machine.Tx_abort { kind = Machine.Conflict; conf_pc = Some pc; _ } ->
+             acc := pc :: !acc
+           | _ -> ())
+         (Stx_workloads.Workload.spec ~scale:0.05 ~pc_bits:bits w));
+    !acc
+  in
+  List.iter
+    (fun bits ->
+      let ts = tags bits in
+      Alcotest.(check bool) (Printf.sprintf "%d bits: conflict tags seen" bits) true
+        (ts <> []);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d bits: every tag below 2^%d" bits bits)
+        true
+        (List.for_all (fun pc -> pc >= 0 && pc < 1 lsl bits) ts))
+    [ 6; 8; 12 ];
+  Alcotest.(check bool) "62 bits: the full PC is delivered" true
+    (List.exists (fun pc -> pc >= 0x1000) (tags 62))
+
 let test_irrevocable_fallback () =
   (* with 1 retry allowed, contended txs fall back to the global lock fast *)
   let cfg = Config.with_cores 8 Config.default in
@@ -582,6 +613,8 @@ let suite =
     Alcotest.test_case "deterministic for a seed" `Quick test_determinism;
     Alcotest.test_case "seed affects schedule" `Quick test_seed_changes_schedule;
     Alcotest.test_case "events emitted" `Quick test_events_emitted;
+    Alcotest.test_case "conflict tags use the compiled width" `Quick
+      test_conflict_tags_use_compiled_width;
     Alcotest.test_case "irrevocable fallback" `Quick test_irrevocable_fallback;
     Alcotest.test_case "stats accounting sane" `Quick test_tx_stats_accounting;
     Alcotest.test_case "explicit abort retries and rolls back" `Quick

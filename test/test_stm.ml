@@ -143,12 +143,12 @@ let test_stripe_of_line_pinned () =
        (List.init 1000 (fun i -> i * 13)));
   (* the live tier's version words are laid out by exactly this mapping *)
   let _, _, stm = setup () in
-  let base = Stm.version_addr stm ~line:0 - Stm.stripe_of_line ~nslots:(Stm.nslots stm) ~line:0 in
+  let base = Stm.version_addr stm ~line:0 - Stm.stripe_of_line ~nslots:Stm.stripes ~line:0 in
   List.iter
     (fun line ->
       Alcotest.(check int)
         (Printf.sprintf "version_addr agrees for line %d" line)
-        (base + Stm.stripe_of_line ~nslots:(Stm.nslots stm) ~line)
+        (base + Stm.stripe_of_line ~nslots:Stm.stripes ~line)
         (Stm.version_addr stm ~line))
     [ 0; 1; 5; 64; 4096 ]
 
