@@ -92,14 +92,14 @@ let () =
   let keys_arg =
     Arg.(
       value
-      & opt string "uniform"
+      & opt string (Keys.to_string Serve.default_keys)
       & info [ "keys"; "k" ] ~docv:"MODEL"
           ~doc:"Key popularity: $(b,uniform) or $(b,zipf:THETA).")
   in
   let pct_get_arg =
     Arg.(
       value
-      & opt int 70
+      & opt int Serve.default_pct_get
       & info [ "pct-get" ] ~doc:"Read share of the request mix, 0..100.")
   in
   let key_range_arg =
@@ -112,13 +112,13 @@ let () =
   let horizon_arg =
     Arg.(
       value
-      & opt int 100_000
+      & opt int Serve.default_horizon
       & info [ "horizon" ] ~doc:"Cycles during which requests arrive.")
   in
   let shards_arg =
     Arg.(
       value
-      & opt int 2
+      & opt int Serve.default_shards
       & info [ "shards" ]
           ~doc:
             "Independent sub-runs, each at 1/shards of the offered rate. \
@@ -128,7 +128,7 @@ let () =
   let shard_by_arg =
     Arg.(
       value
-      & opt string "seed"
+      & opt string (Serve.shard_by_to_string Serve.default_shard_by)
       & info [ "shard-by" ] ~docv:"WHAT"
           ~doc:
             "$(b,seed): each shard serves the full key range at 1/shards of \

@@ -38,10 +38,16 @@ type config = {
   telemetry_window : int option;
 }
 
+let default_keys = Keys.Uniform
+let default_pct_get = 70
+let default_horizon = 100_000
+let default_shards = 2
+let default_shard_by = Seed
+
 let config ?(mode = Mode.Staggered_hw) ?(htm_policy = Stx_policy.default)
-    ?(threads = 16) ?(seed = 1) ?(keys = Keys.Uniform) ?(pct_get = 70)
-    ?key_range ?(horizon = 100_000) ?(shards = 2) ?(shard_by = Seed)
-    ?telemetry_window ~arrival service =
+    ?(threads = 16) ?(seed = 1) ?(keys = default_keys) ?(pct_get = default_pct_get)
+    ?key_range ?(horizon = default_horizon) ?(shards = default_shards)
+    ?(shard_by = default_shard_by) ?telemetry_window ~arrival service =
   if threads < 1 then invalid_arg "Serve.config: threads must be positive";
   if shards < 1 then invalid_arg "Serve.config: shards must be positive";
   if horizon < 1 then invalid_arg "Serve.config: horizon must be positive";

@@ -132,35 +132,27 @@ type spec = {
   thread_args : setup_env -> threads:int -> int array array;
 }
 
-(* A function plus its resolved jump table: [ttgt.(2*bi)] / [ttgt.(2*bi+1)]
-   are the block indexes of block [bi]'s Jmp / Br targets (-1 unused), so
-   taking a branch never re-scans block labels. Resolved lazily, once per
-   call site / atomic block, and cached. *)
-type tgt = { tfn : Ir.func; ttgt : int array }
+(* A TIR function lowered to flat code, on its first call in a run (see
+   [lower] for the encoding). A frame's slots hold the registers, then the
+   constant pool, so every operand is one slot read: a register or an
+   immediate alike. *)
+type fn = {
+  code : int array;
+  nregs : int;
+  pool : int array; (* the immediates, in slots [nregs, nregs + length pool) *)
+  callees : fn array; (* per call site: the lowered callee, [unlowered] until called *)
+  callee_names : string array;
+}
 
-let resolve_targets (fn : Ir.func) =
-  let n = Array.length fn.Ir.blocks in
-  let t = Array.make (2 * n) (-1) in
-  for bi = 0 to n - 1 do
-    match fn.Ir.blocks.(bi).Ir.term with
-    | Ir.Jmp l -> t.(2 * bi) <- Ir.block_index fn l
-    | Ir.Br (_, l1, l2) ->
-      t.(2 * bi) <- Ir.block_index fn l1;
-      t.(2 * bi + 1) <- Ir.block_index fn l2
-    | Ir.Ret _ -> ()
-  done;
-  t
+let unlowered = { code = [||]; nregs = 0; pool = [||]; callees = [||]; callee_names = [||] }
 
 (* Call frames live in a per-thread pool indexed by depth: a call reuses
-   the record (and its register array) left by the last frame at that
-   depth, so the steady state pushes and pops without allocating. *)
+   the record (and its slot array) left by the last frame at that depth,
+   so the steady state pushes and pops without allocating. *)
 type frame = {
-  mutable func : Ir.func;
-  mutable tgt : int array; (* the func's resolved jump table *)
-  mutable bi : int;
-  mutable insts : Ir.inst array; (* blocks.(bi).insts, cached at block entry *)
-  mutable ip : int;
-  mutable regs : int array; (* live prefix [0, func.nregs), zeroed on push *)
+  mutable fn : fn;
+  mutable pc : int; (* offset of the next op in [fn.code] *)
+  mutable regs : int array; (* registers (zeroed on push), then [fn.pool] *)
   mutable ret_dst : int; (* destination register in the parent frame; -1 none *)
 }
 
@@ -231,10 +223,11 @@ type m = {
   evt : bool; (* an [on_event] consumer exists: build and emit events *)
   on_event : time:int -> event -> unit;
   injector : (tid:int -> now:int -> injection) option;
-  callee : tgt option array; (* per call-site iid: resolved callee *)
-  ab_roots : tgt option array; (* per atomic block: resolved root function *)
-  pcs : int array; (* per load/store iid: truncated PC (min_int unresolved) *)
-  ssizes : int array; (* per alloc iid: struct size in words (-1 unresolved) *)
+  lowered : (string, fn) Hashtbl.t; (* every function lowered so far, by name *)
+  ab_fns : fn array; (* per atomic block: lowered root function, or [unlowered] *)
+  ab_rows : Stats.ab_stat option array; (* per atomic block: its [Stats.ab] row *)
+  conf_lines : Linetbl.t; (* conflicting line -> aborts, in first-seen order *)
+  conf_pcs : Linetbl.t; (* conflicting PC tag -> aborts, likewise *)
   line_shift : int; (* log2 words_per_line, -1 when not a power of two *)
   mutable steps : int;
   max_steps : int;
@@ -289,97 +282,266 @@ let frame_of th =
   if th.depth = 0 then trap "thread %d has no frame" th.tid
   else th.frames.(th.depth - 1)
 
-let ev (f : frame) = function Ir.Reg r -> f.regs.(r) | Ir.Imm n -> n
-
 let check_addr m addr =
   if addr < wpl m then trap "invalid memory access at address %d (null page)" addr
 
 let mem_latency m th ~addr ~write =
   Hierarchy.access m.hier ~core:th.tid ~line:(line_of m addr) ~write
 
-let callee_of m iid g =
-  match m.callee.(iid) with
-  | Some tg -> tg
+(* the row of [Stats.per_ab] for atomic block [ab], looked up once per run *)
+let ab_row m ab =
+  match m.ab_rows.(ab) with
+  | Some row -> row
   | None ->
-    let fn = Ir.find_func m.compiled.Pipeline.prog g in
-    let tg = { tfn = fn; ttgt = resolve_targets fn } in
-    m.callee.(iid) <- Some tg;
-    tg
+    let row = Stats.ab m.stats ab in
+    m.ab_rows.(ab) <- Some row;
+    row
 
-let ab_root m ab =
-  match m.ab_roots.(ab) with
-  | Some tg -> tg
-  | None ->
-    let fn =
-      Ir.find_func m.compiled.Pipeline.prog
-        m.compiled.Pipeline.prog.Ir.atomics.(ab).Ir.ab_func
-    in
-    let tg = { tfn = fn; ttgt = resolve_targets fn } in
-    m.ab_roots.(ab) <- Some tg;
-    tg
+let tally t k =
+  let i = Linetbl.idx t k in
+  Linetbl.add t k (if i < 0 then 1 else Linetbl.value_at t i + 1)
 
-(* struct sizes are looked up by name in the program; memoize per site
-   so repeated allocations skip the string search *)
-let ssize_of m iid sname =
-  let s = m.ssizes.(iid) in
-  if s >= 0 then s
+(* ------------------------------------------------------------------ *)
+(* lowering                                                            *)
+
+(* Flat code: each op is an opcode followed by its operand words. [d] is
+   a destination register (-1: none), [s] a frame slot (a register or a
+   constant pool entry), [@] a code offset.
+
+     0-15  Add .. Ge, in [Ir.binop] order   d s s
+     16    Mov                              d s
+     17    Idx                              d s s esize
+     18    Jmp                              @
+     19    Br                               s @ @   (non-zero: the first)
+           (the straight-line ops above run in [straight])
+     20    Call                             k d n s1 .. sn   (k: index in [callees])
+     21    Atomic_call                      ab d n s1 .. sn
+     22    Load                             d s pc
+     23    Store                            s s pc
+     24    Alloc                            d words
+     25    Alloc_arr                        d words s
+     26    Rng                              d s
+     27    Thread_id                        d
+     28    Work                             s
+     29    Print
+     30    Abort_tx
+     31    Alp                              site s
+     32    Ret                              s   (Ret None returns 0)
+     33    an intrinsic of the wrong arity, which traps when run
+
+   A Gep is an Add of its field offset. The dispatch in [straight] and
+   [exec_op] matches these numbers. *)
+let op_div = 3
+let op_rem = 4
+let op_mov = 16 (* the first op past the binops *)
+let op_br = 19 (* the last straight-line op *)
+
+let opcode_of_binop = function
+  | Ir.Add -> 0
+  | Ir.Sub -> 1
+  | Ir.Mul -> 2
+  | Ir.Div -> op_div
+  | Ir.Rem -> op_rem
+  | Ir.And -> 5
+  | Ir.Or -> 6
+  | Ir.Xor -> 7
+  | Ir.Shl -> 8
+  | Ir.Shr -> 9
+  | Ir.Eq -> 10
+  | Ir.Ne -> 11
+  | Ir.Lt -> 12
+  | Ir.Le -> 13
+  | Ir.Gt -> 14
+  | Ir.Ge -> 15
+
+(* A function being lowered, in two passes over the same encoder: the
+   first only counts, sizing the code and finding each block's offset;
+   the second writes it, with jump targets resolved. *)
+type lowering = {
+  mutable out : int array; (* [||] in the first pass *)
+  mutable len : int;
+  mutable consts : int list; (* the pool, newest first *)
+  mutable ncallees : int;
+  mutable callee_list : string list; (* newest first *)
+  starts : int array; (* per block: its code offset *)
+  nregs : int;
+}
+
+let put lw x =
+  if Array.length lw.out > 0 then lw.out.(lw.len) <- x;
+  lw.len <- lw.len + 1
+
+(* position of [n] in a pool listed newest first, counted from the oldest *)
+let rec pool_index n = function
+  | [] -> -1
+  | c :: rest -> if c = n then List.length rest else pool_index n rest
+
+(* the slot of immediate [n], added to the pool on first use *)
+let const lw n =
+  let i = pool_index n lw.consts in
+  if i >= 0 then lw.nregs + i
   else begin
-    let s = Types.size (Ir.find_struct m.compiled.Pipeline.prog sname) in
-    m.ssizes.(iid) <- s;
-    s
+    lw.consts <- n :: lw.consts;
+    lw.nregs + List.length lw.consts - 1
   end
 
-let pc_of m iid =
-  let p = m.pcs.(iid) in
-  if p <> min_int then p
+let slot lw = function Ir.Reg r -> r | Ir.Imm n -> const lw n
+
+let dst = function Some d -> d | None -> -1
+
+let put_args lw args =
+  put lw (List.length args);
+  List.iter (fun a -> put lw (slot lw a)) args
+
+let words m sname = Types.size (Ir.find_struct m.compiled.Pipeline.prog sname)
+let pc_of m (ins : Ir.inst) = Layout.pc_of_iid m.compiled.Pipeline.layout ins.Ir.iid
+
+let put2 lw a b =
+  put lw a;
+  put lw b
+
+let put3 lw a b c =
+  put2 lw a b;
+  put lw c
+
+let put4 lw a b c d =
+  put3 lw a b c;
+  put lw d
+
+let put_inst m lw (ins : Ir.inst) =
+  match ins.Ir.op with
+  | Ir.Bin (op, d, a, b) -> put4 lw (opcode_of_binop op) d (slot lw a) (slot lw b)
+  | Ir.Mov (d, v) -> put3 lw 16 d (slot lw v)
+  | Ir.Gep (d, b, _, fi) -> put4 lw 0 d b (const lw fi)
+  | Ir.Idx (d, b, esize, i) ->
+    put4 lw 17 d b (slot lw i);
+    put lw esize
+  | Ir.Call (d, g, args) ->
+    put3 lw 20 lw.ncallees (dst d);
+    put_args lw args;
+    lw.callee_list <- g :: lw.callee_list;
+    lw.ncallees <- lw.ncallees + 1
+  | Ir.Atomic_call (d, ab, args) ->
+    put3 lw 21 ab (dst d);
+    put_args lw args
+  | Ir.Load (d, p) -> put4 lw 22 d p (pc_of m ins)
+  | Ir.Store (p, v) -> put4 lw 23 p (slot lw v) (pc_of m ins)
+  | Ir.Alloc (d, sname) -> put3 lw 24 d (words m sname)
+  | Ir.Alloc_arr (d, sname, n) -> put4 lw 25 d (words m sname) (slot lw n)
+  | Ir.Intr (d, Ir.Rng, [ n ]) -> put3 lw 26 (dst d) (slot lw n)
+  | Ir.Intr (d, Ir.Thread_id, []) -> put2 lw 27 (dst d)
+  | Ir.Intr (_, Ir.Work, [ n ]) -> put2 lw 28 (slot lw n)
+  | Ir.Intr (_, Ir.Print, [ _ ]) -> put lw 29
+  | Ir.Intr (_, Ir.Abort_tx, []) -> put lw 30
+  | Ir.Intr _ -> put lw 33
+  | Ir.Alp a -> put3 lw 31 a.Ir.alp_site a.Ir.alp_addr
+
+let target lw (func : Ir.func) l = lw.starts.(Ir.block_index func l)
+
+let put_func m lw (func : Ir.func) =
+  lw.len <- 0;
+  lw.ncallees <- 0;
+  lw.callee_list <- [];
+  for bi = 0 to Array.length func.Ir.blocks - 1 do
+    let b = func.Ir.blocks.(bi) in
+    lw.starts.(bi) <- lw.len;
+    for i = 0 to Array.length b.Ir.insts - 1 do
+      put_inst m lw b.Ir.insts.(i)
+    done;
+    match b.Ir.term with
+    | Ir.Jmp l -> put2 lw 18 (target lw func l)
+    | Ir.Br (c, l1, l2) -> put4 lw 19 (slot lw c) (target lw func l1) (target lw func l2)
+    | Ir.Ret v -> put2 lw 32 (match v with Some v -> slot lw v | None -> const lw 0)
+  done
+
+let lower m (func : Ir.func) =
+  let lw =
+    {
+      out = [||];
+      len = 0;
+      consts = [];
+      ncallees = 0;
+      callee_list = [];
+      starts = Array.make (Array.length func.Ir.blocks) 0;
+      nregs = func.Ir.nregs;
+    }
+  in
+  put_func m lw func;
+  lw.out <- Array.make lw.len 0;
+  put_func m lw func;
+  {
+    code = lw.out;
+    nregs = lw.nregs;
+    pool = Array.of_list (List.rev lw.consts);
+    callees = Array.make lw.ncallees unlowered;
+    callee_names = Array.of_list (List.rev lw.callee_list);
+  }
+
+let lowered m name =
+  match Hashtbl.find_opt m.lowered name with
+  | Some fn -> fn
+  | None ->
+    let fn = lower m (Ir.find_func m.compiled.Pipeline.prog name) in
+    Hashtbl.add m.lowered name fn;
+    fn
+
+let callee m (fn : fn) k =
+  let g = fn.callees.(k) in
+  if g != unlowered then g
   else begin
-    let p = Layout.pc_of_iid m.compiled.Pipeline.layout iid in
-    m.pcs.(iid) <- p;
-    p
+    let g = lowered m fn.callee_names.(k) in
+    fn.callees.(k) <- g;
+    g
+  end
+
+let ab_root m ab =
+  let fn = m.ab_fns.(ab) in
+  if fn != unlowered then fn
+  else begin
+    let fn = lowered m m.compiled.Pipeline.prog.Ir.atomics.(ab).Ir.ab_func in
+    m.ab_fns.(ab) <- fn;
+    fn
   end
 
 (* an unused pool slot: [push_frame] sets every field before the frame
    is read, reusing [regs] while it is large enough *)
-let new_frame (fn : Ir.func) tgt =
-  let insts = fn.Ir.blocks.(0).Ir.insts in
-  { func = fn; tgt; bi = 0; insts; ip = 0; regs = Array.make 8 0; ret_dst = -1 }
+let new_frame () = { fn = unlowered; pc = 0; regs = Array.make 8 0; ret_dst = -1 }
 
 let grow_frames th =
   let old = th.frames in
   let n = Array.length old in
-  let tpl = old.(0) in
-  th.frames <-
-    Array.init (2 * n) (fun i -> if i < n then old.(i) else new_frame tpl.func tpl.tgt)
+  th.frames <- Array.init (2 * n) (fun i -> if i < n then old.(i) else new_frame ())
 
-let push_frame th (tg : tgt) args nargs ret_dst =
+let push_frame th (fn : fn) args nargs ret_dst =
   if th.depth >= Array.length th.frames then grow_frames th;
   let fr = th.frames.(th.depth) in
-  let fn = tg.tfn in
-  let nregs = imax fn.Ir.nregs 1 in
-  if Array.length fr.regs < nregs then
-    fr.regs <- Array.make (imax nregs (2 * Array.length fr.regs)) 0
-  else Array.fill fr.regs 0 nregs 0;
-  Array.blit args 0 fr.regs 0 nargs;
-  fr.func <- fn;
-  fr.tgt <- tg.ttgt;
-  fr.bi <- 0;
-  fr.insts <- fn.Ir.blocks.(0).Ir.insts;
-  fr.ip <- 0;
+  let nregs = fn.nregs and npool = Array.length fn.pool in
+  if Array.length fr.regs < nregs + npool then begin
+    fr.regs <- Array.make (imax (nregs + npool) (2 * Array.length fr.regs)) 0;
+    Array.blit fn.pool 0 fr.regs nregs npool
+  end
+  else begin
+    Array.fill fr.regs 0 nregs 0;
+    (* nothing writes past the registers, so a frame that last ran [fn]
+       still holds its pool *)
+    if fr.fn != fn then Array.blit fn.pool 0 fr.regs nregs npool
+  end;
+  (* arguments past the parameters are never read (verified
+     def-before-use); past the registers they would overwrite the pool *)
+  Array.blit args 0 fr.regs 0 (imin nargs nregs);
+  fr.fn <- fn;
+  fr.pc <- 0;
   fr.ret_dst <- ret_dst;
   th.depth <- th.depth + 1
 
-(* evaluate call arguments into [th.argbuf] (growing it as needed) and
-   return the count — replaces a list map that allocated per call *)
-let rec eval_args th f i = function
-  | [] -> i
-  | a :: rest ->
-    if i >= Array.length th.argbuf then begin
-      let nu = Array.make (2 * Array.length th.argbuf) 0 in
-      Array.blit th.argbuf 0 nu 0 i;
-      th.argbuf <- nu
-    end;
-    th.argbuf.(i) <- ev f a;
-    eval_args th f (i + 1) rest
+(* copy a call's [n] argument slots, listed from [code.(at)], into
+   [th.argbuf] (fully consumed by [push_frame] or [start_atomic]) *)
+let gather th (regs : int array) (code : int array) at n =
+  if n > Array.length th.argbuf then
+    th.argbuf <- Array.make (imax n (2 * Array.length th.argbuf)) 0;
+  for i = 0 to n - 1 do
+    th.argbuf.(i) <- regs.(code.(at + i))
+  done
 
 (* ------------------------------------------------------------------ *)
 (* scheduling                                                          *)
@@ -393,16 +555,24 @@ let rec eval_args th f i = function
 let key_of m th =
   if th.finished || th.parked then max_int else (th.time * m.pw) + th.tid
 
-(* Re-settle the tree above a changed leaf; stops as soon as a node's
-   minimum is unaffected. *)
-let rec settle (keys : int array) i =
-  if i >= 1 then begin
-    let v = imin keys.(2 * i) keys.((2 * i) + 1) in
-    if v <> keys.(i) then begin
-      keys.(i) <- v;
-      settle keys (i / 2)
-    end
-  end
+(* The smaller of two keys, without a branch: keys lie in [0, max_int],
+   so [a - b] cannot overflow, and its sign bit (bit 62 of a 63-bit int)
+   spread across the word selects [a - b] or 0. *)
+let kmin (a : int) b =
+  let d = a - b in
+  b + (d land (d asr 62))
+
+(* Re-settle the tree above a changed leaf, all the way to the root. A
+   node off the path keeps its minimum, and a node whose minimum did not
+   change is rewritten with the same value, so every key ends as an
+   early exit would leave it, but the walk takes no data-dependent
+   branch. *)
+let settle (keys : int array) i =
+  let i = ref i in
+  while !i >= 1 do
+    keys.(!i) <- kmin keys.(2 * !i) keys.((2 * !i) + 1);
+    i := !i lsr 1
+  done
 
 let rekey m th =
   m.keys.(m.pw + th.tid) <- key_of m th;
@@ -467,7 +637,7 @@ let lock_acquired m th ~idx ~line =
   tx.tx_lock <- idx;
   tx.tx_held_lock <- true;
   m.stats.Stats.lock_acquires <- m.stats.Stats.lock_acquires + 1;
-  let ab = Stats.ab m.stats tx.tx_ab in
+  let ab = ab_row m tx.tx_ab in
   ab.Stats.ab_locks <- ab.Stats.ab_locks + 1;
   if m.evt then emit m th (Lock_acquired { tid = th.tid; lock = idx; line })
 
@@ -632,7 +802,7 @@ let commit m th ~rset ~wset ~vcycles retval =
   m.stats.Stats.commits <- m.stats.Stats.commits + 1;
   m.stats.Stats.useful_cycles <- m.stats.Stats.useful_cycles + (th.time - tx.tx_start);
   m.stats.Stats.committed_tx_insts <- m.stats.Stats.committed_tx_insts + tx.tx_insts;
-  let ab = Stats.ab m.stats tx.tx_ab in
+  let ab = ab_row m tx.tx_ab in
   ab.Stats.ab_commits <- ab.Stats.ab_commits + 1;
   if irrevocable then ab.Stats.ab_irrevocable <- ab.Stats.ab_irrevocable + 1;
   if m.evt then begin
@@ -705,7 +875,7 @@ let book_abort m th =
   m.stats.Stats.aborts <- m.stats.Stats.aborts + 1;
   let wasted = th.time - tx.tx_start in
   m.stats.Stats.wasted_cycles <- m.stats.Stats.wasted_cycles + wasted;
-  let ab = Stats.ab m.stats tx.tx_ab in
+  let ab = ab_row m tx.tx_ab in
   ab.Stats.ab_aborts <- ab.Stats.ab_aborts + 1;
   wasted
 
@@ -752,7 +922,8 @@ let handle_abort m th =
       m.stats.Stats.conflict_aborts <- m.stats.Stats.conflict_aborts + 1;
       let line = line_of m conf_addr in
       conf_line := line;
-      Stats.note_conflict m.stats ~conf_line:line ~conf_pc;
+      tally m.conf_lines line;
+      (match conf_pc with Some pc -> tally m.conf_pcs pc | None -> ());
       let runtime_anchor =
         identify_anchor m th ~ab:tx.tx_ab ~line ~conf_pc ~conf_pc_full
       in
@@ -788,7 +959,7 @@ let handle_abort m th =
       m.stats.Stats.stm_conflict_aborts <- m.stats.Stats.stm_conflict_aborts + 1;
       let line = line_of m conf_addr in
       conf_line := line;
-      Stats.note_conflict m.stats ~conf_line:line ~conf_pc:None);
+      tally m.conf_lines line);
     if m.evt then begin
       let kind, aggressor =
         match reason with
@@ -890,31 +1061,29 @@ let handle_stm_abort m th ~vcycles =
 (* ------------------------------------------------------------------ *)
 (* instruction execution                                               *)
 
-let exec_alp m th (a : Ir.alp) =
+let exec_alp m th ~site ~addr =
   charge m th m.cfg.Config.alp_inactive_cost;
   if speculative th && Mode.uses_alps m.mode then begin
     let tx = th.txs in
     m.stats.Stats.alps_executed <- m.stats.Stats.alps_executed + 1;
-    let f = frame_of th in
-    let addr = f.regs.(a.Ir.alp_addr) in
     if addr >= wpl m then begin
       (* software conflicting-PC tracking: one nt probe, plus one nt store
          when the line was absent from the map *)
       if (match m.mode with Mode.Staggered_sw -> true | _ -> false) then begin
         charge m th (2 * m.cfg.Config.l1_latency);
-        if Softcpc.note th.softcpc ~line:(line_of m addr) ~site:a.Ir.alp_site then
+        if Softcpc.note th.softcpc ~line:(line_of m addr) ~site:site then
           charge m th m.cfg.Config.l1_latency
       end;
       let ctx = th.contexts.(tx.tx_ab) in
       let fired =
-        ctx.Abcontext.active_site = a.Ir.alp_site
+        ctx.Abcontext.active_site = site
         && Abcontext.address_matched ctx ~words_per_line:(wpl m) ~addr
       in
       if m.evt then
         emit m th
-          (Alp_executed { tid = th.tid; ab = tx.tx_ab; site = a.Ir.alp_site; fired });
+          (Alp_executed { tid = th.tid; ab = tx.tx_ab; site = site; fired });
       if fired then begin
-        ignore (Abcontext.consume_active ctx ~site:a.Ir.alp_site);
+        ignore (Abcontext.consume_active ctx ~site:site);
         request_lock m th ~addr
       end
     end
@@ -925,39 +1094,8 @@ let exec_alp m th (a : Ir.alp) =
     then
       emit m th
         (Alp_executed
-           { tid = th.tid; ab = tx.tx_ab; site = a.Ir.alp_site; fired = false })
+           { tid = th.tid; ab = tx.tx_ab; site = site; fired = false })
   end
-
-let exec_intr m th f dst intr args =
-  match (intr, args) with
-  | Ir.Rng, [ bound ] ->
-    let b = ev f bound in
-    if b <= 0 then trap "rng with nonpositive bound %d" b;
-    charge m th 5;
-    (match dst with
-    | Some d -> f.regs.(d) <- Stx_util.Rng.int th.rng b
-    | None -> ())
-  | Ir.Thread_id, [] ->
-    charge m th 1;
-    (match dst with Some d -> f.regs.(d) <- th.tid | None -> ())
-  | Ir.Work, [ n ] ->
-    let n = ev f n in
-    charge m th (imax 0 n)
-  | Ir.Print, [ _ ] -> charge m th 1
-  | Ir.Abort_tx, [] ->
-    charge m th 1;
-    if speculative th then begin
-      Htm.tx_self_abort m.htm ~core:th.tid;
-      handle_abort m th
-    end
-    else if stm_active th then begin
-      let stm = the_stm m in
-      (match Stm.status stm ~core:th.tid with
-      | Stm.Active -> Stm.tx_self_abort stm ~core:th.tid
-      | Stm.Idle | Stm.Doomed _ -> ());
-      handle_stm_abort m th ~vcycles:0
-    end
-  | _ -> trap "bad intrinsic arity"
 
 let do_return m th retval =
   if th.depth = 0 then trap "return with empty stack";
@@ -1015,176 +1153,231 @@ let do_return m th retval =
       th.finished <- true
   end
 
-let binop op a b =
-  match op with
-  | Ir.Add -> a + b
-  | Ir.Sub -> a - b
-  | Ir.Mul -> a * b
-  | Ir.Div -> if b = 0 then trap "division by zero" else a / b
-  | Ir.Rem -> if b = 0 then trap "remainder by zero" else a mod b
-  | Ir.And -> a land b
-  | Ir.Or -> a lor b
-  | Ir.Xor -> a lxor b
-  | Ir.Shl -> a lsl (b land 62)
-  | Ir.Shr -> a asr (b land 62)
-  | Ir.Eq -> if a = b then 1 else 0
-  | Ir.Ne -> if a <> b then 1 else 0
-  | Ir.Lt -> if a < b then 1 else 0
-  | Ir.Le -> if a <= b then 1 else 0
-  | Ir.Gt -> if a > b then 1 else 0
-  | Ir.Ge -> if a >= b then 1 else 0
-
-(* consume the instruction at [f.ip] *)
-let next_inst m th f =
-  f.ip <- f.ip + 1;
+let count_inst m th =
   m.stats.Stats.insts <- m.stats.Stats.insts + 1;
   if th.tx_active then begin
     th.txs.tx_insts <- th.txs.tx_insts + 1;
     m.stats.Stats.tx_insts <- m.stats.Stats.tx_insts + 1
   end
 
-(* Execute the thread's next op — an instruction, or its block's
-   terminator — and return true. With [local_only], only a thread-local
-   op runs; anything else returns false, leaving the thread untouched.
-   Thread-local ops read and write the thread's own registers, frames
-   and clock and nothing else, so no other thread can observe when they
-   run. Not thread-local: memory, allocation, the RNG (its draws outlive
-   an abort), ALPs, atomic calls, print and the explicit abort, a
-   division by zero (which traps, unless a doom lands first), and a
-   return that commits a transaction or ends the thread. *)
+(* Run the top frame's straight-line ops (opcodes 0-19: Mov, Bin, Gep,
+   Idx, Jmp, Br; one cycle each, and thread-local) from its [pc], until
+   the thread's run-ahead log holds [limit] entries, the next op is
+   another kind, or it divides by zero (which traps, unless a doom lands
+   first). Each op's start cycle and the attempt's [tx_insts] before it
+   are logged from index [n0] on, for [rewind]. The clock, [pc] and
+   counters live in locals and are written back once. Returns the new
+   log length. *)
+let straight m th (f : frame) n0 limit =
+  let code = f.fn.code and r = f.regs in
+  let ra_time = th.ra_time and ra_insts = th.ra_insts in
+  let t0 = th.time - n0 and i0 = th.txs.tx_insts in
+  let dtx = if th.tx_active then 1 else 0 in
+  let pc = ref f.pc and n = ref n0 and ni = ref 0 and lim = ref limit in
+  while !n < !lim do
+    let p = !pc and i = !n in
+    ra_time.(i) <- t0 + i;
+    ra_insts.(i) <- i0 + (dtx * !ni);
+    let c = code.(p) in
+    if c < op_mov then begin
+      let a = r.(code.(p + 2)) and b = r.(code.(p + 3)) in
+      if b = 0 && (c = op_div || c = op_rem) then lim := i
+      else begin
+        r.(code.(p + 1)) <-
+          (match c with
+          | 0 (* Add *) -> a + b
+          | 1 (* Sub *) -> a - b
+          | 2 (* Mul *) -> a * b
+          | 3 (* Div *) -> a / b
+          | 4 (* Rem *) -> a mod b
+          | 5 (* And *) -> a land b
+          | 6 (* Or *) -> a lor b
+          | 7 (* Xor *) -> a lxor b
+          | 8 (* Shl *) -> a lsl (b land 63)
+          | 9 (* Shr *) -> a asr (b land 63)
+          | 10 (* Eq *) -> if a = b then 1 else 0
+          | 11 (* Ne *) -> if a <> b then 1 else 0
+          | 12 (* Lt *) -> if a < b then 1 else 0
+          | 13 (* Le *) -> if a <= b then 1 else 0
+          | 14 (* Gt *) -> if a > b then 1 else 0
+          | _ (* Ge *) -> if a >= b then 1 else 0);
+        pc := p + 4;
+        incr ni;
+        n := i + 1
+      end
+    end
+    else
+      match c with
+      | 16 (* Mov *) ->
+        r.(code.(p + 1)) <- r.(code.(p + 2));
+        pc := p + 3;
+        incr ni;
+        n := i + 1
+      | 17 (* Idx *) ->
+        r.(code.(p + 1)) <- r.(code.(p + 2)) + (code.(p + 4) * r.(code.(p + 3)));
+        pc := p + 5;
+        incr ni;
+        n := i + 1
+      | 18 (* Jmp *) ->
+        pc := code.(p + 1);
+        n := i + 1
+      | 19 (* Br *) ->
+        pc := if r.(code.(p + 1)) <> 0 then code.(p + 2) else code.(p + 3);
+        n := i + 1
+      | _ -> lim := i
+  done;
+  let k = !n - n0 and ni = !ni in
+  f.pc <- !pc;
+  th.time <- t0 + !n;
+  let s = m.stats in
+  s.Stats.insts <- s.Stats.insts + ni;
+  if th.tx_active then begin
+    th.txs.tx_insts <- th.txs.tx_insts + ni;
+    s.Stats.tx_insts <- s.Stats.tx_insts + ni;
+    s.Stats.tx_mode_cycles <- s.Stats.tx_mode_cycles + k
+  end;
+  !n
+
+(* Execute the thread's next op and return true. With [local_only], only
+   a thread-local op other than the straight-line ones (which run ahead
+   in [straight]) runs; anything else returns false, leaving the thread
+   untouched. Thread-local ops read and write the thread's own
+   registers, frames and clock and nothing else, so no other thread can
+   observe when they run. Not thread-local: memory, allocation, the RNG
+   (its draws outlive an abort), ALPs, atomic calls, print and the
+   explicit abort, a division by zero (which traps, unless a doom lands
+   first), and a return that commits a transaction or ends the thread. *)
 let exec_op m th ~local_only =
   let f = frame_of th in
-  let insts = f.insts in
-  if f.ip < Array.length insts then begin
-    let inst = insts.(f.ip) in
-    match inst.Ir.op with
-    | Ir.Mov (d, v) ->
-      next_inst m th f;
-      charge m th 1;
-      f.regs.(d) <- ev f v;
-      true
-    | Ir.Bin (op, d, a, b) ->
-      let b = ev f b in
-      if local_only && b = 0 && (match op with Ir.Div | Ir.Rem -> true | _ -> false)
-      then false
-      else begin
-        next_inst m th f;
-        charge m th 1;
-        f.regs.(d) <- binop op (ev f a) b;
-        true
-      end
-    | Ir.Gep (d, b, _, fi) ->
-      next_inst m th f;
-      charge m th 1;
-      f.regs.(d) <- f.regs.(b) + fi;
-      true
-    | Ir.Idx (d, b, esize, i) ->
-      next_inst m th f;
-      charge m th 1;
-      f.regs.(d) <- f.regs.(b) + (esize * ev f i);
-      true
-    | Ir.Call (dst, g, args) ->
-      next_inst m th f;
-      charge m th 2;
-      let n = eval_args th f 0 args in
-      push_frame th (callee_of m inst.Ir.iid g) th.argbuf n
-        (match dst with Some d -> d | None -> -1);
-      true
-    | Ir.Intr (dst, (Ir.Work as intr), ([ _ ] as args))
-    | Ir.Intr (dst, (Ir.Thread_id as intr), ([] as args)) ->
-      next_inst m th f;
-      exec_intr m th f dst intr args;
-      true
-    | Ir.Load _ | Ir.Store _ | Ir.Alloc _ | Ir.Alloc_arr _ | Ir.Atomic_call _
-    | Ir.Intr _ | Ir.Alp _
-      when local_only ->
-      false
-    | Ir.Load (d, p) ->
-      next_inst m th f;
-      let addr = f.regs.(p) in
-      check_addr m addr;
-      charge m th (mem_latency m th ~addr ~write:false);
-      let v =
-        if speculative th then
-          Htm.tx_load m.htm ~core:th.tid ~addr ~pc:(pc_of m inst.Ir.iid)
-        else if stm_active th then begin
-          (* every software read also probes the line's version word *)
-          let stm = the_stm m in
-          charge m th
-            (mem_latency m th
-               ~addr:(Stm.version_addr stm ~line:(line_of m addr))
-               ~write:false);
-          Stm.tx_load stm ~core:th.tid ~addr
-        end
-        else Htm.nt_load m.htm ~addr
-      in
-      f.regs.(d) <- v;
-      true
-    | Ir.Store (p, v) ->
-      next_inst m th f;
-      let addr = f.regs.(p) in
-      check_addr m addr;
-      charge m th (mem_latency m th ~addr ~write:true);
-      let value = ev f v in
-      if speculative th then
-        Htm.tx_store m.htm ~core:th.tid ~addr ~value ~pc:(pc_of m inst.Ir.iid)
-      else if stm_active th then
-        Stm.tx_store (the_stm m) ~core:th.tid ~addr ~value
-      else Htm.nt_store m.htm ~core:th.tid ~addr ~value;
-      true
-    | Ir.Alloc (d, sname) ->
-      next_inst m th f;
-      charge m th 20;
-      f.regs.(d) <-
-        Alloc.alloc m.allocator ~thread:th.tid (ssize_of m inst.Ir.iid sname);
-      true
-    | Ir.Alloc_arr (d, sname, n) ->
-      next_inst m th f;
-      charge m th 20;
-      let sz = ssize_of m inst.Ir.iid sname in
-      let n = ev f n in
-      if n <= 0 then trap "alloc_arr with nonpositive count %d" n;
-      f.regs.(d) <- Alloc.alloc m.allocator ~thread:th.tid (n * sz);
-      true
-    | Ir.Atomic_call (dst, ab, args) ->
-      next_inst m th f;
-      if in_tx th then trap "nested atomic call";
-      let n = eval_args th f 0 args in
-      start_atomic m th ~ab
-        ~dst:(match dst with Some d -> d | None -> -1)
-        ~args:th.argbuf ~nargs:n;
-      true
-    | Ir.Intr (dst, intr, args) ->
-      next_inst m th f;
-      exec_intr m th f dst intr args;
-      true
-    | Ir.Alp a ->
-      next_inst m th f;
-      exec_alp m th a;
-      true
-  end
+  let code = f.fn.code and r = f.regs and p = f.pc in
+  let c = code.(p) in
+  if c <= op_br then
+    (not local_only)
+    && (straight m th f 0 1 > 0
+       || trap "%s by zero" (if c = op_div then "division" else "remainder"))
   else
-    match f.func.Ir.blocks.(f.bi).Ir.term with
-    | Ir.Jmp _ ->
-      charge m th 1;
-      f.bi <- f.tgt.(2 * f.bi);
-      f.insts <- f.func.Ir.blocks.(f.bi).Ir.insts;
-      f.ip <- 0;
-      true
-    | Ir.Br (c, _, _) ->
-      charge m th 1;
-      f.bi <- f.tgt.((2 * f.bi) + if ev f c <> 0 then 0 else 1);
-      f.insts <- f.func.Ir.blocks.(f.bi).Ir.insts;
-      f.ip <- 0;
-      true
-    | Ir.Ret _
+    match c with
+    | 21 | 22 | 23 | 24 | 25 | 26 | 29 | 30 | 31 | 33 when local_only -> false
+    | 32 (* Ret *)
       when local_only
            && (th.depth = 1 || (th.tx_active && th.depth - 1 = th.txs.tx_base_depth)) ->
       false
-    | Ir.Ret v ->
-      charge m th 1;
-      do_return m th (match v with Some v -> ev f v | None -> 0);
+    | 20 (* Call *) ->
+      let n = code.(p + 3) in
+      f.pc <- p + 4 + n;
+      count_inst m th;
+      charge m th 2;
+      gather th r code (p + 4) n;
+      push_frame th (callee m f.fn code.(p + 1)) th.argbuf n code.(p + 2);
       true
+    | 21 (* Atomic_call *) ->
+      let n = code.(p + 3) in
+      f.pc <- p + 4 + n;
+      count_inst m th;
+      if in_tx th then trap "nested atomic call";
+      gather th r code (p + 4) n;
+      start_atomic m th ~ab:code.(p + 1) ~dst:code.(p + 2) ~args:th.argbuf ~nargs:n;
+      true
+    | 22 (* Load *) ->
+      f.pc <- p + 4;
+      count_inst m th;
+      let addr = r.(code.(p + 2)) in
+      check_addr m addr;
+      charge m th (mem_latency m th ~addr ~write:false);
+      r.(code.(p + 1)) <-
+        (if speculative th then Htm.tx_load m.htm ~core:th.tid ~addr ~pc:code.(p + 3)
+         else if stm_active th then begin
+           (* every software read also probes the line's version word *)
+           let stm = the_stm m in
+           charge m th
+             (mem_latency m th
+                ~addr:(Stm.version_addr stm ~line:(line_of m addr))
+                ~write:false);
+           Stm.tx_load stm ~core:th.tid ~addr
+         end
+         else Htm.nt_load m.htm ~addr);
+      true
+    | 23 (* Store *) ->
+      f.pc <- p + 4;
+      count_inst m th;
+      let addr = r.(code.(p + 1)) in
+      check_addr m addr;
+      charge m th (mem_latency m th ~addr ~write:true);
+      let value = r.(code.(p + 2)) in
+      if speculative th then
+        Htm.tx_store m.htm ~core:th.tid ~addr ~value ~pc:code.(p + 3)
+      else if stm_active th then Stm.tx_store (the_stm m) ~core:th.tid ~addr ~value
+      else Htm.nt_store m.htm ~core:th.tid ~addr ~value;
+      true
+    | 24 (* Alloc *) ->
+      f.pc <- p + 3;
+      count_inst m th;
+      charge m th 20;
+      r.(code.(p + 1)) <- Alloc.alloc m.allocator ~thread:th.tid code.(p + 2);
+      true
+    | 25 (* Alloc_arr *) ->
+      f.pc <- p + 4;
+      count_inst m th;
+      charge m th 20;
+      let n = r.(code.(p + 3)) in
+      if n <= 0 then trap "alloc_arr with nonpositive count %d" n;
+      r.(code.(p + 1)) <- Alloc.alloc m.allocator ~thread:th.tid (n * code.(p + 2));
+      true
+    | 26 (* Rng *) ->
+      f.pc <- p + 3;
+      count_inst m th;
+      let b = r.(code.(p + 2)) in
+      if b <= 0 then trap "rng with nonpositive bound %d" b;
+      charge m th 5;
+      let d = code.(p + 1) in
+      if d >= 0 then r.(d) <- Stx_util.Rng.int th.rng b;
+      true
+    | 27 (* Thread_id *) ->
+      f.pc <- p + 2;
+      count_inst m th;
+      charge m th 1;
+      let d = code.(p + 1) in
+      if d >= 0 then r.(d) <- th.tid;
+      true
+    | 28 (* Work *) ->
+      f.pc <- p + 2;
+      count_inst m th;
+      charge m th (imax 0 r.(code.(p + 1)));
+      true
+    | 29 (* Print *) ->
+      f.pc <- p + 1;
+      count_inst m th;
+      charge m th 1;
+      true
+    | 30 (* Abort_tx *) ->
+      f.pc <- p + 1;
+      count_inst m th;
+      charge m th 1;
+      if speculative th then begin
+        Htm.tx_self_abort m.htm ~core:th.tid;
+        handle_abort m th
+      end
+      else if stm_active th then begin
+        let stm = the_stm m in
+        (match Stm.status stm ~core:th.tid with
+        | Stm.Active -> Stm.tx_self_abort stm ~core:th.tid
+        | Stm.Idle | Stm.Doomed _ -> ());
+        handle_stm_abort m th ~vcycles:0
+      end;
+      true
+    | 31 (* Alp *) ->
+      f.pc <- p + 3;
+      count_inst m th;
+      exec_alp m th ~site:code.(p + 1) ~addr:r.(code.(p + 2));
+      true
+    | 32 (* Ret *) ->
+      charge m th 1;
+      do_return m th r.(code.(p + 1));
+      true
+    | _ (* an intrinsic of the wrong arity *) ->
+      f.pc <- p + 1;
+      count_inst m th;
+      trap "bad intrinsic arity"
 
 (* ------------------------------------------------------------------ *)
 (* the per-thread step                                                 *)
@@ -1201,6 +1394,9 @@ let htm_doomed m th =
 let step m th =
   m.steps <- m.steps + 1;
   if m.steps > m.max_steps then trap "simulation exceeded %d steps" m.max_steps;
+  (* every op the thread ran ahead started before this step, so no doom
+     can take one back now: the log is spent ([straight] reuses it) *)
+  th.ra_len <- 0;
   (* a doomed speculative transaction aborts before doing anything else *)
   if htm_doomed m th then handle_abort m th
   else if
@@ -1280,19 +1476,27 @@ let run_ahead m th =
     && (match th.wait with None -> true | Some _ -> false)
     && (not (stm_active th))
     && not (htm_doomed m th)
-  then
-    while
-      !n < ra_cap
-      && m.steps < m.max_steps
-      && begin
-           th.ra_time.(!n) <- th.time;
-           th.ra_insts.(!n) <- th.txs.tx_insts;
-           exec_op m th ~local_only:true
-         end
-    do
-      incr n;
-      m.steps <- m.steps + 1
-    done;
+  then begin
+    let go = ref true in
+    while !go do
+      let limit = imin ra_cap (!n + m.max_steps - m.steps) in
+      let n' = straight m th (frame_of th) !n limit in
+      m.steps <- m.steps + (n' - !n);
+      n := n';
+      (* a call, work, thread id or plain return, or the end of the run *)
+      go :=
+        n' < limit
+        && begin
+             th.ra_time.(n') <- th.time;
+             th.ra_insts.(n') <- th.txs.tx_insts;
+             exec_op m th ~local_only:true
+           end;
+      if !go then begin
+        incr n;
+        m.steps <- m.steps + 1
+      end
+    done
+  end;
   th.ra_len <- !n
 
 (* ------------------------------------------------------------------ *)
@@ -1335,13 +1539,11 @@ let run ?(seed = 1) ?(policy = Policy.default_params)
     | Stx_policy.Fallback.Backoff { seed = s; _ } -> s
     | Stx_policy.Fallback.Polite _ | Stx_policy.Fallback.Stm_tier _ -> 0
   in
-  let main_fn = Ir.find_func spec.compiled.Pipeline.prog spec.thread_main in
-  let main_tgt = { tfn = main_fn; ttgt = resolve_targets main_fn } in
   let mk_thread tid =
     {
       tid;
       time = 0;
-      frames = Array.init 8 (fun _ -> new_frame main_fn main_tgt.ttgt);
+      frames = Array.init 8 (fun _ -> new_frame ());
       depth = 0;
       argbuf = Array.make 16 0;
       finished = false;
@@ -1382,7 +1584,6 @@ let run ?(seed = 1) ?(policy = Policy.default_params)
     pw := !pw * 2
   done;
   let pw = !pw in
-  let n_iids = max 1 spec.compiled.Pipeline.prog.Ir.next_iid in
   let m =
     {
       cfg;
@@ -1402,10 +1603,11 @@ let run ?(seed = 1) ?(policy = Policy.default_params)
       evt;
       on_event;
       injector;
-      callee = Array.make n_iids None;
-      ab_roots = Array.make (max 1 n_abs) None;
-      pcs = Array.make n_iids min_int;
-      ssizes = Array.make n_iids (-1);
+      lowered = Hashtbl.create 16;
+      ab_fns = Array.make n_abs unlowered;
+      ab_rows = Array.make n_abs None;
+      conf_lines = Linetbl.create ();
+      conf_pcs = Linetbl.create ();
       line_shift = shift_of_pow2 cfg.Config.words_per_line;
       steps = 0;
       max_steps;
@@ -1416,13 +1618,14 @@ let run ?(seed = 1) ?(policy = Policy.default_params)
       parked = 0;
     }
   in
+  let main_fn = lowered m spec.thread_main in
   Array.iter
-    (fun th -> push_frame th main_tgt args.(th.tid) (Array.length args.(th.tid)) (-1))
+    (fun th -> push_frame th main_fn args.(th.tid) (Array.length args.(th.tid)) (-1))
     threads;
   Htm.set_on_doom htm (Some (fun victim -> rewind m threads.(victim)));
   Array.iter (fun th -> m.keys.(pw + th.tid) <- key_of m th) threads;
   for i = pw - 1 downto 1 do
-    m.keys.(i) <- imin m.keys.(2 * i) m.keys.((2 * i) + 1)
+    m.keys.(i) <- kmin m.keys.(2 * i) m.keys.((2 * i) + 1)
   done;
   (* One scheduled step per shared-state op: the minimum (cycle, core)
      executes one step and then runs ahead through its thread-local ops
@@ -1471,6 +1674,8 @@ let run ?(seed = 1) ?(policy = Policy.default_params)
           trap "software transaction still live on core %d at end of run" core)
       threads
   | None -> ());
+  Linetbl.iter (Hashtbl.replace stats.Stats.conf_addr_freq) m.conf_lines;
+  Linetbl.iter (Hashtbl.replace stats.Stats.conf_pc_freq) m.conf_pcs;
   Array.iter (fun th -> stats.Stats.total_cycles <- max stats.Stats.total_cycles th.time) threads;
   Array.iter
     (fun th -> stats.Stats.thread_cycles <- stats.Stats.thread_cycles + th.time)

@@ -4,7 +4,8 @@ open Stx_core
 
 (** The simulated machine: a deterministic discrete-event interpreter that
     runs one TIR thread per core under the HTM and the Staggered
-    Transactions runtime.
+    Transactions runtime. A function is lowered into flat code on its
+    first call in a run, and the interpreter runs that, not the TIR.
 
     The committed order is one step per instruction or block terminator:
     the runnable thread with the smallest local clock (ties by id) steps

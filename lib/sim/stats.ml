@@ -205,7 +205,3 @@ let merge a b =
   add_pols a.per_policy;
   add_pols b.per_policy;
   m
-
-let note_conflict t ~conf_line ~conf_pc =
-  Stx_util.Stat.bump t.conf_addr_freq conf_line;
-  match conf_pc with Some pc -> Stx_util.Stat.bump t.conf_pc_freq pc | None -> ()

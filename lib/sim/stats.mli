@@ -91,8 +91,6 @@ val locality : ?top:int -> (int, int) Hashtbl.t -> float
 (** Share of the [top] (default 1) most frequent keys among all
     occurrences (0 when empty) — the LA/LP columns of Table 1. *)
 
-val note_conflict : t -> conf_line:int -> conf_pc:int option -> unit
-
 val ab : t -> int -> ab_stat
 (** The (created-on-demand) per-atomic-block record. *)
 

@@ -21,6 +21,12 @@ type binop =
   | Add | Sub | Mul | Div | Rem
   | And | Or | Xor | Shl | Shr
   | Eq | Ne | Lt | Le | Gt | Ge
+(** Over native (63-bit) ints, wrapping on overflow. [Div] truncates
+    toward zero and [Rem] takes the dividend's sign; either traps on a
+    zero divisor. [Shl a b] is [a lsl (b land 63)] and [Shr a b] the
+    arithmetic [a asr (b land 63)]: the count is taken modulo 64, so a
+    count of 63 shifts every bit out (leaving 0, or -1 for a negative
+    [Shr]). Comparisons yield 1 or 0. *)
 
 type intr =
   | Rng  (** [Rng [bound]]: uniform int in [0, bound) from the thread's stream *)

@@ -3,36 +3,65 @@ open Stx_sim
 type t = {
   threads : int;
   r : Stats.t;  (* the replayed counts, in the record the simulator counts into *)
+  rows : Stats.ab_stat option array ref;  (* [r]'s per-block rows, see [row] *)
   lc : Lifecycle.t;
   errs : string list ref;  (* newest first *)
 }
 
 let err t fmt = Printf.ksprintf (fun s -> t.errs := s :: !(t.errs)) fmt
 
+(* Real programs number their atomic blocks from 0 and have few; a
+   replayed capture may name any id, and those past this bound skip the
+   cache. *)
+let max_cached = 4096
+
+(* [r]'s row for block [ab], looked up through [Stats.ab] once (so
+   [per_ab] keeps its insertion order) and cached by id *)
+let rec row r rows ab =
+  if ab >= 0 && ab < Array.length !rows then begin
+    match !rows.(ab) with
+    | Some a -> a
+    | None ->
+      let a = Stats.ab r ab in
+      !rows.(ab) <- Some a;
+      a
+  end
+  else if ab >= 0 && ab < max_cached then begin
+    let bigger = Array.make (min max_cached (max (ab + 1) (2 * Array.length !rows))) None in
+    Array.blit !rows 0 bigger 0 (Array.length !rows);
+    rows := bigger;
+    row r rows ab
+  end
+  else Stats.ab r ab
+
 let create ~threads =
   let r = Stats.create ~threads in
+  let rows = ref (Array.make 16 None) in
   let errs = ref [] in
   let on_span (s : Lifecycle.span) _ =
     match s.kind with
     | Lifecycle.Attempt ->
       if s.acquires > 0 then begin
-        let a = Stats.ab r s.ab in
+        let a = row r rows s.ab in
         a.ab_locks <- a.ab_locks + s.acquires
       end
     | Lifecycle.Backoff -> r.backoff_cycles <- r.backoff_cycles + (s.stop - s.start)
     | Lifecycle.Wait | Lifecycle.Hold | Lifecycle.Request -> ()
   in
   let lc = Lifecycle.create ~on_error:(fun e -> errs := e :: !errs) ~on_span () in
-  { threads; r; lc; errs }
+  { threads; r; rows; lc; errs }
 
-let commit r ab cycles =
-  let a = Stats.ab r ab in
+let commit t ab cycles =
+  let r = t.r in
+  let a = row r t.rows ab in
   a.ab_commits <- a.ab_commits + 1;
   r.commits <- r.commits + 1;
-  r.useful_cycles <- r.useful_cycles + cycles
+  r.useful_cycles <- r.useful_cycles + cycles;
+  a
 
-let abort r ab cycles =
-  let a = Stats.ab r ab in
+let abort t ab cycles =
+  let r = t.r in
+  let a = row r t.rows ab in
   a.ab_aborts <- a.ab_aborts + 1;
   r.aborts <- r.aborts + 1;
   r.wasted_cycles <- r.wasted_cycles + cycles
@@ -52,9 +81,8 @@ let handler t ~time ev =
     let r = t.r in
     match ev with
     | Machine.Tx_commit { ab; cycles; irrevocable; _ } ->
-      commit r ab cycles;
-      if irrevocable then
-        (Stats.ab r ab).ab_irrevocable <- (Stats.ab r ab).ab_irrevocable + 1
+      let a = commit t ab cycles in
+      if irrevocable then a.ab_irrevocable <- a.ab_irrevocable + 1
     | Machine.Tx_abort { ab; kind; cycles; _ } ->
       (match kind with
       | Machine.Conflict -> r.conflict_aborts <- r.conflict_aborts + 1
@@ -62,11 +90,11 @@ let handler t ~time ev =
       | Machine.Capacity -> r.capacity_aborts <- r.capacity_aborts + 1
       | Machine.Explicit -> r.explicit_aborts <- r.explicit_aborts + 1
       | Machine.Stm_conflict -> r.stm_conflict_aborts <- r.stm_conflict_aborts + 1);
-      abort r ab cycles
+      abort t ab cycles
     | Machine.Stm_commit { ab; cycles; vcycles; _ } ->
       software t tid time ~what:"commit" ~cycles ~vcycles;
       r.stm_commits <- r.stm_commits + 1;
-      commit r ab cycles
+      ignore (commit t ab cycles)
     | Machine.Stm_abort { ab; kind; cycles; vcycles; _ } ->
       software t tid time ~what:"abort" ~cycles ~vcycles;
       r.stm_aborts <- r.stm_aborts + 1;
@@ -75,7 +103,7 @@ let handler t ~time ev =
       | Machine.Stm_hw_owned -> r.stm_hw_owned_aborts <- r.stm_hw_owned_aborts + 1
       | Machine.Stm_locksub -> r.stm_locksub_aborts <- r.stm_locksub_aborts + 1
       | Machine.Stm_explicit -> ());
-      abort r ab cycles
+      abort t ab cycles
     | Machine.Tx_irrevocable _ -> r.irrevocable_entries <- r.irrevocable_entries + 1
     | Machine.Alp_executed _ -> r.alps_executed <- r.alps_executed + 1
     | Machine.Lock_attempt _ -> r.alps_lock_attempts <- r.alps_lock_attempts + 1

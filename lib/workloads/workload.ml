@@ -17,7 +17,6 @@ let split ~total ~threads = max 1 (total / max 1 threads)
 
 let spec ?(instrument = true) ?anchor_mode ?(scale = 1.0) ?pc_bits t =
   let prog = t.build () in
-  Verify.program prog;
   let compiled =
     Stx_compiler.Pipeline.compile ?pc_bits ?mode:anchor_mode ~instrument prog
   in
@@ -55,7 +54,6 @@ let service_spec ?(instrument = true) ?key_range sv =
   let b = Builder.create prog service_entry ~params:[] in
   Builder.ret b None;
   ignore (Builder.finish b);
-  Verify.program prog;
   let compiled = Stx_compiler.Pipeline.compile ~instrument prog in
   let abs name =
     match

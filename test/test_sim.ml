@@ -530,7 +530,8 @@ let stats_fixture ~threads ~commits ~total ~line ~ab_commits =
   s.Stats.aborts <- commits / 2;
   s.Stats.useful_cycles <- 10 * commits;
   s.Stats.total_cycles <- total;
-  Stats.note_conflict s ~conf_line:line ~conf_pc:(Some (line land 0xfff));
+  Stx_util.Stat.bump s.Stats.conf_addr_freq line;
+  Stx_util.Stat.bump s.Stats.conf_pc_freq (line land 0xfff);
   let ab = Stats.ab s 0 in
   ab.Stats.ab_commits <- ab_commits;
   s
@@ -547,7 +548,7 @@ let test_merge_sums_counters () =
 
 let test_merge_unions_freq_tables () =
   let a = stats_fixture ~threads:1 ~commits:2 ~total:10 ~line:7 ~ab_commits:1 in
-  Stats.note_conflict a ~conf_line:7 ~conf_pc:None;
+  Stx_util.Stat.bump a.Stats.conf_addr_freq 7;
   let b = stats_fixture ~threads:1 ~commits:2 ~total:10 ~line:7 ~ab_commits:1 in
   let m = Stats.merge a b in
   (* line 7: twice in a, once in b *)
@@ -571,25 +572,16 @@ let test_merge_per_ab_and_neutrality () =
   (* inputs are not mutated *)
   Alcotest.(check int) "left input untouched" 4 a.Stats.commits
 
-(* the bare simulator counts every conflict abort and every commit or
-   abort per atomic block through these: on keys already present they
-   must not allocate *)
+(* [Stats.ab] serves every lookup of [merge] and of block ids the online
+   checker does not cache: on a key already present it must not allocate *)
 let test_stats_bookkeeping_allocates_nothing () =
   let s = Stats.create ~threads:1 in
-  Stats.note_conflict s ~conf_line:7 ~conf_pc:(Some 3);
   ignore (Stats.ab s 0);
-  let words f =
-    let w0 = Gc.minor_words () in
-    for _ = 1 to 1_000_000 do
-      f ()
-    done;
-    Gc.minor_words () -. w0
-  in
-  let conflict = words (fun () -> Stats.note_conflict s ~conf_line:7 ~conf_pc:(Some 3)) in
-  let ab = words (fun () -> (Stats.ab s 0).Stats.ab_commits <- 1) in
-  Alcotest.(check bool)
-    (Printf.sprintf "note_conflict: %.0f words over 10^6 calls" conflict)
-    true (conflict < 64.);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000_000 do
+    (Stats.ab s 0).Stats.ab_commits <- 1
+  done;
+  let ab = Gc.minor_words () -. w0 in
   Alcotest.(check bool)
     (Printf.sprintf "ab: %.0f words over 10^6 calls" ab)
     true (ab < 64.)
