@@ -8,7 +8,10 @@ open Stx_machine
     commit), eager requester-wins conflict resolution, and a per-line PC
     tag recording the program counter of the line's first transactional
     access — delivered in full as the "conflicting PC" when that line is
-    the source of an abort. The machine above truncates it to the tag
+    the source of an abort. As in an ASF L1 line, a core keeps a line's
+    read bit, written bit and PC tag in one entry of one per-core line
+    table, so a transactional access makes one table probe; the write
+    buffer is probed only for lines the attempt wrote. The machine above truncates it to the tag
     width the program was compiled for (the compiled pipeline's
     [pc_bits]), so the hardware and the anchor tables cannot disagree on
     the width.
@@ -60,7 +63,7 @@ val create : ?policy:Stx_policy.t -> Config.t -> Memory.t -> Alloc.t -> t
 (** Allocates the global-lock word out of [Alloc]. [policy] (default
     {!Stx_policy.default}) fixes the conflict-resolution and capacity
     behaviour for the life of the HTM. Supports up to {!max_cores}
-    cores; the per-core flat set tables are sized from the policy's
+    cores; the per-core flat line tables are sized from the policy's
     capacity budget and reused across attempts without allocating. *)
 
 val config : t -> Config.t
@@ -153,19 +156,23 @@ val stm_publish : t -> core:int -> addr:int -> value:int -> unit
 
 val set_on_publish : t -> (line:int -> unit) option -> unit
 (** Install (or clear) the publication hook. Called once per write-set
-    line when a hardware transaction commits, and once per
+    line, in the order the attempt first wrote them, when a hardware
+    transaction commits, and once per
     nontransactional store, before any event is observable to other
     threads' loads. *)
 
 val set_on_doom : t -> (int -> unit) option -> unit
-(** Install (or clear) the doom hook. It is called with the victim's
-    core once for each Active → Doomed transition caused by another core
-    — a conflicting access or nontransactional store under any
-    resolution policy, a lazy commit, or a software-tier publication —
-    right after the victim's speculative state is discarded. Self-dooms
-    (capacity, losing a conflict as the requester, lock subscription,
-    explicit aborts) do not call it. The simulator uses it to rewind a
-    victim that ran ahead of the dooming step. *)
+(** Install (or clear) the doom hook. It is called with the doomed
+    core exactly once for each Active → Doomed transition, whatever the
+    cause — a conflicting access or nontransactional store by another
+    core under any resolution policy, a lazy commit, a software-tier
+    publication, losing a conflict as the requester, a capacity
+    overflow, lock subscription at commit, or an explicit abort — right
+    after the core's speculative state is discarded and its status set.
+    A core already [Doomed] or [Idle] is never reported. The simulator
+    keeps a per-thread doomed bit from it, so it never asks {!status}
+    per step, and rewinds a victim that ran ahead of the dooming
+    step. *)
 
 val retire : t -> unit
 (** Release the reader/writer index storage into the domain-local array

@@ -57,8 +57,6 @@ let rec probe_loop keys mask k i =
 (* Slot holding [k], or the empty slot where its probe chain ends. *)
 let probe t k = probe_loop t.keys t.mask k (hash k land t.mask)
 
-let mem t k = k >= 0 && t.keys.(probe t k) = k
-
 (* The occupied slot of [k], or -1.  Callers pair this with [value_at]
    to read without allocating an option. *)
 let idx t k =
@@ -66,6 +64,14 @@ let idx t k =
   else
     let i = probe t k in
     if t.keys.(i) = k then i else -1
+
+(* The value of [k], or [absent] when [k] is not in the table: one
+   probe, and no option to allocate. *)
+let find t k ~absent =
+  if k < 0 then absent
+  else
+    let i = probe t k in
+    if t.keys.(i) = k then t.vals.(i) else absent
 
 let value_at t i = t.vals.(i)
 let key_of_order t oi = t.keys.(t.order.(oi))
@@ -110,16 +116,6 @@ let rec set t k v =
   end
 
 let add t k v = ignore (set t k v)
-
-(* Insert only if absent; true when the key was new. *)
-let add_if_absent t k v =
-  if k < 0 then invalid_arg "Linetbl.add_if_absent: negative key";
-  let i = probe t k in
-  if t.keys.(i) = k then false
-  else begin
-    ignore (set t k v);
-    true
-  end
 
 let reset t =
   (* [order] records occupied slots directly, so clearing is a straight

@@ -12,22 +12,21 @@ val create : ?capacity_hint:int -> unit -> t
 val length : t -> int
 val capacity : t -> int  (** current slot count (power of two) *)
 
-val mem : t -> int -> bool
-
 val idx : t -> int -> int
 (** Occupied slot of the key, or -1.  The slot stays valid until the
     next [set]/[add]/[reset]; read it with {!value_at}. *)
 
 val value_at : t -> int -> int
 
+val find : t -> int -> absent:int -> int
+(** [find t k ~absent] is the value of [k], or [absent] when [k] is not
+    in the table — one probe. Pick as [absent] a value no entry holds. *)
+
 val set : t -> int -> int -> int
 (** Insert or overwrite; returns the key's slot. *)
 
 val add : t -> int -> int -> unit
 (** [set] with the slot discarded. *)
-
-val add_if_absent : t -> int -> int -> bool
-(** Insert only when the key is absent; true iff it was new. *)
 
 val reset : t -> unit
 (** Drop every entry in O(live entries); capacity is retained. *)

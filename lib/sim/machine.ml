@@ -199,6 +199,10 @@ type thread = {
   contexts : Abcontext.t array;
   softcpc : Softcpc.t;
   mutable parked : bool; (* failed a global-lock recheck; asleep until release *)
+  mutable hw_doomed : bool;
+      (* the hardware attempt is doomed: set by the HTM's doom hook on
+         every Active -> Doomed transition, cleared when the abort is
+         handled *)
   ra_time : int array; (* run-ahead log: start cycle of each op run ahead *)
   ra_insts : int array; (* ... and the attempt's [tx_insts] before it *)
   mutable ra_len : int;
@@ -297,9 +301,13 @@ let ab_row m ab =
     m.ab_rows.(ab) <- Some row;
     row
 
-let tally t k =
-  let i = Linetbl.idx t k in
-  Linetbl.add t k (if i < 0 then 1 else Linetbl.value_at t i + 1)
+let tally t k = Linetbl.add t k (Linetbl.find t k ~absent:0 + 1)
+
+(* The per-run conflict tallies start at 512 slots: arrays past the
+   minor heap's largest block (256 words) are allocated in the major
+   heap, so a run with a few hundred conflicting lines does not double
+   them through the minor heap. *)
+let conf_hint = 256
 
 (* ------------------------------------------------------------------ *)
 (* lowering                                                            *)
@@ -708,8 +716,10 @@ let begin_attempt m th =
           (Stm_begin { tid = th.tid; ab = tx.tx_ab; attempt = tx.tx_attempt })
     | Hw ->
       (* a retry keeps its begin timestamp: under the Timestamp resolution
-         policy an aborted transaction ages into priority *)
-      Htm.tx_begin ~fresh:(tx.tx_attempt = 0) m.htm ~core:th.tid;
+         policy an aborted transaction ages into priority (the constant
+         label allocates nothing, where a computed one builds a [Some]) *)
+      if tx.tx_attempt = 0 then Htm.tx_begin m.htm ~core:th.tid
+      else Htm.tx_begin ~fresh:false m.htm ~core:th.tid;
       let ctx = th.contexts.(tx.tx_ab) in
       Abcontext.on_tx_begin ctx;
       (* speculation probe: periodically run without the ALP to re-measure
@@ -830,12 +840,13 @@ let commit m th ~rset ~wset ~vcycles retval =
 
 (* identify the anchor a conflict abort on [line] traces back to, per the
    configured conflicting-PC scheme, and score it against the full-PC
-   oracle *)
+   oracle; [conf_pc] is the truncated tag, -1 for none *)
 let identify_anchor m th ~ab ~line ~conf_pc ~conf_pc_full =
   let table = Pipeline.table_for m.compiled ~ab in
   let runtime_anchor =
     match m.mode with
-    | Mode.Staggered_hw -> Policy.resolve_anchor table ~conf_pc
+    | Mode.Staggered_hw ->
+      Policy.resolve_anchor table ~conf_pc:(if conf_pc < 0 then None else Some conf_pc)
     | Mode.Tx_sched -> None
     | Mode.Staggered_sw -> (
       match Softcpc.lookup th.softcpc ~line with
@@ -902,6 +913,7 @@ let handle_abort m th =
   if th.tx_active then begin
     let tx = th.txs in
     let reason = Htm.tx_cleanup m.htm ~core:th.tid in
+    th.hw_doomed <- false;
     (* set sizes at doom time: the live sets were reset when the
        transaction was doomed, possibly long before this handler ran *)
     let rset, wset = Htm.last_set_sizes m.htm ~core:th.tid in
@@ -910,12 +922,12 @@ let handle_abort m th =
     let ctx = th.contexts.(tx.tx_ab) in
     let conf_line = ref (-1) in
     (* the hardware's conflicting-PC tag, at the width the program was
-       compiled for *)
+       compiled for (a truncated tag is never negative: -1 is none) *)
     let conf_pc =
       match reason with
       | Htm.Conflict { conf_pc = Some pc; _ } ->
-        Some (Layout.truncate ~bits:m.compiled.Pipeline.pc_bits pc)
-      | _ -> None
+        Layout.truncate ~bits:m.compiled.Pipeline.pc_bits pc
+      | _ -> -1
     in
     (match reason with
     | Htm.Conflict { conf_addr; conf_pc = conf_pc_full; _ } ->
@@ -923,7 +935,7 @@ let handle_abort m th =
       let line = line_of m conf_addr in
       conf_line := line;
       tally m.conf_lines line;
-      (match conf_pc with Some pc -> tally m.conf_pcs pc | None -> ());
+      if conf_pc >= 0 then tally m.conf_pcs conf_pc;
       let runtime_anchor =
         identify_anchor m th ~ab:tx.tx_ab ~line ~conf_pc ~conf_pc_full
       in
@@ -976,7 +988,7 @@ let handle_abort m th =
              ab = tx.tx_ab;
              kind;
              conf_line = (if !conf_line < 0 then None else Some !conf_line);
-             conf_pc;
+             conf_pc = (if conf_pc < 0 then None else Some conf_pc);
              aggressor;
              cycles = wasted;
              rset;
@@ -1387,10 +1399,6 @@ let spin_wait m th =
   m.stats.Stats.lock_wait_cycles <-
     m.stats.Stats.lock_wait_cycles + m.cfg.Config.spin_recheck_cost
 
-let htm_doomed m th =
-  speculative th
-  && match Htm.status m.htm ~core:th.tid with Htm.Doomed _ -> true | _ -> false
-
 let step m th =
   m.steps <- m.steps + 1;
   if m.steps > m.max_steps then trap "simulation exceeded %d steps" m.max_steps;
@@ -1398,7 +1406,7 @@ let step m th =
      can take one back now: the log is spent ([straight] reuses it) *)
   th.ra_len <- 0;
   (* a doomed speculative transaction aborts before doing anything else *)
-  if htm_doomed m th then handle_abort m th
+  if th.hw_doomed then handle_abort m th
   else if
     stm_active th
     && (match Stm.status (the_stm m) ~core:th.tid with
@@ -1475,7 +1483,7 @@ let run_ahead m th =
     th.depth > 0
     && (match th.wait with None -> true | Some _ -> false)
     && (not (stm_active th))
-    && not (htm_doomed m th)
+    && not th.hw_doomed
   then begin
     let go = ref true in
     while !go do
@@ -1573,6 +1581,7 @@ let run ?(seed = 1) ?(policy = Policy.default_params)
             Abcontext.create ~ab (Pipeline.table_for spec.compiled ~ab));
       softcpc = Softcpc.create ();
       parked = false;
+      hw_doomed = false;
       ra_time = Array.make ra_cap 0;
       ra_insts = Array.make ra_cap 0;
       ra_len = 0;
@@ -1606,8 +1615,8 @@ let run ?(seed = 1) ?(policy = Policy.default_params)
       lowered = Hashtbl.create 16;
       ab_fns = Array.make n_abs unlowered;
       ab_rows = Array.make n_abs None;
-      conf_lines = Linetbl.create ();
-      conf_pcs = Linetbl.create ();
+      conf_lines = Linetbl.create ~capacity_hint:conf_hint ();
+      conf_pcs = Linetbl.create ~capacity_hint:conf_hint ();
       line_shift = shift_of_pow2 cfg.Config.words_per_line;
       steps = 0;
       max_steps;
@@ -1622,7 +1631,12 @@ let run ?(seed = 1) ?(policy = Policy.default_params)
   Array.iter
     (fun th -> push_frame th main_fn args.(th.tid) (Array.length args.(th.tid)) (-1))
     threads;
-  Htm.set_on_doom htm (Some (fun victim -> rewind m threads.(victim)));
+  Htm.set_on_doom htm
+    (Some
+       (fun victim ->
+         let th = threads.(victim) in
+         th.hw_doomed <- true;
+         rewind m th));
   Array.iter (fun th -> m.keys.(pw + th.tid) <- key_of m th) threads;
   for i = pw - 1 downto 1 do
     m.keys.(i) <- kmin m.keys.(2 * i) m.keys.((2 * i) + 1)
